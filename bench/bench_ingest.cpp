@@ -187,11 +187,12 @@ int main() {
                 unpaced_peak);
   }
 
-  // Online micro-batch sweep: the same stream scored through the fused
-  // OnlineKitsune::score_packets path in fixed-size micro-batches. Each
-  // point is the score-only marginal ns/pkt (the extract-only pass above
-  // subtracted out); batch 1 is the fused path driven row-at-a-time, the
-  // apples-to-apples baseline the check_bench gate compares against.
+  // Online micro-batch sweep: the same stream scored through the
+  // OnlineKitsune::score_packets path (the detector's f64 plan) in
+  // fixed-size micro-batches. Each point is the score-only marginal ns/pkt
+  // (the extract-only pass above subtracted out); batch 1 is the plan
+  // driven row-at-a-time, the apples-to-apples baseline the check_bench
+  // gate compares against.
   const size_t default_score_batch = core::IngestRuntime::Options{}.score_batch;
   struct OnlinePoint {
     size_t batch = 0;
@@ -231,18 +232,18 @@ int main() {
   }
 
   // Compiled-plan online sweep: the same micro-batched score_packets loop
-  // with the detector lowered through OnlineKitsune::compile() at each
-  // precision. f64 plans must be bit-identical to the reference fused path
-  // (same kernels replayed in the same order); f32/i8 trade a bounded score
-  // divergence for speed. ns/pkt is the score-only marginal, like the sweep
-  // above; divergence and alert identity are measured against the reference
-  // path over the whole sweep stream at the calibrated threshold.
+  // at each plan precision. train() installs the f64 plan, so the f64 row
+  // re-times the default path above and is the baseline the f32 row's
+  // speedup is measured against; f32 trades a bounded score divergence for
+  // speed. ns/pkt is the score-only marginal, like the sweep above;
+  // divergence and alert identity are measured against the f64 scores over
+  // the whole sweep stream at the calibrated threshold.
   struct CompiledPoint {
     const char* precision = nullptr;
     double ns = 0.0;
-    double max_rel = 0.0;            // max relative score divergence vs ref
+    double max_rel = 0.0;            // max relative score divergence vs f64
     bool alerts_identical = false;   // same alert set at proto threshold
-    double speedup = 0.0;            // reference batched ns / compiled ns
+    double speedup = 0.0;            // f64 plan ns / this plan's ns
   };
   std::vector<CompiledPoint> compiled_online;
   bool compiled_f64_identical = false;
@@ -261,8 +262,7 @@ int main() {
     std::printf("compiled online scoring (score-only ns/pkt, batch=%zu):\n",
                 default_score_batch);
     for (ml::compiled::Precision p : {ml::compiled::Precision::kF64,
-                                      ml::compiled::Precision::kF32,
-                                      ml::compiled::Precision::kI8}) {
+                                      ml::compiled::Precision::kF32}) {
       CompiledPoint cp;
       cp.precision = ml::compiled::precision_name(p);
       double best = 1e30;
@@ -283,7 +283,9 @@ int main() {
       cp.ns = std::max(
           0.0, (best - extract_s_best) / static_cast<double>(sweep_packets) *
                    1e9);
-      cp.speedup = cp.ns > 0.0 ? batched_score_ns / cp.ns : 0.0;
+      const double f64_ns =
+          compiled_online.empty() ? cp.ns : compiled_online.front().ns;
+      cp.speedup = cp.ns > 0.0 ? f64_ns / cp.ns : 0.0;
       {
         core::OnlineKitsune det = proto;
         (void)det.compile(p);
@@ -304,29 +306,28 @@ int main() {
       if (p == ml::compiled::Precision::kF64) {
         compiled_f64_identical = cp.max_rel == 0.0 && cp.alerts_identical;
       }
-      std::printf("  %-4s %.0f ns/pkt (%.2fx vs reference batched), "
+      std::printf("  %-4s %.0f ns/pkt (%.2fx vs f64), "
                   "max rel divergence %.2e, alerts %s\n",
                   cp.precision, cp.ns, cp.speedup, cp.max_rel,
                   cp.alerts_identical ? "identical" : "DIVERGED");
       compiled_online.push_back(cp);
     }
     std::printf("  f64 plan %s\n\n", compiled_f64_identical
-                                         ? "bit-identical to reference"
+                                         ? "bit-identical to the default path"
                                          : "NOT bit-identical (BUG)");
   }
 
-  // Per-model online breakdown over the pre-extracted feature matrix:
-  // row-at-a-time scoring vs the fused score_rows path at the default
-  // micro-batch, model math only (no extraction in either number) — plus
-  // the compiled-plan path for every deployable scorer. The online pair
-  // (KitNET, AutoEncoder) compiles at f32 (the deployment precision the
-  // headline gate tracks); the table models compile at f64, where the plan
-  // is exact by construction.
+  // Per-model online breakdown over the pre-extracted feature matrix, model
+  // math only (no extraction in any number). KitNET and AutoEncoder time
+  // the per-row reference as `row`, their f64 plan — the models' own
+  // scoring path — as `batched` at the default micro-batch, and the f32
+  // plan as `compiled`. The table models time Model::score against their
+  // wrapped f64 plan, which is exact by construction.
   struct ModelOnline {
     const char* name = nullptr;
-    double row_ns = 0.0;       // reference row-at-a-time (0 = no row path)
-    double batched_ns = 0.0;   // reference batched path (0 = no such path)
-    double reference_ns = 0.0; // best reference path, the compiled baseline
+    double row_ns = 0.0;       // per-row reference (0 = no row path)
+    double batched_ns = 0.0;   // f64 plan micro-batches (0 = table model)
+    double reference_ns = 0.0; // the model's own path, the compiled baseline
     double compiled_ns = 0.0;  // compiled plan, same batching as reference
     const char* precision = "f64";
   };
@@ -345,29 +346,8 @@ int main() {
     const double n = static_cast<double>(sweep_packets);
     std::vector<double> out(default_score_batch, 0.0);
 
-    const auto time_model =
-        [&](auto&& row_fn, auto&& rows_fn) -> std::pair<double, double> {
-      double row_s = 1e30, rows_s = 1e30;
-      for (int rep = 0; rep < kReps; ++rep) {
-        const Clock::time_point t0 = Clock::now();
-        for (size_t i = 0; i < sweep_packets; ++i) {
-          row_fn(feats.data() + i * fdim);
-        }
-        row_s = std::min(row_s, seconds_since(t0));
-      }
-      for (int rep = 0; rep < kReps; ++rep) {
-        const Clock::time_point t0 = Clock::now();
-        for (size_t lo = 0; lo < sweep_packets; lo += default_score_batch) {
-          const size_t m = std::min(default_score_batch, sweep_packets - lo);
-          rows_fn(feats.data() + lo * fdim, m, out.data());
-        }
-        rows_s = std::min(rows_s, seconds_since(t0));
-      }
-      return {row_s / n * 1e9, rows_s / n * 1e9};
-    };
-
-    // Time a compiled plan over the same feature matrix at the same
-    // micro-batch as the fused reference path.
+    // Time a compiled plan over the same feature matrix at the default
+    // micro-batch.
     const auto time_plan = [&](const ml::compiled::PlanPtr& plan) -> double {
       ml::compiled::Scratch ps;
       double best = 1e30;
@@ -381,57 +361,64 @@ int main() {
       }
       return best / n * 1e9;
     };
+    // Per-row reference vs the model's f64 plan vs its f32 plan.
+    const auto add_neural_model =
+        [&](const char* mname, const auto& row_fn,
+            const ml::compiled::PlanPtr& f64,
+            const Result<ml::compiled::PlanPtr>& f32) {
+          double row_s = 1e30;
+          for (int rep = 0; rep < kReps; ++rep) {
+            const Clock::time_point t0 = Clock::now();
+            for (size_t i = 0; i < sweep_packets; ++i) {
+              row_fn(feats.data() + i * fdim);
+            }
+            row_s = std::min(row_s, seconds_since(t0));
+          }
+          const double f64_ns = time_plan(f64);
+          double f32_ns = 0.0;
+          if (f32.ok()) {
+            f32_ns = time_plan(f32.value());
+          } else {
+            table_compile_ok = false;
+          }
+          online_models.push_back(ModelOnline{mname, row_s / n * 1e9, f64_ns,
+                                              f64_ns, f32_ns, "f32"});
+        };
 
     {
       const ml::KitNet& kn = proto.detector();
       ml::KitNet::ScoreScratch rs;
-      ml::KitNet::RowsScratch bs;
-      const auto [row_ns, rows_ns] = time_model(
-          [&](const double* x) {
-            (void)kn.score_row({x, fdim}, rs);
-          },
-          [&](const double* x, size_t m, double* o) {
-            kn.score_rows(x, m, fdim, o, bs);
-          });
-      double comp_ns = 0.0;
-      auto plan = ml::compiled::compile_kitnet(
-          kn, {ml::compiled::Precision::kF32});
-      if (plan.ok()) {
-        comp_ns = time_plan(plan.value());
-      } else {
-        table_compile_ok = false;
-      }
-      online_models.push_back(
-          ModelOnline{"KitNET", row_ns, rows_ns, rows_ns, comp_ns, "f32"});
+      add_neural_model(
+          "KitNET",
+          [&](const double* x) { (void)kn.score_row({x, fdim}, rs); },
+          kn.plan(),
+          ml::compiled::compile_kitnet(kn, {ml::compiled::Precision::kF32}));
     }
     {
       // A single full-width autoencoder (the other online-capable model),
-      // trained briefly on the grace region's features.
-      ml::AutoEncoderCore ae(fdim, 0.75, 0.1, 77);
+      // trained for one pass over the grace region's features.
       const size_t train_rows = std::min<size_t>(sweep_packets, 2000);
-      for (size_t i = 0; i < train_rows; ++i) {
-        ae.train_sample({feats.data() + i * fdim, fdim});
-      }
-      ae.seal();
+      features::FeatureTable Xa =
+          features::FeatureTable::make(train_rows, ex.feature_names());
+      std::copy(feats.begin(),
+                feats.begin() + static_cast<std::ptrdiff_t>(train_rows * fdim),
+                Xa.data.begin());
+      ml::AutoEncoderConfig acfg;
+      acfg.hidden_ratio = 0.75;
+      acfg.lr = 0.1;
+      acfg.epochs = 1;
+      acfg.seed = 77;
+      ml::AutoEncoderDetector ae(acfg);
+      ae.fit(Xa);
       ml::AutoEncoderCore::ScoreScratch rs;
-      ml::AutoEncoderCore::RowsScratch bs;
-      const auto [row_ns, rows_ns] = time_model(
+      add_neural_model(
+          "AutoEncoder",
           [&](const double* x) {
-            (void)ae.score_sample({x, fdim}, rs);
+            (void)ae.core()->score_sample({x, fdim}, rs);
           },
-          [&](const double* x, size_t m, double* o) {
-            ae.score_rows(x, m, fdim, o, bs);
-          });
-      double comp_ns = 0.0;
-      auto plan = ml::compiled::compile_autoencoder(
-          ae, 0.0, {ml::compiled::Precision::kF32});
-      if (plan.ok()) {
-        comp_ns = time_plan(plan.value());
-      } else {
-        table_compile_ok = false;
-      }
-      online_models.push_back(ModelOnline{"AutoEncoder", row_ns, rows_ns,
-                                          rows_ns, comp_ns, "f32"});
+          ae.plan(),
+          ml::compiled::compile_autoencoder(
+              ae, {ml::compiled::Precision::kF32}));
     }
 
     // Table-model scorers, trained on a labeled subsample of the streamed

@@ -24,6 +24,7 @@ void OnlineKitsune::train(std::span<const netio::PacketView> packets) {
   // All training rows are treated as benign (the grace-period assumption).
   detector_.fit(table);
   threshold_ = detector_.threshold();
+  plan_ = detector_.plan();
   trained_ = true;
 }
 
@@ -40,18 +41,12 @@ Result<void> OnlineKitsune::compile(ml::compiled::Precision precision) {
 
 double OnlineKitsune::score_packet(const netio::PacketView& v) {
   extractor_.process(v, row_);
-  if (!trained_) return 0.0;
-  // Score through the SAME fused packed-panel path score_packets uses, as a
-  // one-row block. The per-row gemv path accumulates in a different order
-  // and could differ from the fused path by ulps — enough for process() and
-  // a micro-batched consumer to disagree on a threshold crossing for the
-  // same packet. One code path, bit-identical scores at any batch size.
+  // A one-row block through the same plan score_packets uses, so a packet
+  // scores bit-identically whether it arrives alone or in a micro-batch.
   double out = 0.0;
   if (plan_ != nullptr) {
     plan_->score_rows(row_.data(), 1, extractor_.dim(), &out, plan_scratch_);
-    return out;
   }
-  detector_.score_rows(row_.data(), 1, extractor_.dim(), &out, rows_scratch_);
   return out;
 }
 
@@ -75,17 +70,11 @@ void OnlineKitsune::score_packets(std::span<const netio::PacketView> packets,
     std::copy(row_.begin(), row_.end(),
               rows_block_.begin() + static_cast<std::ptrdiff_t>(i * ld));
   }
-  if (!trained_) {
+  if (plan_ == nullptr) {
     std::fill(out, out + m, 0.0);
     return;
   }
-  // ...then score the whole block through the fused packed-panel path (or
-  // the compiled plan when one is deployed — same micro-batch contract).
-  if (plan_ != nullptr) {
-    plan_->score_rows(rows_block_.data(), m, ld, out, plan_scratch_);
-    return;
-  }
-  detector_.score_rows(rows_block_.data(), m, ld, out, rows_scratch_);
+  plan_->score_rows(rows_block_.data(), m, ld, out, plan_scratch_);
 }
 
 }  // namespace lumen::core

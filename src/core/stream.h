@@ -28,7 +28,9 @@ class OnlineKitsune {
   explicit OnlineKitsune(Options opts);
 
   /// Feed the (benign) training prefix, in capture order. Trains the
-  /// feature map, the autoencoder ensemble, and calibrates the threshold.
+  /// feature map and the autoencoder ensemble, calibrates the threshold,
+  /// and installs the detector's f64 plan as the scoring path. An empty
+  /// prefix leaves no plan: every packet then scores 0.
   void train(std::span<const netio::PacketView> packets);
 
   bool trained() const { return trained_; }
@@ -36,21 +38,18 @@ class OnlineKitsune {
 
   /// Process one live packet: updates the streaming statistics, scores the
   /// packet, and returns its anomaly score (RMSE of the output AE). Scores
-  /// through the same fused path as score_packets (a one-row block), so
+  /// through the same plan as score_packets (a one-row block), so
   /// single-packet and micro-batched scoring are bit-identical.
   double score_packet(const netio::PacketView& v);
 
   /// Micro-batched hot path: extract each packet in capture order (the
   /// streaming statistics update sequentially, exactly as score_packet
   /// would), stage the feature rows into one contiguous block, and score
-  /// it with a single fused KitNet::score_rows call. out must hold
-  /// packets.size() scores. Guarantee: splitting the same packet sequence
-  /// into different batch sizes yields bit-identical scores (the
-  /// score_rows / PackedDense contract), so alert sets do not depend on
-  /// how the consumer chops the stream. score_packet rides the same fused
-  /// kernel as a one-row block, so it agrees bitwise too (resolved: this
-  /// used to go through per-row gemv math that could differ by ulps —
-  /// pinned by stream_test's single-vs-micro-batch case).
+  /// it with a single Plan::score_rows call. out must hold packets.size()
+  /// scores. Guarantee: splitting the same packet sequence into different
+  /// batch sizes yields bit-identical scores (the Plan::score_rows
+  /// contract), so alert sets do not depend on how the consumer chops the
+  /// stream — pinned by stream_test's single-vs-micro-batch case.
   void score_packets(std::span<const netio::PacketView> packets, double* out);
 
   /// Convenience: score and compare against the calibrated threshold.
@@ -63,17 +62,16 @@ class OnlineKitsune {
   /// The trained detector (for benches that want to time the model alone).
   const ml::KitNet& detector() const { return detector_; }
 
-  /// Lower the trained detector into a compiled scoring plan
-  /// (ml/compiled.h) and route score_packet / score_packets through it.
-  /// Opt-in: without this call scoring stays on the reference fused path.
-  /// kF64 plans are bit-identical to the reference; kF32/kI8 trade bounded
-  /// score divergence for speed (see docs/framework.md). The plan is
+  /// Switch the scoring plan's precision (ml/compiled.h). train() already
+  /// installs the kF64 plan; kF32 trades a bounded score divergence for
+  /// speed (see docs/framework.md), and kF64 switches back. The plan is
   /// immutable and shared by copies of this detector, so compiling once
   /// before cloning per-consumer detectors compiles for all of them.
+  /// Errors before train() and after training on an empty prefix.
   Result<void> compile(
       ml::compiled::Precision precision = ml::compiled::Precision::kF64);
 
-  /// The active compiled plan (null when scoring the reference path).
+  /// The active scoring plan (null until trained on a non-empty prefix).
   const ml::compiled::PlanPtr& compiled_plan() const { return plan_; }
 
  private:
@@ -84,8 +82,7 @@ class OnlineKitsune {
   bool trained_ = false;
   std::vector<double> row_;
   std::vector<double> rows_block_;  // staged m x dim block for score_packets
-  ml::KitNet::RowsScratch rows_scratch_;
-  ml::compiled::PlanPtr plan_;          // null = reference scoring path
+  ml::compiled::PlanPtr plan_;          // null = scores 0
   ml::compiled::Scratch plan_scratch_;  // per-instance (copies get their own)
 };
 

@@ -370,8 +370,8 @@ class AggregateOp final : public StreamOp {
 
 /// Shared frame for damped_stats / packet_features: rows buffer up to the
 /// micro-batch size, then flow downstream as one EpochBatch (epoch = batch
-/// sequence number). The buffered block is what the fused score_rows path
-/// consumes in one call — the same micro-batch staging the ingest runtime's
+/// sequence number). The buffered block is what Plan::score_rows consumes
+/// in one call — the same micro-batch staging the ingest runtime's
 /// score_batch loop uses.
 class RowBufferOp : public StreamOp {
  public:

@@ -1,9 +1,6 @@
 // Compiled inference plans — see compiled.h for the layout and equivalence
-// contracts. The f64 neural plans reuse the dense f64 kernels with the exact
-// reference call shapes (bit-identity by construction); the f32 plans ride
-// the KernelsF32 table below; the i8 apply is portable scalar (the layers
-// KitNET compiles are ~10x8 — the int8 win is the 8x smaller panel, not
-// vector ALUs).
+// contracts. The f64 neural plans run the dense f64 kernels; the f32 plans
+// ride the KernelsF32 table below.
 #include "ml/compiled.h"
 
 #include <algorithm>
@@ -30,8 +27,6 @@ const char* precision_name(Precision p) {
       return "f64";
     case Precision::kF32:
       return "f32";
-    case Precision::kI8:
-      return "i8";
   }
   return "?";
 }
@@ -98,7 +93,7 @@ size_t pad_to(size_t n, size_t pad) { return (n + pad - 1) / pad * pad; }
 //
 // One compiled autoencoder: gather indices, normalization constants, and
 // the two packed weight panels, all as offsets into the owning plan's
-// arena(s) so the whole ensemble is a single contiguous, scoring-ordered
+// arena so the whole ensemble is a single contiguous, scoring-ordered
 // block.
 struct AeUnit {
   size_t in = 0, hidden = 0;
@@ -106,11 +101,9 @@ struct AeUnit {
   size_t gather = kNoGather;  // offset into gather index table
   // Arena offsets, in scoring order.
   size_t nmin = 0, inv = 0, enc_wt = 0, enc_b = 0, dec_wt = 0, dec_b = 0;
-  // i8 extras: quantized panels + per-output-channel dequant factors.
-  size_t enc_wq = 0, dec_wq = 0, enc_f = 0, dec_f = 0;
 };
 
-/// Append `n` doubles to the arena, returning their offset.
+/// Append `n` zeroed elements to the arena, returning their offset.
 template <typename V>
 size_t arena_alloc(V& arena, size_t n) {
   const size_t off = arena.size();
@@ -119,8 +112,7 @@ size_t arena_alloc(V& arena, size_t n) {
 }
 
 /// Pack an `out x in` row-major weight matrix into the transposed
-/// `in x out_pad` panel layout dense::PackedDense uses (same element
-/// placement, so dense::packed_apply sees an identical panel).
+/// `in x out_pad` panel layout packed_apply reads (padding columns zero).
 template <typename T>
 void pack_panel(const double* w, size_t out, size_t in, size_t out_pad,
                 T* dst) {
@@ -131,208 +123,102 @@ void pack_panel(const double* w, size_t out, size_t in, size_t out_pad,
   }
 }
 
-/// Per-output-channel int8 quantization: wq[l*out+o] = round(w[o][l]/s_o)
-/// with s_o = max_l |w[o][l]| / 127; factor[o] = s_o / 127 folds the
-/// activation scale (activations quantize to 0..127) into the dequant.
-void quantize_panel(const double* w, size_t out, size_t in, int8_t* wq,
-                    float* factor) {
-  for (size_t o = 0; o < out; ++o) {
-    double maxabs = 0.0;
-    for (size_t l = 0; l < in; ++l) {
-      maxabs = std::max(maxabs, std::fabs(w[o * in + l]));
-    }
-    const double s = maxabs / 127.0;
-    factor[o] = static_cast<float>(s / 127.0);
-    for (size_t l = 0; l < in; ++l) {
-      wq[l * out + o] =
-          s > 0.0 ? static_cast<int8_t>(std::lrint(w[o * in + l] / s)) : 0;
-    }
-  }
-}
-
-/// Compile one AutoEncoderCore into the f64 arena.
-AeUnit lower_ae_f64(const AutoEncoderCore& ae, const size_t* cluster,
-                    size_t cluster_size, std::vector<double>& arena,
-                    std::vector<uint32_t>& gather) {
+/// Compile one AutoEncoderCore into an arena of T, panels padded to `pad`
+/// columns. `cluster` (null for a full-width unit) is the source columns
+/// the unit gathers.
+template <typename T>
+AeUnit lower_ae(const AutoEncoderCore& ae, const std::vector<size_t>* cluster,
+                size_t pad, std::vector<T>& arena,
+                std::vector<uint32_t>& gather) {
   const AutoEncoderCore::ParamsView p = ae.params_view();
   AeUnit u;
   u.in = p.dim;
   u.hidden = p.hidden;
-  u.hp = pad_to(p.hidden, dense::kPackPad);
-  u.dp = pad_to(p.dim, dense::kPackPad);
+  u.hp = pad_to(p.hidden, pad);
+  u.dp = pad_to(p.dim, pad);
   if (cluster != nullptr) {
     u.gather = gather.size();
-    for (size_t j = 0; j < cluster_size; ++j) {
-      gather.push_back(static_cast<uint32_t>(cluster[j]));
-    }
+    for (size_t c : *cluster) gather.push_back(static_cast<uint32_t>(c));
   }
-  u.nmin = arena_alloc(arena, u.in);
-  std::copy(p.norm_min, p.norm_min + u.in, arena.begin() + u.nmin);
+  const auto put = [&](const double* src, size_t n, size_t len) {
+    const size_t off = arena_alloc(arena, len);
+    for (size_t i = 0; i < n; ++i) arena[off + i] = static_cast<T>(src[i]);
+    return off;
+  };
+  u.nmin = put(p.norm_min, u.in, u.in);
   u.inv = arena_alloc(arena, u.in);
   for (size_t c = 0; c < u.in; ++c) {
-    // Same guarded-reciprocal expression as the reference score_rows.
+    // Guarded reciprocal of the normalization range, hoisted out of the
+    // score loop (the per-row reference divides by the range instead).
     const double range = p.norm_max[c] - p.norm_min[c];
-    arena[u.inv + c] = range > 1e-12 ? 1.0 / range : 0.0;
+    arena[u.inv + c] = range > 1e-12 ? static_cast<T>(1.0 / range) : T(0);
   }
   u.enc_wt = arena_alloc(arena, u.in * u.hp);
   pack_panel(p.w1, u.hidden, u.in, u.hp, arena.data() + u.enc_wt);
-  u.enc_b = arena_alloc(arena, u.hp);
-  std::copy(p.b1, p.b1 + u.hidden, arena.begin() + u.enc_b);
+  u.enc_b = put(p.b1, u.hidden, u.hp);
   u.dec_wt = arena_alloc(arena, u.hidden * u.dp);
   pack_panel(p.w2, u.in, u.hidden, u.dp, arena.data() + u.dec_wt);
-  u.dec_b = arena_alloc(arena, u.dp);
-  std::copy(p.b2, p.b2 + u.in, arena.begin() + u.dec_b);
+  u.dec_b = put(p.b2, u.in, u.dp);
   return u;
 }
 
-/// Compile one AutoEncoderCore into the f32 arena (panels padded to the
-/// 8-lane width).
-AeUnit lower_ae_f32(const AutoEncoderCore& ae, const size_t* cluster,
-                    size_t cluster_size, std::vector<float>& arena,
-                    std::vector<uint32_t>& gather) {
-  const AutoEncoderCore::ParamsView p = ae.params_view();
-  AeUnit u;
-  u.in = p.dim;
-  u.hidden = p.hidden;
-  u.hp = pad_to(p.hidden, kPackPadF32);
-  u.dp = pad_to(p.dim, kPackPadF32);
-  if (cluster != nullptr) {
-    u.gather = gather.size();
-    for (size_t j = 0; j < cluster_size; ++j) {
-      gather.push_back(static_cast<uint32_t>(cluster[j]));
-    }
-  }
-  u.nmin = arena_alloc(arena, u.in);
-  for (size_t c = 0; c < u.in; ++c) {
-    arena[u.nmin + c] = static_cast<float>(p.norm_min[c]);
-  }
-  u.inv = arena_alloc(arena, u.in);
-  for (size_t c = 0; c < u.in; ++c) {
-    const double range = p.norm_max[c] - p.norm_min[c];
-    arena[u.inv + c] = range > 1e-12 ? static_cast<float>(1.0 / range) : 0.0f;
-  }
-  u.enc_wt = arena_alloc(arena, u.in * u.hp);
-  pack_panel(p.w1, u.hidden, u.in, u.hp, arena.data() + u.enc_wt);
-  u.enc_b = arena_alloc(arena, u.hp);
-  for (size_t o = 0; o < u.hidden; ++o) {
-    arena[u.enc_b + o] = static_cast<float>(p.b1[o]);
-  }
-  u.dec_wt = arena_alloc(arena, u.hidden * u.dp);
-  pack_panel(p.w2, u.in, u.hidden, u.dp, arena.data() + u.dec_wt);
-  u.dec_b = arena_alloc(arena, u.dp);
-  for (size_t o = 0; o < u.in; ++o) {
-    arena[u.dec_b + o] = static_cast<float>(p.b2[o]);
-  }
-  return u;
-}
-
-/// Compile one AutoEncoderCore for int8: f32 normalization/bias/dequant in
-/// `farena`, quantized weight panels (k x out, transposed) in `qarena`.
-AeUnit lower_ae_i8(const AutoEncoderCore& ae, const size_t* cluster,
-                   size_t cluster_size, std::vector<float>& farena,
-                   std::vector<int8_t>& qarena,
-                   std::vector<uint32_t>& gather) {
-  const AutoEncoderCore::ParamsView p = ae.params_view();
-  AeUnit u;
-  u.in = p.dim;
-  u.hidden = p.hidden;
-  u.hp = p.hidden;  // the scalar i8 apply needs no padding
-  u.dp = p.dim;
-  if (cluster != nullptr) {
-    u.gather = gather.size();
-    for (size_t j = 0; j < cluster_size; ++j) {
-      gather.push_back(static_cast<uint32_t>(cluster[j]));
-    }
-  }
-  u.nmin = arena_alloc(farena, u.in);
-  for (size_t c = 0; c < u.in; ++c) {
-    farena[u.nmin + c] = static_cast<float>(p.norm_min[c]);
-  }
-  u.inv = arena_alloc(farena, u.in);
-  for (size_t c = 0; c < u.in; ++c) {
-    const double range = p.norm_max[c] - p.norm_min[c];
-    farena[u.inv + c] = range > 1e-12 ? static_cast<float>(1.0 / range) : 0.0f;
-  }
-  u.enc_b = arena_alloc(farena, u.hidden);
-  for (size_t o = 0; o < u.hidden; ++o) {
-    farena[u.enc_b + o] = static_cast<float>(p.b1[o]);
-  }
-  u.dec_b = arena_alloc(farena, u.in);
-  for (size_t o = 0; o < u.in; ++o) {
-    farena[u.dec_b + o] = static_cast<float>(p.b2[o]);
-  }
-  u.enc_f = arena_alloc(farena, u.hidden);
-  u.enc_wq = arena_alloc(qarena, u.in * u.hidden);
-  quantize_panel(p.w1, u.hidden, u.in, qarena.data() + u.enc_wq,
-                 farena.data() + u.enc_f);
-  u.dec_f = arena_alloc(farena, u.in);
-  u.dec_wq = arena_alloc(qarena, u.hidden * u.in);
-  quantize_panel(p.w2, u.in, u.hidden, qarena.data() + u.dec_wq,
-                 farena.data() + u.dec_f);
-  return u;
-}
-
-/// y[m x out] = dequant(xq[m x k] (stride ldx) * wq[k x out]) + bias:
-/// int32 accumulation, per-output-channel dequant factor. Row i depends
-/// only on row i of xq (sequential-k order), like the float kernels.
-void i8_apply(size_t m, size_t out, size_t k, const uint8_t* xq, size_t ldx,
-              const int8_t* wq, const float* factor, const float* bias,
-              int32_t* acc, float* y, size_t ldy) {
-  for (size_t i = 0; i < m; ++i) {
-    const uint8_t* xi = xq + i * ldx;
-    float* yi = y + i * ldy;
-    std::fill(acc, acc + out, 0);
-    for (size_t l = 0; l < k; ++l) {
-      const int32_t xl = xi[l];
-      if (xl == 0) continue;
-      const int8_t* wrow = wq + l * out;
-      for (size_t o = 0; o < out; ++o) acc[o] += xl * wrow[o];
-    }
-    for (size_t o = 0; o < out; ++o) {
-      yi[o] = bias[o] + factor[o] * static_cast<float>(acc[o]);
-    }
-  }
-}
-
-void quantize_unit_f32(size_t n, const float* x, uint8_t* q) {
-  // x is in [0,1] by construction (clamped normalization / sigmoid), so the
-  // activation scale is a fixed 127.
-  for (size_t i = 0; i < n; ++i) {
-    q[i] = static_cast<uint8_t>(std::lrintf(x[i] * 127.0f));
-  }
-}
-
-// The fused f64 KitNET/AE plan: the reference score_rows arithmetic, with
-// the gather, the normalization constants, and every panel resident in one
-// arena and the per-call reciprocal-range computation hoisted to compile
-// time.
-class KitnetPlanF64 final : public Plan {
+/// The arena a KitNET (ensemble + output AE) or a single autoencoder
+/// lowers into, shared by both precisions.
+template <typename T>
+class NeuralPlan : public Plan {
  public:
-  KitnetPlanF64(const KitNet* net, const AutoEncoderCore& single,
-                double threshold) {
-    threshold_ = threshold;
-    if (net != nullptr) {
-      const auto& clusters = net->clusters();
-      size_t dim = 0;
-      for (const auto& cl : clusters) {
-        for (size_t c : cl) dim = std::max(dim, c + 1);
-      }
-      dim_ = dim;
-      for (size_t k = 0; k < clusters.size(); ++k) {
-        aes_.push_back(lower_ae_f64(*net->ensemble_core(k),
-                                    clusters[k].data(), clusters[k].size(),
-                                    arena_, gather_));
-      }
-      output_ = lower_ae_f64(*net->output_core(), nullptr, 0, arena_, gather_);
-    } else {
-      dim_ = single.dim();
-      output_ = lower_ae_f64(single, nullptr, 0, arena_, gather_);
-    }
-    weight_bytes_ = arena_.size() * sizeof(double) +
-                    gather_.size() * sizeof(uint32_t);
+  const char* kind() const override {
+    return aes_.empty() ? "autoencoder" : "kitnet";
   }
 
-  const char* kind() const override { return aes_.empty() ? "autoencoder" : "kitnet"; }
+ protected:
+  NeuralPlan(const KitNet& net, size_t pad, double threshold) {
+    threshold_ = threshold;
+    const auto& clusters = net.clusters();
+    for (const auto& cl : clusters) {
+      for (size_t c : cl) dim_ = std::max(dim_, c + 1);
+    }
+    for (size_t k = 0; k < clusters.size(); ++k) {
+      aes_.push_back(
+          lower_ae(*net.ensemble_core(k), &clusters[k], pad, arena_, gather_));
+    }
+    output_ = lower_ae(*net.output_core(), nullptr, pad, arena_, gather_);
+    weight_bytes_ =
+        arena_.size() * sizeof(T) + gather_.size() * sizeof(uint32_t);
+  }
+
+  NeuralPlan(const AutoEncoderCore& ae, size_t pad, double threshold) {
+    threshold_ = threshold;
+    dim_ = ae.dim();
+    output_ = lower_ae(ae, nullptr, pad, arena_, gather_);
+    weight_bytes_ = arena_.size() * sizeof(T);
+  }
+
+  std::vector<T> arena_;
+  std::vector<uint32_t> gather_;
+  std::vector<AeUnit> aes_;  // empty for a single-AE plan
+  AeUnit output_;
+};
+
+// The f64 KitNET/AE plan — the models' own inference path. Activations
+// sweep each row over its true width, so row i's score does not depend on
+// how rows are grouped into batches.
+class KitnetPlanF64 final : public NeuralPlan<double> {
+ public:
+  template <typename Source>
+  explicit KitnetPlanF64(const Source& src)
+      : NeuralPlan(src, dense::kPackPad, 0.0) {}
+
+  /// Set the carried threshold to the `quantile` of this plan's scores over
+  /// rows `benign` of X; called once, before the plan is shared. The rows
+  /// are gathered only when they are not the whole table.
+  void calibrate(const FeatureTable& X, std::span<const size_t> benign,
+                 double quantile) {
+    threshold_ = quantile_threshold(
+        benign.size() == X.rows ? score_table(*this, X)
+                                : score_table(*this, X.select_rows(benign)),
+        quantile);
+  }
 
   void score_rows(const double* x, size_t m, size_t ldx, double* out,
                   Scratch& s) const override {
@@ -350,8 +236,7 @@ class KitnetPlanF64 final : public Plan {
 
  private:
   /// Score the unit over the m x * source block; write the per-row RMSE to
-  /// out[i * out_stride]. Bit-identical to AutoEncoderCore::score_rows on
-  /// the gathered sub-block.
+  /// out[i * out_stride].
   void run_ae(const AeUnit& u, const double* src, size_t m, size_t lds,
               double* out, size_t out_stride, Scratch& s) const {
     const double* ar = arena_.data();
@@ -393,43 +278,15 @@ class KitnetPlanF64 final : public Plan {
       out[i * out_stride] = std::sqrt(mse / static_cast<double>(u.in));
     }
   }
-
-  std::vector<double> arena_;
-  std::vector<uint32_t> gather_;
-  std::vector<AeUnit> aes_;  // empty for a single-AE plan
-  AeUnit output_;
 };
 
 // The f32 KitNET/AE plan: identical structure in float, 8-lane panels.
-class KitnetPlanF32 final : public Plan {
+class KitnetPlanF32 final : public NeuralPlan<float> {
  public:
-  KitnetPlanF32(const KitNet* net, const AutoEncoderCore& single,
-                double threshold) {
+  template <typename Source>
+  KitnetPlanF32(const Source& src, double threshold)
+      : NeuralPlan(src, kPackPadF32, threshold) {
     precision_ = Precision::kF32;
-    threshold_ = threshold;
-    if (net != nullptr) {
-      const auto& clusters = net->clusters();
-      size_t dim = 0;
-      for (const auto& cl : clusters) {
-        for (size_t c : cl) dim = std::max(dim, c + 1);
-      }
-      dim_ = dim;
-      for (size_t k = 0; k < clusters.size(); ++k) {
-        aes_.push_back(lower_ae_f32(*net->ensemble_core(k),
-                                    clusters[k].data(), clusters[k].size(),
-                                    arena_, gather_));
-      }
-      output_ = lower_ae_f32(*net->output_core(), nullptr, 0, arena_, gather_);
-    } else {
-      dim_ = single.dim();
-      output_ = lower_ae_f32(single, nullptr, 0, arena_, gather_);
-    }
-    weight_bytes_ =
-        arena_.size() * sizeof(float) + gather_.size() * sizeof(uint32_t);
-  }
-
-  const char* kind() const override {
-    return aes_.empty() ? "autoencoder" : "kitnet";
   }
 
   void score_rows(const double* x, size_t m, size_t ldx, double* out,
@@ -483,9 +340,9 @@ class KitnetPlanF32 final : public Plan {
     // contiguous at stride hp/dp, both multiples of the 8-lane pack width,
     // so every row lands on full SIMD chunks regardless of m (batch-size
     // invariance holds) and the padded lanes — never read downstream — cost
-    // one wasted lane instead of a per-row kernel dispatch. f64 plans keep
-    // the per-row sweep: their contract is bit-identity with the reference
-    // path, whose chunk boundaries are per-row.
+    // one wasted lane instead of a per-row kernel dispatch. The f64 plan
+    // keeps the per-row sweep over the true width, as the per-row
+    // reference does.
     s.fb.resize(m * u.hp);
     kf.packed_apply(m, u.hp, u.in, s.fa.data(), u.in, ar + u.enc_wt,
                     ar + u.enc_b, s.fb.data(), u.hp);
@@ -510,130 +367,6 @@ class KitnetPlanF32 final : public Plan {
       }
     }
   }
-
-  std::vector<float> arena_;
-  std::vector<uint32_t> gather_;
-  std::vector<AeUnit> aes_;
-  AeUnit output_;
-};
-
-// The int8 KitNET/AE plan: weights quantized per output channel at compile
-// time; activations are in [0,1] by construction so they quantize to 0..127
-// with a fixed scale. Accumulation is int32; dequant, bias, and sigmoid run
-// in f32; the RMSE compares against the *unquantized* f32 input.
-class KitnetPlanI8 final : public Plan {
- public:
-  KitnetPlanI8(const KitNet* net, const AutoEncoderCore& single,
-               double threshold) {
-    precision_ = Precision::kI8;
-    threshold_ = threshold;
-    if (net != nullptr) {
-      const auto& clusters = net->clusters();
-      size_t dim = 0;
-      for (const auto& cl : clusters) {
-        for (size_t c : cl) dim = std::max(dim, c + 1);
-      }
-      dim_ = dim;
-      for (size_t k = 0; k < clusters.size(); ++k) {
-        aes_.push_back(lower_ae_i8(*net->ensemble_core(k), clusters[k].data(),
-                                   clusters[k].size(), farena_, qarena_,
-                                   gather_));
-      }
-      output_ =
-          lower_ae_i8(*net->output_core(), nullptr, 0, farena_, qarena_, gather_);
-    } else {
-      dim_ = single.dim();
-      output_ = lower_ae_i8(single, nullptr, 0, farena_, qarena_, gather_);
-    }
-    weight_bytes_ = farena_.size() * sizeof(float) + qarena_.size() +
-                    gather_.size() * sizeof(uint32_t);
-  }
-
-  const char* kind() const override {
-    return aes_.empty() ? "autoencoder" : "kitnet";
-  }
-
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  Scratch& s) const override {
-    s.fx.resize(m * dim_);
-    for (size_t i = 0; i < m; ++i) {
-      const double* xi = x + i * ldx;
-      float* fi = s.fx.data() + i * dim_;
-      for (size_t c = 0; c < dim_; ++c) fi[c] = static_cast<float>(xi[c]);
-    }
-    if (aes_.empty()) {
-      run_ae(output_, s.fx.data(), m, dim_, nullptr, 0, out, s);
-      return;
-    }
-    const size_t n_cl = aes_.size();
-    s.fd.resize(m * n_cl);
-    for (size_t k = 0; k < n_cl; ++k) {
-      run_ae(aes_[k], s.fx.data(), m, dim_, s.fd.data() + k, n_cl, nullptr,
-             s);
-    }
-    run_ae(output_, s.fd.data(), m, n_cl, nullptr, 0, out, s);
-  }
-
- private:
-  void run_ae(const AeUnit& u, const float* src, size_t m, size_t lds,
-              float* fout, size_t fstride, double* out, Scratch& s) const {
-    const float* fr = farena_.data();
-    const float* nmin = fr + u.nmin;
-    const float* inv = fr + u.inv;
-    s.fa.resize(m * u.in);   // f32 normalized input (RMSE target)
-    s.qa.resize(m * u.in);   // quantized input
-    s.fb.resize(m * u.hidden);
-    s.qb.resize(m * u.hidden);
-    s.fc.resize(m * u.in);
-    s.ia.resize(std::max(u.hidden, u.in));
-    for (size_t i = 0; i < m; ++i) {
-      const float* xi = src + i * lds;
-      float* zi = s.fa.data() + i * u.in;
-      if (u.gather != kNoGather) {
-        const uint32_t* g = gather_.data() + u.gather;
-        for (size_t j = 0; j < u.in; ++j) {
-          zi[j] = std::clamp((xi[g[j]] - nmin[j]) * inv[j], 0.0f, 1.0f);
-        }
-      } else {
-        for (size_t j = 0; j < u.in; ++j) {
-          zi[j] = std::clamp((xi[j] - nmin[j]) * inv[j], 0.0f, 1.0f);
-        }
-      }
-      quantize_unit_f32(u.in, zi, s.qa.data() + i * u.in);
-    }
-    i8_apply(m, u.hidden, u.in, s.qa.data(), u.in, qarena_.data() + u.enc_wq,
-             fr + u.enc_f, fr + u.enc_b, s.ia.data(), s.fb.data(), u.hidden);
-    sigmoid_sweep_f32_k(m * u.hidden, s.fb.data());
-    for (size_t i = 0; i < m; ++i) {
-      quantize_unit_f32(u.hidden, s.fb.data() + i * u.hidden,
-                        s.qb.data() + i * u.hidden);
-    }
-    i8_apply(m, u.in, u.hidden, s.qb.data(), u.hidden,
-             qarena_.data() + u.dec_wq, fr + u.dec_f, fr + u.dec_b,
-             s.ia.data(), s.fc.data(), u.in);
-    sigmoid_sweep_f32_k(m * u.in, s.fc.data());
-    for (size_t i = 0; i < m; ++i) {
-      const float* yi = s.fc.data() + i * u.in;
-      const float* zi = s.fa.data() + i * u.in;
-      float mse = 0.0f;
-      for (size_t c = 0; c < u.in; ++c) {
-        const float e = yi[c] - zi[c];
-        mse += e * e;
-      }
-      const float rmse = std::sqrt(mse / static_cast<float>(u.in));
-      if (fout != nullptr) {
-        fout[i * fstride] = rmse;
-      } else {
-        out[i] = static_cast<double>(rmse);
-      }
-    }
-  }
-
-  std::vector<float> farena_;
-  std::vector<int8_t> qarena_;
-  std::vector<uint32_t> gather_;
-  std::vector<AeUnit> aes_;
-  AeUnit output_;
 };
 
 // ------------------------------------------------------------ Forest / Tree
@@ -945,24 +678,7 @@ class PlanModel final : public Model {
   }
 
   std::vector<double> score(const FeatureTable& X) const override {
-    std::vector<double> out(X.rows, 0.0);
-    // dim() is the minimum row width the plan reads (for tree plans it is
-    // the highest feature any split references + 1, which can be narrower
-    // than the training table); wider rows are fine — ldx carries X.cols.
-    if (X.cols < plan_->dim()) return out;
-    const size_t nblocks =
-        (X.rows + dense::kScoreBlock - 1) / dense::kScoreBlock;
-    parallel_for(
-        0, nblocks,
-        [&](size_t blk) {
-          const size_t lo = blk * dense::kScoreBlock;
-          const size_t hi = std::min(X.rows, lo + dense::kScoreBlock);
-          thread_local Scratch scratch;
-          plan_->score_rows(X.data.data() + lo * X.cols, hi - lo, X.cols,
-                            out.data() + lo, scratch);
-        },
-        /*min_parallel=*/2);
-    return out;
+    return score_table(*plan_, X);
   }
 
   std::vector<int> predict(const FeatureTable& X) const override {
@@ -983,40 +699,58 @@ Error err(const std::string& what) { return Error::make("compile", what); }
 
 // ------------------------------------------------------------ entry points
 
-Result<PlanPtr> compile_kitnet(const KitNet& net, const Options& opts) {
-  if (net.output_core() == nullptr) return err("KitNet is not fitted");
-  for (size_t k = 0; k < net.clusters().size(); ++k) {
-    if (!net.ensemble_core(k)->sealed()) {
-      return err("KitNet ensemble is not sealed (train, then fit())");
-    }
-  }
-  if (!net.output_core()->sealed()) return err("KitNet output AE not sealed");
-  switch (opts.precision) {
-    case Precision::kF64:
-      return PlanPtr(std::make_shared<KitnetPlanF64>(
-          &net, *net.output_core(), net.threshold()));
-    case Precision::kF32:
-      return PlanPtr(std::make_shared<KitnetPlanF32>(
-          &net, *net.output_core(), net.threshold()));
-    case Precision::kI8:
-      return PlanPtr(std::make_shared<KitnetPlanI8>(&net, *net.output_core(),
-                                                    net.threshold()));
-  }
-  return err("unknown precision");
+std::vector<double> score_table(const Plan& plan, const FeatureTable& X) {
+  std::vector<double> out(X.rows, 0.0);
+  // dim() is the minimum row width the plan reads (for tree plans it is
+  // the highest feature any split references + 1, which can be narrower
+  // than the training table); wider rows are fine — ldx carries X.cols.
+  if (X.cols < plan.dim()) return out;
+  const size_t nblocks =
+      (X.rows + dense::kScoreBlock - 1) / dense::kScoreBlock;
+  parallel_for(
+      0, nblocks,
+      [&](size_t blk) {
+        const size_t lo = blk * dense::kScoreBlock;
+        const size_t hi = std::min(X.rows, lo + dense::kScoreBlock);
+        thread_local Scratch scratch;
+        plan.score_rows(X.data.data() + lo * X.cols, hi - lo, X.cols,
+                        out.data() + lo, scratch);
+      },
+      /*min_parallel=*/2);
+  return out;
 }
 
-Result<PlanPtr> compile_autoencoder(const AutoEncoderCore& ae,
-                                    double threshold, const Options& opts) {
-  if (!ae.sealed()) return err("AutoEncoder core is not sealed");
-  switch (opts.precision) {
-    case Precision::kF64:
-      return PlanPtr(std::make_shared<KitnetPlanF64>(nullptr, ae, threshold));
-    case Precision::kF32:
-      return PlanPtr(std::make_shared<KitnetPlanF32>(nullptr, ae, threshold));
-    case Precision::kI8:
-      return PlanPtr(std::make_shared<KitnetPlanI8>(nullptr, ae, threshold));
+PlanPtr calibrate_kitnet(const KitNet& net, const FeatureTable& X,
+                         std::span<const size_t> benign, double quantile) {
+  auto plan = std::make_shared<KitnetPlanF64>(net);
+  plan->calibrate(X, benign, quantile);
+  return plan;
+}
+
+PlanPtr calibrate_autoencoder(const AutoEncoderCore& ae,
+                              const FeatureTable& X,
+                              std::span<const size_t> benign,
+                              double quantile) {
+  auto plan = std::make_shared<KitnetPlanF64>(ae);
+  plan->calibrate(X, benign, quantile);
+  return plan;
+}
+
+Result<PlanPtr> compile_kitnet(const KitNet& net, const Options& opts) {
+  if (net.plan() == nullptr) return err("KitNet is not fitted");
+  if (opts.precision == Precision::kF32) {
+    return PlanPtr(std::make_shared<KitnetPlanF32>(net, net.threshold()));
   }
-  return err("unknown precision");
+  return net.plan();
+}
+
+Result<PlanPtr> compile_autoencoder(const AutoEncoderDetector& ae,
+                                    const Options& opts) {
+  if (ae.plan() == nullptr) return err("AutoEncoder is not fitted");
+  if (opts.precision == Precision::kF32) {
+    return PlanPtr(std::make_shared<KitnetPlanF32>(*ae.core(), ae.threshold()));
+  }
+  return ae.plan();
 }
 
 Result<PlanPtr> compile(const Model& model, const Options& opts) {
@@ -1024,8 +758,7 @@ Result<PlanPtr> compile(const Model& model, const Options& opts) {
     return compile_kitnet(*kit, opts);
   }
   if (const auto* aed = dynamic_cast<const AutoEncoderDetector*>(&model)) {
-    if (aed->core() == nullptr) return err("AutoEncoder is not fitted");
-    return compile_autoencoder(*aed->core(), aed->threshold(), opts);
+    return compile_autoencoder(*aed, opts);
   }
   if (const auto* rf = dynamic_cast<const RandomForest*>(&model)) {
     if (rf->trees().empty()) return err("RandomForest is not fitted");

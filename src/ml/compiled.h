@@ -6,14 +6,12 @@
 //  * KitNET / AutoEncoder — fused single-pass encode→decode→RMSE over packed
 //    panels, with the per-cluster gather and the min-max normalization folded
 //    into the panel staging (gather indices + precomputed reciprocal ranges
-//    sit next to the weights they feed). Three precisions:
-//      - f64: bit-identical to the reference score_rows path (same kernels,
-//        same accumulation order) — the drop-in deployment default;
-//      - f32: float panels driven by 8-lane AVX2 kernels, ~2x the f64
-//        throughput, score divergence bounded and gated (see docs);
-//      - i8: int8 weights with per-output-channel scales calibrated at
-//        compile time (activations are in [0,1] by construction, so the
-//        activation scale is fixed at 127).
+//    sit next to the weights they feed). The f64 plan is these models' only
+//    inference path: their fit() lowers the trained cores into it and
+//    calibrates the threshold on its scores, and their score() runs it.
+//    f32 is the one opt-in alternative: float panels driven by 8-lane AVX2
+//    kernels, ~2x the f64 throughput, score divergence bounded and gated
+//    (see docs).
 //  * Forest / Tree — flattened SoA node tables (feature / threshold / child
 //    offsets / leaf value in parallel arrays, leaves flagged by feature -1)
 //    walked leaf-terminated; results bit-identical to predict_row.
@@ -27,12 +25,13 @@
 // Plans are immutable after compile() and safe to share across consumer
 // threads: score_rows is const and all mutable state lives in the caller's
 // Scratch. Deployment: wrap() adapts a Plan to the Model interface, and
-// OnlineKitsune::compile() re-routes the packet hot path through a plan —
+// OnlineKitsune scores the packet hot path through its detector's plan —
 // IngestRuntime::deploy() then hot-swaps it like any other scorer.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,11 +42,12 @@
 namespace lumen::ml {
 class KitNet;
 class AutoEncoderCore;
+class AutoEncoderDetector;
 }  // namespace lumen::ml
 
 namespace lumen::ml::compiled {
 
-enum class Precision : uint8_t { kF64, kF32, kI8 };
+enum class Precision : uint8_t { kF64, kF32 };
 const char* precision_name(Precision p);
 
 struct Options {
@@ -63,15 +63,13 @@ struct Options {
 struct Scratch {
   std::vector<double> a, b, c, d;
   std::vector<float> fa, fb, fc, fd, fx;
-  std::vector<int32_t> ia;
-  std::vector<uint8_t> qa, qb;
   std::vector<std::pair<double, int>> nn;
 };
 
 /// An immutable compiled scoring plan. score_rows follows the micro-batch
-/// contract of the reference paths: out[i] = score of row i of the m x dim()
-/// row-major block x (row stride ldx >= dim()), and row i's result does not
-/// depend on how the stream is chopped into batches.
+/// contract: out[i] = score of row i of the m x dim() row-major block x
+/// (row stride ldx >= dim()), and row i's result does not depend on how the
+/// stream is chopped into batches.
 class Plan {
  public:
   virtual ~Plan() = default;
@@ -115,16 +113,34 @@ using PlanPtr = std::shared_ptr<const Plan>;
 Result<PlanPtr> compile(const Model& model, const Options& opts = {});
 
 /// Typed entry points for callers that hold the concrete detector rather
-/// than a Model (OnlineKitsune holds a KitNet directly).
+/// than a Model (OnlineKitsune holds a KitNet directly). kF64 returns the
+/// plan the model's fit() built; kF32 lowers the same cores in float.
+/// Both carry the model's threshold. Error on an unfitted model.
 Result<PlanPtr> compile_kitnet(const KitNet& net, const Options& opts = {});
-Result<PlanPtr> compile_autoencoder(const AutoEncoderCore& ae,
-                                    double threshold,
+Result<PlanPtr> compile_autoencoder(const AutoEncoderDetector& ae,
                                     const Options& opts = {});
+
+/// Lower trained cores into an f64 plan whose threshold is the `quantile`
+/// of the plan's own scores over rows `benign` of X. KitNet::fit and
+/// AutoEncoderDetector::fit build their inference path here, so the
+/// threshold and the scores it gates come from the same arithmetic.
+PlanPtr calibrate_kitnet(const KitNet& net, const FeatureTable& X,
+                         std::span<const size_t> benign, double quantile);
+PlanPtr calibrate_autoencoder(const AutoEncoderCore& ae,
+                              const FeatureTable& X,
+                              std::span<const size_t> benign,
+                              double quantile);
+
+/// Score every row of X through the plan in dense::kScoreBlock blocks
+/// under parallel_for. A table narrower than plan.dim() scores zeros (the
+/// plan would read past its rows); wider tables are fine — X.cols is the
+/// row stride. Shared by wrap()'s adapter and the neural models' score().
+std::vector<double> score_table(const Plan& plan, const FeatureTable& X);
 
 /// Adapt a plan back to the Model interface so the batch framework and the
 /// streaming predict operator can deploy compiled plans anywhere a model
-/// goes. score() chunks the table through score_rows in kScoreBlock blocks;
-/// predict() thresholds at the plan's carried threshold.
+/// goes. score() is score_table(); predict() thresholds at the plan's
+/// carried threshold.
 ModelPtr wrap(PlanPtr plan, std::string display_name);
 
 // ------------------------------------------------------- float32 kernels

@@ -302,29 +302,6 @@ void packed_apply(size_t m, size_t n_pad, size_t k, const double* x,
   active().packed_apply(m, n_pad, k, x, ldx, wt, bias, y, ldy);
 }
 
-// ------------------------------------------------------------ PackedDense
-
-void PackedDense::pack(size_t out, size_t in, const double* w, size_t ldw,
-                       const double* bias) {
-  out_ = out;
-  in_ = in;
-  out_pad_ = (out + kPackPad - 1) / kPackPad * kPackPad;
-  wt_.assign(in_ * out_pad_, 0.0);
-  for (size_t o = 0; o < out_; ++o) {
-    const double* row = w + o * ldw;
-    for (size_t i = 0; i < in_; ++i) wt_[i * out_pad_ + o] = row[i];
-  }
-  bias_.assign(out_pad_, 0.0);
-  if (bias != nullptr) {
-    for (size_t o = 0; o < out_; ++o) bias_[o] = bias[o];
-  }
-}
-
-void PackedDense::apply(size_t m, const double* x, size_t ldx, double* y,
-                        size_t ldy) const {
-  packed_apply(m, out_pad_, in_, x, ldx, wt_.data(), bias_.data(), y, ldy);
-}
-
 void sq_dist(size_t rows, size_t n, const double* x, const double* y,
              size_t ldy, double* out) {
   active().sq_dist(rows, n, x, y, ldy, out);

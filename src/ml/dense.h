@@ -150,60 +150,22 @@ void row_sq_norms(size_t m, size_t n, const double* x, size_t ldx,
 /// how parallel_for chunks the blocks.
 constexpr size_t kScoreBlock = 64;
 
-/// Output-column padding of the packed layouts below: a multiple of the
-/// AVX2 register width, so the fused kernel never runs a scalar column
-/// tail.
+/// Output-column padding of packed weight panels: a multiple of the AVX2
+/// register width, so packed_apply never runs a scalar column tail.
 constexpr size_t kPackPad = 4;
 
 /// y[m x n_pad] (stride ldy) = x[m x k] (stride ldx) * wt[k x n_pad] +
-/// bias[n_pad], where wt is a pre-transposed, zero-padded weight panel
-/// (see PackedDense). Contract: row i of y depends only on row i of x —
-/// the per-element accumulation order is fixed (bias + sequential k), so
-/// results are bit-identical no matter how rows are grouped into batches.
-/// n_pad must be a multiple of kPackPad.
+/// bias[n_pad], where wt is an `out x k` weight matrix transposed once into
+/// a zero-padded `k x n_pad` panel (bias padded likewise), so the kernel
+/// runs broadcast-FMA over full vectors with no per-call transpose and no
+/// column remainder — what gives the compiled plans' 8-64-row micro-batches
+/// real SIMD utilization at KitNET-sized layers (~10 x 8). Contract: row i
+/// of y depends only on row i of x — the per-element accumulation order is
+/// fixed (bias + sequential k), so results are bit-identical no matter how
+/// rows are grouped into batches. n_pad must be a multiple of kPackPad.
 void packed_apply(size_t m, size_t n_pad, size_t k, const double* x,
                   size_t ldx, const double* wt, const double* bias, double* y,
                   size_t ldy);
-
-/// A dense layer's weights packed for fused small-batch inference: the
-/// `out x in` row-major matrix is transposed once into an `in x out_pad`
-/// panel (out_pad = out rounded up to kPackPad, padding columns zero, bias
-/// padded likewise), so apply() runs broadcast-FMA over full vectors with
-/// no per-call transpose, no horizontal sums, and no column remainder.
-/// This is what gives 8-64-row micro-batches real SIMD utilization: the
-/// panel stays hot in L1 across the batch and every lane does useful work
-/// even at KitNET-sized layers (~10 x 8).
-///
-/// Bit-identity contract: apply() computes row i of y from row i of x with
-/// a batch-size-independent accumulation order (the packed_apply kernel
-/// contract), so splitting the same rows into different micro-batches
-/// yields bit-identical scores. Online scorers rely on this to make the
-/// micro-batched live path reproduce the row-at-a-time alert set exactly.
-class PackedDense {
- public:
-  PackedDense() = default;
-
-  /// Pack W (`out x in`, row stride ldw) and bias (length out, may be
-  /// null = zeros) into the fused layout.
-  void pack(size_t out, size_t in, const double* w, size_t ldw,
-            const double* bias);
-
-  bool empty() const { return out_ == 0; }
-  size_t out_dim() const { return out_; }
-  size_t in_dim() const { return in_; }
-  size_t padded_out() const { return out_pad_; }
-
-  /// y[m x padded_out()] (row stride ldy >= padded_out()) =
-  /// x[m x in_dim()] (row stride ldx) * W^T + bias. Padding columns of y
-  /// are written (with zeros); callers size y with the padded stride.
-  void apply(size_t m, const double* x, size_t ldx, double* y,
-             size_t ldy) const;
-
- private:
-  size_t out_ = 0, in_ = 0, out_pad_ = 0;
-  std::vector<double> wt_;    // in x out_pad, transposed, zero-padded
-  std::vector<double> bias_;  // out_pad, zero-padded
-};
 
 // ------------------------------------------------------ dispatch internals
 

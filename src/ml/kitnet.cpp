@@ -6,32 +6,8 @@
 
 #include "common/parallel.h"
 #include "features/stats.h"
-#include "ml/dense.h"
 
 namespace lumen::ml {
-
-namespace {
-std::unique_ptr<AutoEncoderCore> clone_core(
-    const std::unique_ptr<AutoEncoderCore>& p) {
-  return p ? std::make_unique<AutoEncoderCore>(*p) : nullptr;
-}
-}  // namespace
-
-KitNet::KitNet(const KitNet& other)
-    : cfg_(other.cfg_),
-      clusters_(other.clusters_),
-      threshold_(other.threshold_) {
-  ensemble_.reserve(other.ensemble_.size());
-  for (const auto& ae : other.ensemble_) ensemble_.push_back(clone_core(ae));
-  output_ = clone_core(other.output_);
-}
-
-KitNet& KitNet::operator=(const KitNet& other) {
-  if (this == &other) return *this;
-  KitNet copy(other);
-  *this = std::move(copy);
-  return *this;
-}
 
 void KitNet::build_feature_map(const FeatureTable& X,
                                const std::vector<size_t>& rows) {
@@ -101,19 +77,19 @@ void KitNet::fit(const FeatureTable& X) {
   ensemble_.clear();
   output_.reset();
   clusters_.clear();
-  threshold_ = 0.0;
+  plan_.reset();
   if (rows.empty() || X.cols == 0) return;
 
   build_feature_map(X, rows);
 
   Rng rng(cfg_.seed);
+  std::vector<std::shared_ptr<AutoEncoderCore>> ensemble;
   for (const auto& c : clusters_) {
-    ensemble_.push_back(std::make_unique<AutoEncoderCore>(
+    ensemble.push_back(std::make_shared<AutoEncoderCore>(
         c.size(), cfg_.hidden_ratio, cfg_.lr, rng.next()));
   }
-  output_ = std::make_unique<AutoEncoderCore>(clusters_.size(),
-                                              cfg_.hidden_ratio, cfg_.lr,
-                                              rng.next());
+  auto output = std::make_shared<AutoEncoderCore>(
+      clusters_.size(), cfg_.hidden_ratio, cfg_.lr, rng.next());
 
   // Online training: each benign instance updates the ensemble, then the
   // output AE is trained on the vector of per-cluster RMSEs.
@@ -125,36 +101,17 @@ void KitNet::fit(const FeatureTable& X) {
       for (size_t k = 0; k < clusters_.size(); ++k) {
         sub.clear();
         for (size_t f : clusters_[k]) sub.push_back(x[f]);
-        rmses[k] = ensemble_[k]->train_sample(sub);
+        rmses[k] = ensemble[k]->train_sample(sub);
       }
-      output_->train_sample(rmses);
+      output->train_sample(rmses);
     }
   }
+  ensemble_.assign(ensemble.begin(), ensemble.end());
+  output_ = std::move(output);
 
-  // Training is done: pack every AE's weights for the fused score_rows
-  // path (the online hot path; the blocked score() keeps its GEMMs).
-  for (auto& ae : ensemble_) ae->seal();
-  output_->seal();
-
-  // Calibrate through the same blocked path score() uses, so the threshold
-  // and the scores it gates share the same kernel math. The benign rows
-  // are gathered into a contiguous table first (benign_rows need not be a
-  // prefix when attack rows are interleaved).
-  FeatureTable benign;
-  benign.cols = X.cols;
-  benign.rows = rows.size();
-  benign.data.resize(rows.size() * X.cols);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto row = X.row(rows[i]);
-    std::copy(row.begin(), row.end(), benign.data.begin() + i * X.cols);
-  }
-  std::vector<double> s(rows.size(), 0.0);
-  BatchScratch scratch;
-  for (size_t lo = 0; lo < rows.size(); lo += dense::kScoreBlock) {
-    const size_t hi = std::min(rows.size(), lo + dense::kScoreBlock);
-    score_block(benign, lo, hi, s.data() + lo, scratch);
-  }
-  threshold_ = quantile_threshold(std::move(s), cfg_.quantile);
+  // Lower the trained cores into the f64 plan every score() runs through,
+  // and calibrate the threshold on the plan's scores over the benign rows.
+  plan_ = compiled::calibrate_kitnet(*this, X, rows, cfg_.quantile);
 }
 
 double KitNet::score_row(std::span<const double> x) const {
@@ -173,66 +130,9 @@ double KitNet::score_row(std::span<const double> x,
   return output_->score_sample(scratch.rmses, scratch.ae);
 }
 
-void KitNet::score_block(const FeatureTable& X, size_t lo, size_t hi,
-                         double* out, BatchScratch& scratch) const {
-  const size_t m = hi - lo;
-  const size_t n_cl = clusters_.size();
-  scratch.rmses.resize(m * n_cl);
-  scratch.col.resize(m);
-  for (size_t k = 0; k < n_cl; ++k) {
-    const std::vector<size_t>& cl = clusters_[k];
-    scratch.sub.resize(m * cl.size());
-    for (size_t i = 0; i < m; ++i) {
-      const auto x = X.row(lo + i);
-      double* dst = scratch.sub.data() + i * cl.size();
-      for (size_t j = 0; j < cl.size(); ++j) dst[j] = x[cl[j]];
-    }
-    ensemble_[k]->score_batch(scratch.sub.data(), m, cl.size(),
-                              scratch.col.data(), scratch.ae);
-    for (size_t i = 0; i < m; ++i) scratch.rmses[i * n_cl + k] = scratch.col[i];
-  }
-  output_->score_batch(scratch.rmses.data(), m, n_cl, out, scratch.ae);
-}
-
-void KitNet::score_rows(const double* x, size_t m, size_t ldx, double* out,
-                        RowsScratch& scratch) const {
-  if (!output_) {
-    std::fill(out, out + m, 0.0);
-    return;
-  }
-  const size_t n_cl = clusters_.size();
-  scratch.rmses.resize(m * n_cl);
-  scratch.col.resize(m);
-  for (size_t k = 0; k < n_cl; ++k) {
-    const std::vector<size_t>& cl = clusters_[k];
-    scratch.sub.resize(m * cl.size());
-    for (size_t i = 0; i < m; ++i) {
-      const double* xi = x + i * ldx;
-      double* dst = scratch.sub.data() + i * cl.size();
-      for (size_t j = 0; j < cl.size(); ++j) dst[j] = xi[cl[j]];
-    }
-    ensemble_[k]->score_rows(scratch.sub.data(), m, cl.size(),
-                             scratch.col.data(), scratch.ae);
-    for (size_t i = 0; i < m; ++i) scratch.rmses[i * n_cl + k] = scratch.col[i];
-  }
-  output_->score_rows(scratch.rmses.data(), m, n_cl, out, scratch.ae);
-}
-
 std::vector<double> KitNet::score(const FeatureTable& X) const {
-  std::vector<double> out(X.rows, 0.0);
-  if (!output_) return out;
-  const size_t nblocks =
-      (X.rows + dense::kScoreBlock - 1) / dense::kScoreBlock;
-  parallel_for(
-      0, nblocks,
-      [&](size_t blk) {
-        const size_t lo = blk * dense::kScoreBlock;
-        const size_t hi = std::min(X.rows, lo + dense::kScoreBlock);
-        thread_local BatchScratch scratch;
-        score_block(X, lo, hi, out.data() + lo, scratch);
-      },
-      /*min_parallel=*/2);
-  return out;
+  if (!plan_) return std::vector<double>(X.rows, 0.0);
+  return compiled::score_table(*plan_, X);
 }
 
 std::vector<double> KitNet::score_perrow(const FeatureTable& X) const {
@@ -249,7 +149,7 @@ std::vector<double> KitNet::score_perrow(const FeatureTable& X) const {
 }
 
 std::vector<int> KitNet::predict(const FeatureTable& X) const {
-  return threshold_predict(score(X), threshold_);
+  return threshold_predict(score(X), threshold());
 }
 
 }  // namespace lumen::ml

@@ -2,8 +2,11 @@
 // an ensemble of small autoencoders over correlation-clustered feature
 // subsets, whose per-cluster reconstruction errors feed an output
 // autoencoder. Score = output-layer RMSE; trained online on benign traffic.
+// fit() lowers the trained ensemble into an f64 compiled plan
+// (ml/compiled.h); score() and the threshold both come from that plan.
 #pragma once
 
+#include "ml/compiled.h"
 #include "ml/mlp.h"
 #include "ml/model.h"
 
@@ -24,13 +27,6 @@ class KitNet : public Model {
   KitNet() : KitNet(Config{}) {}
   explicit KitNet(Config cfg) : cfg_(cfg) {}
 
-  // Deep copies: a trained KitNet can be cloned, e.g. one detector per
-  // ingest consumer thread scoring a disjoint slice of the stream.
-  KitNet(const KitNet& other);
-  KitNet& operator=(const KitNet& other);
-  KitNet(KitNet&&) noexcept = default;
-  KitNet& operator=(KitNet&&) noexcept = default;
-
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
   std::vector<int> predict(const FeatureTable& X) const override;
@@ -38,7 +34,11 @@ class KitNet : public Model {
   bool is_supervised() const override { return false; }
 
   const std::vector<std::vector<size_t>>& clusters() const { return clusters_; }
-  double threshold() const { return threshold_; }
+  double threshold() const { return plan_ ? plan_->threshold() : 0.0; }
+
+  /// The f64 plan fit() built — the one inference path (null before fit,
+  /// and after a fit with no benign rows).
+  const compiled::PlanPtr& plan() const { return plan_; }
 
   /// Ensemble internals for the model compiler (ml/compiled.*): the fitted
   /// per-cluster cores and the output core (null before fit).
@@ -55,42 +55,16 @@ class KitNet : public Model {
     AutoEncoderCore::ScoreScratch ae;
   };
 
-  /// Score a single feature vector (the streaming path: no table needed).
+  /// Per-row reference scorer over the trained cores (the test oracle for
+  /// the plan; agrees with it to ~1e-15 relative, not bitwise).
   double score_row(std::span<const double> x) const;
 
-  /// Same, reusing caller-owned scratch — the per-packet hot path does not
-  /// allocate in steady state.
+  /// Same, reusing caller-owned scratch.
   double score_row(std::span<const double> x, ScoreScratch& scratch) const;
 
-  /// Buffers for blocked batch scoring.
-  struct BatchScratch {
-    std::vector<double> sub;    // m x |cluster| gathered feature subset
-    std::vector<double> col;    // m per-cluster RMSEs before the scatter
-    std::vector<double> rmses;  // m x n_clusters output-AE inputs
-    AutoEncoderCore::BatchScratch ae;
-  };
-
-  /// Pre-PR reference: row-at-a-time score_row loop. Kept for the
-  /// batched-vs-per-row equivalence tests and the BENCH_ml baseline.
+  /// Row-at-a-time score_row loop over a table: the reference for the
+  /// equivalence tests and the BENCH_ml baseline.
   std::vector<double> score_perrow(const FeatureTable& X) const;
-
-  /// Buffers for the fused micro-batch path (score_rows).
-  struct RowsScratch {
-    std::vector<double> sub;    // m x |cluster| gathered feature subset
-    std::vector<double> col;    // m per-cluster RMSEs before the scatter
-    std::vector<double> rmses;  // m x n_clusters output-AE inputs
-    AutoEncoderCore::RowsScratch ae;
-  };
-
-  /// Fused micro-batch scoring for the online hot path: out[i] = score of
-  /// row i of the m x dim row-major block x (row stride ldx). Per-cluster
-  /// gather + packed encode/decode (fit() seals every AE into its
-  /// dense::PackedDense panels), with row i's result bit-identical no
-  /// matter how the stream is chopped into micro-batches — the live
-  /// consumer relies on this to keep alert sets independent of
-  /// Options::score_batch. An unfitted model scores zeros.
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  RowsScratch& scratch) const;
 
  private:
   /// Agglomerative clustering on correlation distance, clusters capped at
@@ -98,17 +72,13 @@ class KitNet : public Model {
   void build_feature_map(const FeatureTable& X,
                          const std::vector<size_t>& rows);
 
-  /// Score rows [lo, hi) of X into out[0..hi-lo): gather each cluster's
-  /// columns for the whole block, batch-score every ensemble AE, then
-  /// batch-score the output AE on the m x n_clusters RMSE matrix.
-  void score_block(const FeatureTable& X, size_t lo, size_t hi, double* out,
-                   BatchScratch& scratch) const;
-
   Config cfg_;
   std::vector<std::vector<size_t>> clusters_;
-  std::vector<std::unique_ptr<AutoEncoderCore>> ensemble_;
-  std::unique_ptr<AutoEncoderCore> output_;
-  double threshold_ = 0.0;
+  // Trained cores, shared by copies: nothing mutates them after fit(),
+  // which replaces them wholesale.
+  std::vector<std::shared_ptr<const AutoEncoderCore>> ensemble_;
+  std::shared_ptr<const AutoEncoderCore> output_;
+  compiled::PlanPtr plan_;
 };
 
 }  // namespace lumen::ml

@@ -140,10 +140,7 @@ void Mlp::fit(const FeatureTable& X) {
     layers_.push_back(std::move(L));
     in_dim = d;
   }
-  if (X.rows == 0) {
-    seal();
-    return;
-  }
+  if (X.rows == 0) return;
 
   // Class-balanced sample weights.
   size_t n_pos = 0;
@@ -167,80 +164,6 @@ void Mlp::fit(const FeatureTable& X) {
                   delta_prev);
     }
   }
-  seal();
-}
-
-void Mlp::seal() {
-  packed_.resize(layers_.size());
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const Layer& L = layers_[li];
-    packed_[li].pack(L.out, L.in, L.w.data(), L.in, L.b.data());
-  }
-}
-
-void Mlp::score_rows(const double* x, size_t m, size_t ldx, double* out,
-                     RowsScratch& scratch) const {
-  if (packed_.empty()) {
-    std::fill(out, out + m, 0.0);
-    return;
-  }
-  const size_t cols = layers_.front().in;
-  scratch.z.resize(m * cols);
-  for (size_t i = 0; i < m; ++i) {
-    const double* xi = x + i * ldx;
-    double* zi = scratch.z.data() + i * cols;
-    for (size_t c = 0; c < cols; ++c) zi[c] = (xi[c] - mean_[c]) * inv_sd_[c];
-  }
-  std::vector<double>* cur = &scratch.z;
-  std::vector<double>* nxt = &scratch.a;
-  size_t ld = cols;
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const dense::PackedDense& P = packed_[li];
-    const size_t lp = P.padded_out();
-    nxt->resize(m * lp);
-    P.apply(m, cur->data(), ld, nxt->data(), lp);
-    // Per-row sweeps over the true (unpadded) width keep every row's
-    // activation math independent of the batch size m.
-    for (size_t i = 0; i < m; ++i) {
-      double* ai = nxt->data() + i * lp;
-      if (li + 1 == layers_.size()) {
-        dense::sigmoid_sweep(P.out_dim(), ai);
-      } else {
-        dense::relu_sweep(P.out_dim(), ai);
-      }
-    }
-    std::swap(cur, nxt);
-    if (nxt == &scratch.z) nxt = &scratch.b;
-    ld = lp;
-  }
-  for (size_t i = 0; i < m; ++i) out[i] = (*cur)[i * ld];
-}
-
-double Mlp::score_row(std::span<const double> x) const {
-  ScoreScratch scratch;
-  return score_row(x, scratch);
-}
-
-double Mlp::score_row(std::span<const double> x, ScoreScratch& scratch) const {
-  scratch.a.resize(x.size());
-  for (size_t c = 0; c < x.size(); ++c) {
-    scratch.a[c] = (x[c] - mean_[c]) * inv_sd_[c];
-  }
-  std::vector<double>* cur = &scratch.a;
-  std::vector<double>* nxt = &scratch.b;
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const Layer& L = layers_[li];
-    nxt->resize(L.out);
-    dense::gemv(L.out, L.in, L.w.data(), L.in, cur->data(), L.b.data(),
-                nxt->data());
-    if (li + 1 == layers_.size()) {
-      dense::sigmoid_sweep(L.out, nxt->data());
-    } else {
-      dense::relu_sweep(L.out, nxt->data());
-    }
-    std::swap(cur, nxt);
-  }
-  return cur->empty() ? 0.0 : (*cur)[0];
 }
 
 std::vector<double> Mlp::score(const FeatureTable& X) const {
@@ -328,12 +251,6 @@ void AutoEncoderCore::update_norm(std::span<const double> x) {
   }
 }
 
-std::vector<double> AutoEncoderCore::normalize(std::span<const double> x) const {
-  std::vector<double> z(dim_, 0.0);
-  normalize_into(x, z);
-  return z;
-}
-
 void AutoEncoderCore::normalize_into(std::span<const double> x,
                                      std::vector<double>& z) const {
   z.resize(dim_);
@@ -345,7 +262,6 @@ void AutoEncoderCore::normalize_into(std::span<const double> x,
 }
 
 double AutoEncoderCore::train_sample(std::span<const double> x) {
-  sealed_ = false;  // weights are about to change; score_rows repacks via seal()
   update_norm(x);
   normalize_into(x, tz_);
   const std::vector<double>& z = tz_;
@@ -410,109 +326,6 @@ double AutoEncoderCore::score_sample(std::span<const double> x,
   return std::sqrt(mse / static_cast<double>(dim_));
 }
 
-void AutoEncoderCore::score_batch(const double* x, size_t m, size_t ldx,
-                                  double* out, BatchScratch& scratch) const {
-  scratch.z.resize(m * dim_);
-  // Hoist the per-column reciprocal range out of the row loop: dim_
-  // divisions per block instead of one per element (divisions dominate the
-  // normalize cost at KitNET-sized layers). Multiplying by 1/range instead
-  // of dividing differs from the per-row path by at most 1 ulp.
-  scratch.inv.resize(dim_);
-  for (size_t c = 0; c < dim_; ++c) {
-    const double range = norm_max_[c] - norm_min_[c];
-    scratch.inv[c] = range > 1e-12 ? 1.0 / range : 0.0;
-  }
-  for (size_t i = 0; i < m; ++i) {
-    const double* xi = x + i * ldx;
-    double* zi = scratch.z.data() + i * dim_;
-    for (size_t c = 0; c < dim_; ++c) {
-      zi[c] = std::clamp((xi[c] - norm_min_[c]) * scratch.inv[c], 0.0, 1.0);
-    }
-  }
-  scratch.h.resize(m * hidden_);
-  dense::gemm_nt(m, hidden_, dim_, scratch.z.data(), dim_, w1_.data(), dim_,
-                 b1_.data(), 0.0, scratch.h.data(), hidden_);
-  // Sweep activations per row, not over the whole m x hidden_ block: the
-  // sweep kernels' vector/scalar split depends on the sweep length, so a
-  // block-wide sweep makes each row's score depend on the batch size m.
-  // Per-row sweeps keep score_batch bit-identical across any partitioning
-  // of the same rows (whole-table batch run vs per-epoch streaming run).
-  for (size_t i = 0; i < m; ++i) {
-    dense::sigmoid_sweep(hidden_, scratch.h.data() + i * hidden_);
-  }
-  scratch.y.resize(m * dim_);
-  dense::gemm_nt(m, dim_, hidden_, scratch.h.data(), hidden_, w2_.data(),
-                 hidden_, b2_.data(), 0.0, scratch.y.data(), dim_);
-  for (size_t i = 0; i < m; ++i) {
-    dense::sigmoid_sweep(dim_, scratch.y.data() + i * dim_);
-  }
-  for (size_t i = 0; i < m; ++i) {
-    const double* zi = scratch.z.data() + i * dim_;
-    const double* yi = scratch.y.data() + i * dim_;
-    double mse = 0.0;
-    for (size_t c = 0; c < dim_; ++c) {
-      const double e = yi[c] - zi[c];
-      mse += e * e;
-    }
-    out[i] = std::sqrt(mse / static_cast<double>(dim_));
-  }
-}
-
-void AutoEncoderCore::seal() {
-  enc_.pack(hidden_, dim_, w1_.data(), dim_, b1_.data());
-  dec_.pack(dim_, hidden_, w2_.data(), hidden_, b2_.data());
-  sealed_ = true;
-}
-
-void AutoEncoderCore::score_rows(const double* x, size_t m, size_t ldx,
-                                 double* out, RowsScratch& scratch) const {
-  if (!sealed_) {
-    for (size_t i = 0; i < m; ++i) {
-      out[i] = score_sample(std::span<const double>(x + i * ldx, dim_),
-                            scratch.row);
-    }
-    return;
-  }
-  const size_t hp = enc_.padded_out();
-  const size_t dp = dec_.padded_out();
-  // Same hoisted-reciprocal normalization as score_batch; inv depends only
-  // on the (sealed) normalization ranges, never on m.
-  scratch.inv.resize(dim_);
-  for (size_t c = 0; c < dim_; ++c) {
-    const double range = norm_max_[c] - norm_min_[c];
-    scratch.inv[c] = range > 1e-12 ? 1.0 / range : 0.0;
-  }
-  scratch.z.resize(m * dim_);
-  for (size_t i = 0; i < m; ++i) {
-    const double* xi = x + i * ldx;
-    double* zi = scratch.z.data() + i * dim_;
-    for (size_t c = 0; c < dim_; ++c) {
-      zi[c] = std::clamp((xi[c] - norm_min_[c]) * scratch.inv[c], 0.0, 1.0);
-    }
-  }
-  scratch.h.resize(m * hp);
-  enc_.apply(m, scratch.z.data(), dim_, scratch.h.data(), hp);
-  // Activations sweep per row (true width, padded stride): the sweep
-  // kernels' vector/scalar split depends on the sweep length, so sweeping
-  // the whole m x hp block would make row results depend on m.
-  for (size_t i = 0; i < m; ++i) {
-    dense::sigmoid_sweep(hidden_, scratch.h.data() + i * hp);
-  }
-  scratch.y.resize(m * dp);
-  dec_.apply(m, scratch.h.data(), hp, scratch.y.data(), dp);
-  for (size_t i = 0; i < m; ++i) {
-    double* yi = scratch.y.data() + i * dp;
-    dense::sigmoid_sweep(dim_, yi);
-    const double* zi = scratch.z.data() + i * dim_;
-    double mse = 0.0;
-    for (size_t c = 0; c < dim_; ++c) {
-      const double e = yi[c] - zi[c];
-      mse += e * e;
-    }
-    out[i] = std::sqrt(mse / static_cast<double>(dim_));
-  }
-}
-
 // --------------------------------------------------- AutoEncoderDetector
 
 void AutoEncoderDetector::fit(const FeatureTable& X) {
@@ -522,41 +335,14 @@ void AutoEncoderDetector::fit(const FeatureTable& X) {
   for (size_t e = 0; e < cfg_.epochs; ++e) {
     for (size_t r : rows) ae_->train_sample(X.row(r));
   }
-  ae_->seal();
-  // Calibrate through the same blocked path score() uses, so the threshold
-  // and the scores it gates share bit-identical math.
-  std::vector<double> s(rows.size(), 0.0);
-  AutoEncoderCore::BatchScratch scratch;
-  std::vector<double> gather;
-  for (size_t lo = 0; lo < rows.size(); lo += dense::kScoreBlock) {
-    const size_t hi = std::min(rows.size(), lo + dense::kScoreBlock);
-    const size_t m = hi - lo;
-    gather.resize(m * X.cols);
-    for (size_t i = 0; i < m; ++i) {
-      const auto row = X.row(rows[lo + i]);
-      std::copy(row.begin(), row.end(), gather.begin() + i * X.cols);
-    }
-    ae_->score_batch(gather.data(), m, X.cols, s.data() + lo, scratch);
-  }
-  threshold_ = quantile_threshold(std::move(s), cfg_.quantile);
+  // Lower the trained core into the f64 plan score() runs, and calibrate
+  // the threshold on the plan's scores over the benign rows.
+  plan_ = compiled::calibrate_autoencoder(*ae_, X, rows, cfg_.quantile);
 }
 
 std::vector<double> AutoEncoderDetector::score(const FeatureTable& X) const {
-  std::vector<double> out(X.rows, 0.0);
-  if (!ae_) return out;
-  const size_t nblocks =
-      (X.rows + dense::kScoreBlock - 1) / dense::kScoreBlock;
-  parallel_for(
-      0, nblocks,
-      [&](size_t blk) {
-        const size_t lo = blk * dense::kScoreBlock;
-        const size_t hi = std::min(X.rows, lo + dense::kScoreBlock);
-        thread_local AutoEncoderCore::BatchScratch scratch;
-        ae_->score_batch(X.data.data() + lo * X.cols, hi - lo, X.cols,
-                         out.data() + lo, scratch);
-      },
-      /*min_parallel=*/2);
-  return out;
+  if (!plan_) return std::vector<double>(X.rows, 0.0);
+  return compiled::score_table(*plan_, X);
 }
 
 std::vector<double> AutoEncoderDetector::score_perrow(
@@ -570,7 +356,7 @@ std::vector<double> AutoEncoderDetector::score_perrow(
 }
 
 std::vector<int> AutoEncoderDetector::predict(const FeatureTable& X) const {
-  return threshold_predict(score(X), threshold_);
+  return threshold_predict(score(X), threshold());
 }
 
 }  // namespace lumen::ml

@@ -7,12 +7,14 @@
 //
 // All the forward/backward math routes through the dense-kernel library
 // (ml/dense.h): training runs minibatch GEMMs over the contiguous row-major
-// weights, and the score(FeatureTable) paths process dense::kScoreBlock-row
-// blocks instead of row-at-a-time. The pre-PR row-at-a-time scorers are
-// kept as *_perrow reference paths for the equivalence tests and the
-// batched-vs-per-row benchmark gate.
+// weights, and Mlp::score processes dense::kScoreBlock-row blocks.
+// AutoEncoderDetector::fit lowers its trained core into an f64 compiled
+// plan (ml/compiled.h), which its score() runs. The row-at-a-time scorers
+// are kept as *_perrow / score_sample reference paths for the equivalence
+// tests and the batched-vs-per-row benchmark gate.
 #pragma once
 
+#include "ml/compiled.h"
 #include "ml/dense.h"
 #include "ml/model.h"
 
@@ -36,36 +38,10 @@ class Mlp : public Model {
   std::string name() const override { return "MLP"; }
   bool is_supervised() const override { return true; }
 
-  /// Reusable buffers for allocation-free single-row scoring.
-  struct ScoreScratch {
-    std::vector<double> a;  // ping
-    std::vector<double> b;  // pong
-  };
-
-  /// Score one feature vector without touching a table (streaming path);
-  /// the scratch overload never allocates in steady state.
-  double score_row(std::span<const double> x) const;
-  double score_row(std::span<const double> x, ScoreScratch& scratch) const;
-
   /// Pre-PR reference: row-at-a-time scalar forward with per-row activation
   /// allocations. Kept for the batched-vs-per-row equivalence tests and the
   /// BENCH_ml baseline; not a production path.
   std::vector<double> score_perrow(const FeatureTable& X) const;
-
-  /// Buffers for the fused micro-batch path (score_rows).
-  struct RowsScratch {
-    std::vector<double> z;  // m x in standardized inputs
-    std::vector<double> a;  // ping (padded layer activations)
-    std::vector<double> b;  // pong
-  };
-
-  /// Fused micro-batch scoring over the packed layer weights (see
-  /// dense::PackedDense): out[i] = score of row i of the m x cols row-major
-  /// block x (row stride ldx). Activations sweep per row, so results are
-  /// bit-identical no matter how rows are grouped into batches. fit() packs
-  /// the layers; an unfitted model scores zeros.
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  RowsScratch& scratch) const;
 
  private:
   struct Layer {
@@ -73,9 +49,6 @@ class Mlp : public Model {
     std::vector<double> w;  // out x in
     std::vector<double> b;  // out
   };
-
-  /// Pack every layer's weights for score_rows; called at the end of fit.
-  void seal();
 
   double forward(std::span<const double> x, std::vector<std::vector<double>>* acts) const;
   void fit_standardizer(const FeatureTable& X);
@@ -91,7 +64,6 @@ class Mlp : public Model {
 
   MlpConfig cfg_;
   std::vector<Layer> layers_;
-  std::vector<dense::PackedDense> packed_;  // one per layer, set by seal()
   std::vector<double> mean_, inv_sd_;
 };
 
@@ -109,54 +81,15 @@ class AutoEncoderCore {
     std::vector<double> h;  // hidden activations
   };
 
-  /// Buffers for blocked batch scoring (score_batch).
-  struct BatchScratch {
-    std::vector<double> z;    // m x dim normalized inputs
-    std::vector<double> h;    // m x hidden
-    std::vector<double> y;    // m x dim reconstructions
-    std::vector<double> inv;  // dim reciprocal normalization ranges
-  };
-
-  /// Buffers for the fused micro-batch path (score_rows). Like ScoreScratch,
-  /// one scratch may be shared across cores of different dimensions.
-  struct RowsScratch {
-    std::vector<double> z;    // m x dim normalized inputs
-    std::vector<double> h;    // m x padded hidden activations
-    std::vector<double> y;    // m x padded reconstructions
-    std::vector<double> inv;  // dim reciprocal normalization ranges
-    ScoreScratch row;         // unsealed fallback
-  };
-
   /// One SGD step on x; returns the reconstruction RMSE *before* the update.
   double train_sample(std::span<const double> x);
 
-  /// Reconstruction RMSE without updating weights.
+  /// Reconstruction RMSE without updating weights: the per-row reference
+  /// the compiled plans are tested against.
   double score_sample(std::span<const double> x) const;
 
-  /// Same, but reusing caller-owned buffers (the per-packet hot path).
+  /// Same, but reusing caller-owned buffers.
   double score_sample(std::span<const double> x, ScoreScratch& scratch) const;
-
-  /// Batched scoring: out[i] = reconstruction RMSE of row i of the m x dim
-  /// row-major block x (row stride ldx). Forward pass runs as two GEMMs
-  /// plus fused sigmoid sweeps over the whole block.
-  void score_batch(const double* x, size_t m, size_t ldx, double* out,
-                   BatchScratch& scratch) const;
-
-  /// Pack the current weights into the PackedDense layout used by
-  /// score_rows. Called once when training finishes (the owning fit());
-  /// any later train_sample invalidates the seal. Packing is explicit —
-  /// not lazy — so the const score paths stay safe to call concurrently.
-  void seal();
-  bool sealed() const { return sealed_; }
-
-  /// Fused micro-batch scoring for the online hot path: out[i] =
-  /// reconstruction RMSE of row i of the m x dim block x (row stride ldx).
-  /// Runs encode/decode over the packed panels with per-row activation
-  /// sweeps, so row i's score is bit-identical no matter how the stream is
-  /// chopped into micro-batches (see the PackedDense contract). Falls back
-  /// to a score_sample loop when not sealed.
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  RowsScratch& scratch) const;
 
   size_t dim() const { return dim_; }
   size_t hidden() const { return hidden_; }
@@ -178,7 +111,6 @@ class AutoEncoderCore {
   }
 
  private:
-  std::vector<double> normalize(std::span<const double> x) const;
   void normalize_into(std::span<const double> x, std::vector<double>& z) const;
   void update_norm(std::span<const double> x);
 
@@ -187,8 +119,6 @@ class AutoEncoderCore {
   double lr_;
   std::vector<double> w1_, b1_;  // hidden x dim, hidden
   std::vector<double> w2_, b2_;  // dim x hidden, dim
-  dense::PackedDense enc_, dec_;  // packed w1/w2 panels (valid iff sealed_)
-  bool sealed_ = false;
   std::vector<double> norm_min_, norm_max_;
   bool norm_init_ = false;
   // Reused train_sample buffers (z, h, y, dy, dh, dvec); copying a core
@@ -214,18 +144,21 @@ class AutoEncoderDetector : public Model {
   std::string name() const override { return "AutoEncoder"; }
   bool is_supervised() const override { return false; }
 
-  double threshold() const { return threshold_; }
+  double threshold() const { return plan_ ? plan_->threshold() : 0.0; }
 
   /// The fitted core (null before fit) — for the model compiler.
   const AutoEncoderCore* core() const { return ae_.get(); }
 
-  /// Pre-PR reference path (row-at-a-time score_sample loop).
+  /// The f64 plan fit() built — the one inference path (null before fit).
+  const compiled::PlanPtr& plan() const { return plan_; }
+
+  /// Per-row reference path (row-at-a-time score_sample loop).
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
  private:
   AutoEncoderConfig cfg_;
   std::unique_ptr<AutoEncoderCore> ae_;
-  double threshold_ = 0.0;
+  compiled::PlanPtr plan_;
 };
 
 }  // namespace lumen::ml

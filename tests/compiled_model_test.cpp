@@ -1,10 +1,15 @@
 // Compiled inference plans (ml/compiled.h) against their source models:
-//  * f64 plans are BIT-identical to the reference scoring paths — same
-//    kernels, same accumulation order — for every compilable model family;
-//  * f32 / i8 KitNET plans stay within a measured divergence bound, and the
-//    f32 plan reproduces the reference alert set exactly on the P1-P4
-//    golden captures (the deployment contract docs/framework.md states);
-//  * plans honor the micro-batch contract (batch-size invariance);
+//  * the KitNET / autoencoder f64 plan is the models' own inference path:
+//    it matches the per-row reference to 1e-9 with identical alert sets on
+//    the P1-P4 golden captures, and the threshold is the quantile of its
+//    own scores over the benign training rows;
+//  * table-model f64 plans are BIT-identical to the models' score() — same
+//    kernels, same accumulation order;
+//  * the f32 KitNET plan stays within a measured divergence bound and
+//    reproduces the f64 alert set exactly on P1-P4 (the deployment
+//    contract docs/framework.md states);
+//  * plans honor the micro-batch contract (batch-size invariance) and score
+//    tables narrower than their input as zeros;
 //  * a compiled plan hot-swaps through IngestRuntime::deploy mid-run.
 #include <gtest/gtest.h>
 
@@ -20,11 +25,13 @@
 
 #include "common/rng.h"
 #include "core/ingest.h"
+#include "core/kitsune_extractor.h"
 #include "core/stream.h"
 #include "ml/compiled.h"
 #include "ml/forest.h"
 #include "ml/gmm.h"
 #include "ml/kernel.h"
+#include "ml/kitnet.h"
 #include "ml/knn.h"
 #include "ml/linear.h"
 #include "ml/mlp.h"
@@ -62,15 +69,17 @@ FeatureTable blobs(size_t n_per_class, size_t dims, double gap,
 /// live remainder to score.
 struct TrainedKitsune {
   OnlineKitsune det;
+  std::span<const netio::PacketView> prefix;
   std::span<const netio::PacketView> live;
 };
 
 TrainedKitsune train_on(const trace::Dataset& ds) {
   const size_t grace = ds.trace.view.size() * 45 / 100;
   TrainedKitsune t;
-  t.det.train(std::span<const netio::PacketView>(ds.trace.view.data(), grace));
+  t.prefix = std::span<const netio::PacketView>(ds.trace.view.data(), grace);
   t.live = std::span<const netio::PacketView>(ds.trace.view.data() + grace,
                                               ds.trace.view.size() - grace);
+  t.det.train(t.prefix);
   return t;
 }
 
@@ -87,25 +96,67 @@ std::vector<double> score_live(OnlineKitsune det,
 
 // ------------------------------------------------------------- KitNET f64
 
-TEST(CompiledKitnet, F64PlanBitIdenticalToReferenceOnLiveStream) {
-  const trace::Dataset ds = trace::make_dataset("P1", 0.25);
-  TrainedKitsune t = train_on(ds);
+TEST(CompiledKitnet, F64PlanMatchesPerRowReferenceOnLiveStream) {
+  for (const char* name : {"P1", "P2", "P3", "P4"}) {
+    const trace::Dataset ds = trace::make_dataset(name, 0.25);
+    TrainedKitsune t = train_on(ds);
 
-  OnlineKitsune compiled = t.det;
-  auto r = compiled.compile(Precision::kF64);
-  ASSERT_TRUE(r.ok()) << r.error().message;
-  ASSERT_NE(compiled.compiled_plan(), nullptr);
-  EXPECT_STREQ(compiled.compiled_plan()->kind(), "kitnet");
-  EXPECT_EQ(compiled.compiled_plan()->precision(), Precision::kF64);
-  EXPECT_EQ(compiled.compiled_plan()->dim(), t.det.extractor().dim());
-  EXPECT_EQ(compiled.compiled_plan()->threshold(), t.det.threshold());
-  EXPECT_GT(compiled.compiled_plan()->weight_bytes(), 0u);
+    // train() installs the f64 plan; compile(kF64) hands back that plan.
+    const ml::compiled::PlanPtr plan = t.det.compiled_plan();
+    ASSERT_NE(plan, nullptr) << name;
+    EXPECT_STREQ(plan->kind(), "kitnet");
+    EXPECT_EQ(plan->precision(), Precision::kF64);
+    EXPECT_EQ(plan->dim(), t.det.extractor().dim());
+    EXPECT_EQ(plan->threshold(), t.det.threshold());
+    EXPECT_GT(plan->weight_bytes(), 0u);
+    OnlineKitsune recompiled = t.det;
+    ASSERT_TRUE(recompiled.compile(Precision::kF64).ok());
+    EXPECT_EQ(recompiled.compiled_plan(), plan);
 
-  const std::vector<double> ref = score_live(t.det, t.live, 64);
-  const std::vector<double> got = score_live(std::move(compiled), t.live, 64);
-  ASSERT_EQ(ref.size(), got.size());
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(ref[i], got[i]) << "packet " << i;  // bitwise, not merely near
+    // The per-row reference over the same extractor states, within the
+    // BatchedEquivalence tolerance, with the same alert set.
+    const std::vector<double> got = score_live(t.det, t.live, 64);
+    core::KitsuneExtractor ex = t.det.extractor();
+    std::vector<double> row;
+    const double thr = t.det.threshold();
+    for (size_t i = 0; i < t.live.size(); ++i) {
+      ex.process(t.live[i], row);
+      const double ref = t.det.detector().score_row(row);
+      ASSERT_NEAR(got[i], ref,
+                  1e-9 + 1e-9 * std::max(std::fabs(got[i]), std::fabs(ref)))
+          << name << " packet " << i;
+      ASSERT_EQ(ref > thr, got[i] > thr) << name << " packet " << i;
+    }
+  }
+}
+
+// The threshold gates the plan's scores, so it must come from them: the
+// configured quantile of the plan's scores over the benign training rows,
+// bit for bit, carried unchanged by the plan.
+TEST(CompiledKitnet, ThresholdIsPlanQuantileOverTrainingRows) {
+  const double quantile = OnlineKitsune::Options{}.threshold_quantile;
+  for (const char* name : {"P1", "P2", "P3", "P4"}) {
+    const trace::Dataset ds = trace::make_dataset(name, 0.25);
+    TrainedKitsune t = train_on(ds);
+    ASSERT_TRUE(t.det.compile(Precision::kF64).ok()) << name;
+    const ml::compiled::PlanPtr& plan = t.det.compiled_plan();
+
+    // Re-extract the training prefix the way train() did.
+    core::KitsuneExtractor ex;
+    const size_t dim = ex.dim();
+    std::vector<double> rows(t.prefix.size() * dim);
+    std::vector<double> row;
+    for (size_t i = 0; i < t.prefix.size(); ++i) {
+      ex.process(t.prefix[i], row);
+      std::copy(row.begin(), row.end(), rows.begin() + i * dim);
+    }
+    std::vector<double> scores(t.prefix.size(), 0.0);
+    ml::compiled::Scratch scratch;
+    plan->score_rows(rows.data(), t.prefix.size(), dim, scores.data(),
+                     scratch);
+    EXPECT_EQ(t.det.threshold(), ml::quantile_threshold(scores, quantile))
+        << name;
+    EXPECT_EQ(plan->threshold(), t.det.threshold()) << name;
   }
 }
 
@@ -127,7 +178,7 @@ TEST(CompiledKitnet, F64PlanSinglePacketMatchesMicroBatched) {
   }
 }
 
-// ------------------------------------------------- KitNET f32/i8 divergence
+// ---------------------------------------------------- KitNET f32 divergence
 
 /// Max relative divergence of `got` against reference `ref`, guarding tiny
 /// denominators with the reference score scale.
@@ -157,47 +208,12 @@ TEST(CompiledKitnet, F32BoundedDivergenceAndAlertIdentityOnGoldens) {
     // docs/framework.md and gated again on the bench side.
     EXPECT_LT(max_rel_divergence(ref, got), 1e-3) << name;
     // Deployment contract: the f32 plan's alert set is IDENTICAL to the
-    // reference path's on the goldens.
+    // f64 plan's on the goldens.
     const double thr = t.det.threshold();
     for (size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i] > thr, got[i] > thr)
           << name << " packet " << i << " ref " << ref[i] << " f32 " << got[i];
     }
-  }
-}
-
-TEST(CompiledKitnet, I8BoundedDivergenceOnGoldens) {
-  for (const char* name : {"P1", "P2"}) {
-    const trace::Dataset ds = trace::make_dataset(name, 0.25);
-    TrainedKitsune t = train_on(ds);
-    OnlineKitsune i8 = t.det;
-    ASSERT_TRUE(i8.compile(Precision::kI8).ok());
-    EXPECT_EQ(i8.compiled_plan()->precision(), Precision::kI8);
-    // The int8 arena is much smaller than the f64 one (8 bytes -> 1 per
-    // weight; norm/bias/scale stay f32).
-    OnlineKitsune f64 = t.det;
-    ASSERT_TRUE(f64.compile(Precision::kF64).ok());
-    EXPECT_LT(i8.compiled_plan()->weight_bytes(),
-              f64.compiled_plan()->weight_bytes());
-
-    const std::vector<double> ref = score_live(t.det, t.live, 64);
-    const std::vector<double> got = score_live(std::move(i8), t.live, 64);
-    // Quantization error through two int8 layers; bound measured on the
-    // goldens and documented. Alert identity is NOT contractual for i8 —
-    // near-threshold packets may flip — so gate agreement away from the
-    // threshold instead: disagreements must sit within the quantization
-    // band around it.
-    EXPECT_LT(max_rel_divergence(ref, got), 0.35) << name;
-    const double thr = t.det.threshold();
-    size_t flips = 0;
-    for (size_t i = 0; i < ref.size(); ++i) {
-      if ((ref[i] > thr) != (got[i] > thr)) {
-        ++flips;
-        EXPECT_LT(std::fabs(ref[i] - thr) / std::max(thr, 1e-6), 0.35)
-            << name << " packet " << i;
-      }
-    }
-    EXPECT_LT(flips, std::max<size_t>(1, ref.size() / 20)) << name;
   }
 }
 
@@ -293,39 +309,106 @@ TEST(CompiledTableModels, ForestScoresTableWiderThanPlanDim) {
 TEST(CompiledTableModels, PlanScoreRowsIsBatchSizeInvariant) {
   const FeatureTable train = blobs(120, 5, 3.0, 412);
   const FeatureTable test = blobs(70, 5, 3.0, 413);
+  std::vector<std::pair<std::string, ml::compiled::PlanPtr>> plans;
   for (auto& c : table_cases()) {
     c.model->fit(train);
     auto plan = ml::compiled::compile(*c.model);
     ASSERT_TRUE(plan.ok()) << c.name;
+    plans.emplace_back(c.name, plan.value());
+  }
+  // The neural plans, at both precisions.
+  ml::KitNet::Config kcfg;
+  kcfg.fm_grace = 100;
+  kcfg.max_cluster_size = 3;  // several clusters over 5 columns
+  ml::KitNet kitnet(kcfg);
+  ml::AutoEncoderDetector autoencoder;
+  for (ml::Model* m : {static_cast<ml::Model*>(&kitnet),
+                       static_cast<ml::Model*>(&autoencoder)}) {
+    m->fit(train);
+    for (const Precision p : {Precision::kF64, Precision::kF32}) {
+      auto plan = ml::compiled::compile(*m, {p});
+      ASSERT_TRUE(plan.ok()) << m->name();
+      plans.emplace_back(m->name() + "/" + ml::compiled::precision_name(p),
+                         plan.value());
+    }
+  }
+  for (const auto& [name, plan] : plans) {
     // The ocsvm plan inherits the reference's sq_dist_batch semantics: the
     // kernel switches between the direct per-row path and the GEMM
     // expansion at kSqDistBatchCrossover rows, so — exactly like the
     // reference OneClassSvm::score — results across different chunkings
     // agree to tight tolerance, not bitwise (dense_test pins the same
     // bound for the kernel itself). Every other plan is bitwise invariant.
-    const bool bitwise = c.name != "ocsvm";
+    const bool bitwise = name != "ocsvm";
     ml::compiled::Scratch scratch;
     std::vector<double> whole(test.rows, 0.0);
-    plan.value()->score_rows(test.data.data(), test.rows, test.cols,
-                             whole.data(), scratch);
+    plan->score_rows(test.data.data(), test.rows, test.cols, whole.data(),
+                     scratch);
     for (const size_t chunk : {size_t{1}, size_t{7}, size_t{64}}) {
       std::vector<double> chunked(test.rows, 0.0);
       for (size_t lo = 0; lo < test.rows; lo += chunk) {
         const size_t m = std::min(chunk, test.rows - lo);
-        plan.value()->score_rows(test.data.data() + lo * test.cols, m,
-                                 test.cols, chunked.data() + lo, scratch);
+        plan->score_rows(test.data.data() + lo * test.cols, m, test.cols,
+                         chunked.data() + lo, scratch);
       }
       for (size_t i = 0; i < whole.size(); ++i) {
         if (bitwise) {
           ASSERT_EQ(whole[i], chunked[i])
-              << c.name << " chunk " << chunk << " row " << i;
+              << name << " chunk " << chunk << " row " << i;
         } else {
           ASSERT_NEAR(whole[i], chunked[i], 1e-9)
-              << c.name << " chunk " << chunk << " row " << i;
+              << name << " chunk " << chunk << " row " << i;
         }
       }
     }
   }
+}
+
+// Scoring a table narrower than the fit width must not read past its rows:
+// the neural models score it as zeros, exactly as wrap() does.
+TEST(CompiledPlan, NeuralModelsScoreNarrowTableAsZeros) {
+  const FeatureTable train = blobs(150, 6, 3.0, 919);
+  const FeatureTable narrow = blobs(40, 4, 3.0, 920);
+  ml::KitNet::Config kcfg;
+  kcfg.fm_grace = 100;
+  ml::KitNet kitnet(kcfg);
+  ml::AutoEncoderDetector autoencoder;
+  for (ml::Model* m : {static_cast<ml::Model*>(&kitnet),
+                       static_cast<ml::Model*>(&autoencoder)}) {
+    m->fit(train);
+    auto plan = ml::compiled::compile(*m);
+    ASSERT_TRUE(plan.ok()) << m->name();
+    ASSERT_GT(plan.value()->dim(), narrow.cols) << m->name();
+    const std::vector<double> got = m->score(narrow);
+    EXPECT_EQ(got, std::vector<double>(narrow.rows, 0.0)) << m->name();
+    EXPECT_EQ(got, ml::compiled::wrap(plan.value(), m->name())->score(narrow))
+        << m->name();
+  }
+}
+
+// Same contract as the KitNET golden case above, for the autoencoder, with
+// attack rows interleaved so fit() calibrates on a gathered benign subset.
+TEST(CompiledPlan, AutoEncoderThresholdIsPlanQuantileOverBenignRows) {
+  FeatureTable train = blobs(150, 6, 3.0, 921);
+  for (size_t i = 0; i < train.rows; ++i) train.labels[i] = i % 3 == 0 ? 1 : 0;
+  ml::AutoEncoderConfig cfg;
+  ml::AutoEncoderDetector autoencoder(cfg);
+  autoencoder.fit(train);
+  auto plan = ml::compiled::compile(autoencoder);
+  ASSERT_TRUE(plan.ok()) << plan.error().message;
+
+  std::vector<size_t> benign;
+  for (size_t i = 0; i < train.rows; ++i) {
+    if (train.labels[i] == 0) benign.push_back(i);
+  }
+  const FeatureTable b = train.select_rows(benign);
+  std::vector<double> scores(b.rows, 0.0);
+  ml::compiled::Scratch scratch;
+  plan.value()->score_rows(b.data.data(), b.rows, b.cols, scores.data(),
+                           scratch);
+  EXPECT_EQ(autoencoder.threshold(),
+            ml::quantile_threshold(scores, cfg.quantile));
+  EXPECT_EQ(plan.value()->threshold(), autoencoder.threshold());
 }
 
 TEST(CompiledPlan, UnfittedModelsRefuseToCompile) {
@@ -341,11 +424,12 @@ TEST(CompiledPlan, UnfittedModelsRefuseToCompile) {
 // ----------------------------------------------------------- hot swap
 
 TEST(CompiledPlan, DeploysThroughModelSlotMidRun) {
-  // Paced replay of P1 with a reference-scoring consumer; 60 ms in, deploy
-  // a factory handing out the SAME detector compiled to an f64 plan. The
-  // swap must land without disturbing the accounting invariants (every
-  // packet scored exactly once, sink log == alert counter), proving a
-  // compiled plan rides ModelSlot into a running consumer like any scorer.
+  // Paced replay of P1 with a consumer scoring the trained detector; 60 ms
+  // in, deploy a factory handing out copies of the SAME detector and its
+  // f64 plan. The swap must land without disturbing the accounting
+  // invariants (every packet scored exactly once, sink log == alert
+  // counter), proving a compiled plan rides ModelSlot into a running
+  // consumer like any scorer.
   // (Alert-set equality with an unswapped run is NOT asserted: a swapped-in
   // detector copy restarts from post-training extractor state, which is the
   // documented hot-swap semantic for stateful scorers.)

@@ -378,7 +378,28 @@ TEST(DenseKernels, SqDistBatchSmallBatchesFallBackBitIdentical) {
   }
 }
 
-TEST(DenseKernels, PackedDenseMatchesGemv) {
+/// A weight panel in the layout packed_apply reads: W (`out x in`, row
+/// stride ldw) transposed into `in x padded` with zero padding columns,
+/// bias padded likewise.
+struct Panel {
+  size_t padded = 0;
+  std::vector<double> wt, bias;
+};
+
+Panel pack_panel(size_t out, size_t in, const double* w, size_t ldw,
+                 const double* bias) {
+  Panel p;
+  p.padded = (out + dense::kPackPad - 1) / dense::kPackPad * dense::kPackPad;
+  p.wt.assign(in * p.padded, 0.0);
+  p.bias.assign(p.padded, 0.0);
+  for (size_t o = 0; o < out; ++o) {
+    for (size_t i = 0; i < in; ++i) p.wt[i * p.padded + o] = w[o * ldw + i];
+    p.bias[o] = bias[o];
+  }
+  return p;
+}
+
+TEST(DenseKernels, PackedApplyMatchesGemv) {
   Rng rng(10);
   for (Backend be : runnable_backends()) {
     ScopedBackend guard(be);
@@ -387,29 +408,25 @@ TEST(DenseKernels, PackedDenseMatchesGemv) {
         const size_t ldw = in + 2;
         const std::vector<double> w = random_vec(out * ldw, rng);
         const std::vector<double> bias = random_vec(out, rng);
-        dense::PackedDense p;
-        EXPECT_TRUE(p.empty());
-        p.pack(out, in, w.data(), ldw, bias.data());
-        EXPECT_FALSE(p.empty());
-        EXPECT_EQ(p.out_dim(), out);
-        EXPECT_EQ(p.in_dim(), in);
-        EXPECT_EQ(p.padded_out() % dense::kPackPad, size_t{0});
-        EXPECT_GE(p.padded_out(), out);
+        const Panel p = pack_panel(out, in, w.data(), ldw, bias.data());
+        EXPECT_EQ(p.padded % dense::kPackPad, size_t{0});
+        EXPECT_GE(p.padded, out);
 
-        const size_t m = 6, ldx = in + 1, ldy = p.padded_out();
+        const size_t m = 6, ldx = in + 1, ldy = p.padded;
         const std::vector<double> x = random_vec(m * ldx, rng);
         std::vector<double> y(m * ldy, -1.0);
-        p.apply(m, x.data(), ldx, y.data(), ldy);
+        dense::packed_apply(m, p.padded, in, x.data(), ldx, p.wt.data(),
+                            p.bias.data(), y.data(), ldy);
         for (size_t i = 0; i < m; ++i) {
           for (size_t o = 0; o < out; ++o) {
             double ref = bias[o];
             for (size_t c = 0; c < in; ++c) {
               ref += w[o * ldw + c] * x[i * ldx + c];
             }
-            expect_close(y[i * ldy + o], ref, 1e-12, 1e-12, "PackedDense");
+            expect_close(y[i * ldy + o], ref, 1e-12, 1e-12, "packed_apply");
           }
           // Padding columns carry zero weights and zero bias.
-          for (size_t o = out; o < p.padded_out(); ++o) {
+          for (size_t o = out; o < p.padded; ++o) {
             EXPECT_EQ(y[i * ldy + o], 0.0);
           }
         }
@@ -418,27 +435,28 @@ TEST(DenseKernels, PackedDenseMatchesGemv) {
   }
 }
 
-TEST(DenseKernels, PackedDenseBatchSizeBitInvariant) {
+TEST(DenseKernels, PackedApplyBatchSizeBitInvariant) {
   // The whole micro-batched live path rests on this: chopping the same
   // rows into different batch sizes must give bit-identical outputs.
   Rng rng(11);
   const size_t out = 11, in = 17, m = 29;
   const std::vector<double> w = random_vec(out * in, rng);
   const std::vector<double> bias = random_vec(out, rng);
-  dense::PackedDense p;
-  p.pack(out, in, w.data(), in, bias.data());
-  const size_t ldy = p.padded_out();
+  const Panel p = pack_panel(out, in, w.data(), in, bias.data());
+  const size_t ldy = p.padded;
   const std::vector<double> x = random_vec(m * in, rng);
   for (Backend be : runnable_backends()) {
     ScopedBackend guard(be);
     std::vector<double> whole(m * ldy, -1.0);
-    p.apply(m, x.data(), in, whole.data(), ldy);
+    dense::packed_apply(m, p.padded, in, x.data(), in, p.wt.data(),
+                        p.bias.data(), whole.data(), ldy);
     for (size_t chunk : {size_t{1}, size_t{4}, size_t{5}, size_t{16}}) {
       std::vector<double> piecewise(m * ldy, -2.0);
       for (size_t lo = 0; lo < m; lo += chunk) {
         const size_t nrows = std::min(chunk, m - lo);
-        p.apply(nrows, x.data() + lo * in, in, piecewise.data() + lo * ldy,
-                ldy);
+        dense::packed_apply(nrows, p.padded, in, x.data() + lo * in, in,
+                            p.wt.data(), p.bias.data(),
+                            piecewise.data() + lo * ldy, ldy);
       }
       for (size_t i = 0; i < m * ldy; ++i) {
         EXPECT_EQ(whole[i], piecewise[i]) << "chunk=" << chunk << " i=" << i;
@@ -486,13 +504,6 @@ TEST(BatchedEquivalence, Mlp) {
     ScopedBackend guard(be);
     expect_scores_close(model.score(X), model.score_perrow(X), 1e-9, 1e-9,
                         "Mlp");
-    // score_row must agree with the table path too.
-    const std::vector<double> s = model.score(X);
-    Mlp::ScoreScratch scratch;
-    for (size_t r = 0; r < X.rows; r += 37) {
-      expect_close(model.score_row(X.row(r), scratch), s[r], 1e-9, 1e-9,
-                   "Mlp::score_row");
-    }
   }
 }
 
@@ -526,105 +537,6 @@ TEST(BatchedEquivalence, KitNet) {
       expect_close(model.score_row(X.row(r), scratch), s[r], 1e-9, 1e-9,
                    "KitNet::score_row");
     }
-  }
-}
-
-TEST(BatchedEquivalence, AutoEncoderScoreRowsSealedAndBatchInvariant) {
-  Rng rng(19);
-  const size_t dim = 9, m = 47;
-  AutoEncoderCore ae(dim, 0.75, 0.1, 21);
-  std::vector<double> sample(dim);
-  for (size_t s = 0; s < 300; ++s) {
-    for (double& v : sample) v = rng.normal(0.0, 1.0);
-    ae.train_sample(sample);
-  }
-  EXPECT_FALSE(ae.sealed());  // train_sample invalidates any seal
-  ae.seal();
-  EXPECT_TRUE(ae.sealed());
-  const std::vector<double> x = random_vec(m * dim, rng);
-  for (Backend be : runnable_backends()) {
-    ScopedBackend guard(be);
-    AutoEncoderCore::RowsScratch scratch;
-    std::vector<double> whole(m, -1.0);
-    ae.score_rows(x.data(), m, dim, whole.data(), scratch);
-    // Chopping the stream differently must not move a single bit.
-    for (size_t chunk : {size_t{1}, size_t{8}, size_t{16}, size_t{64}}) {
-      std::vector<double> piecewise(m, -2.0);
-      for (size_t lo = 0; lo < m; lo += chunk) {
-        const size_t n = std::min(chunk, m - lo);
-        ae.score_rows(x.data() + lo * dim, n, dim, piecewise.data() + lo,
-                      scratch);
-      }
-      for (size_t i = 0; i < m; ++i) {
-        EXPECT_EQ(whole[i], piecewise[i]) << "chunk=" << chunk << " i=" << i;
-      }
-    }
-    // And the fused path agrees with the per-row reference numerically.
-    AutoEncoderCore::ScoreScratch row_scratch;
-    for (size_t i = 0; i < m; ++i) {
-      expect_close(whole[i],
-                   ae.score_sample(
-                       std::span<const double>(x.data() + i * dim, dim),
-                       row_scratch),
-                   1e-9, 1e-9, "score_rows vs score_sample");
-    }
-  }
-}
-
-TEST(BatchedEquivalence, KitNetScoreRowsBatchInvariant) {
-  const FeatureTable X = labeled_set(300, 12, 22);
-  KitNet::Config cfg;
-  cfg.fm_grace = 100;
-  cfg.epochs = 1;
-  KitNet model(cfg);
-  model.fit(X);
-  for (Backend be : runnable_backends()) {
-    ScopedBackend guard(be);
-    KitNet::RowsScratch scratch;
-    std::vector<double> whole(X.rows, -1.0);
-    model.score_rows(X.data.data(), X.rows, X.cols, whole.data(), scratch);
-    for (size_t chunk : {size_t{1}, size_t{8}, size_t{33}, size_t{64}}) {
-      std::vector<double> piecewise(X.rows, -2.0);
-      for (size_t lo = 0; lo < X.rows; lo += chunk) {
-        const size_t n = std::min(chunk, X.rows - lo);
-        model.score_rows(X.data.data() + lo * X.cols, n, X.cols,
-                         piecewise.data() + lo, scratch);
-      }
-      for (size_t i = 0; i < X.rows; ++i) {
-        EXPECT_EQ(whole[i], piecewise[i]) << "chunk=" << chunk << " i=" << i;
-      }
-    }
-    // Numerically in family with the blocked table path.
-    expect_scores_close(whole, model.score(X), 1e-9, 1e-9,
-                        "KitNet::score_rows vs score");
-  }
-}
-
-TEST(BatchedEquivalence, MlpScoreRowsBatchInvariant) {
-  const FeatureTable X = labeled_set(230, 9, 23);
-  MlpConfig cfg;
-  cfg.hidden = {16, 8};
-  cfg.epochs = 5;
-  Mlp model(cfg);
-  model.fit(X);
-  for (Backend be : runnable_backends()) {
-    ScopedBackend guard(be);
-    Mlp::RowsScratch scratch;
-    std::vector<double> whole(X.rows, -1.0);
-    model.score_rows(X.data.data(), X.rows, X.cols, whole.data(), scratch);
-    for (size_t chunk : {size_t{1}, size_t{8}, size_t{64}}) {
-      std::vector<double> piecewise(X.rows, -2.0);
-      for (size_t lo = 0; lo < X.rows; lo += chunk) {
-        const size_t n = std::min(chunk, X.rows - lo);
-        model.score_rows(X.data.data() + lo * X.cols, n, X.cols,
-                         piecewise.data() + lo, scratch);
-      }
-      for (size_t i = 0; i < X.rows; ++i) {
-        EXPECT_EQ(whole[i], piecewise[i]) << "chunk=" << chunk << " i=" << i;
-      }
-    }
-    expect_scores_close(whole, model.score(X), 1e-9, 1e-9,
-                        "Mlp::score_rows vs score");
   }
 }
 

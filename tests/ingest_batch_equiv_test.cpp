@@ -3,7 +3,7 @@
 // micro-batched consumer must produce bit-identical scores and alert sets
 // to the row-at-a-time baseline (consumer_batch = 1, score_batch = 1).
 // This is the contract that makes Options::score_batch a pure throughput
-// knob — see OnlineKitsune::score_packets and dense::PackedDense.
+// knob — see OnlineKitsune::score_packets and compiled::Plan::score_rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>

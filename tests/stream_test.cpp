@@ -56,6 +56,28 @@ TEST(OnlineKitsune, UntrainedScoresZeroButKeepsState) {
   EXPECT_EQ(det.score_packet(p1().trace.view[0]), 0.0);
 }
 
+// train() installs the detector's plan, but an empty prefix fits nothing:
+// the detector must still score 0 without throwing, and compile() must
+// report the unfitted model instead of installing a plan.
+TEST(OnlineKitsune, EmptyPrefixScoresZeroAndRefusesToCompile) {
+  OnlineKitsune det;
+  EXPECT_NO_THROW(det.train({}));
+  EXPECT_TRUE(det.trained());
+  EXPECT_EQ(det.compiled_plan(), nullptr);
+  Result<void> compiled = det.compile();
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_NE(compiled.error().message.find("not fitted"), std::string::npos)
+      << compiled.error().message;
+  EXPECT_EQ(det.compiled_plan(), nullptr);
+
+  const std::vector<netio::PacketView>& v = p1().trace.view;
+  EXPECT_EQ(det.score_packet(v[0]), 0.0);
+  std::vector<double> out(8, -1.0);
+  EXPECT_NO_THROW(det.score_packets({v.data() + 1, out.size()}, out.data()));
+  EXPECT_EQ(out, std::vector<double>(out.size(), 0.0));
+  EXPECT_FALSE(det.process(v[9]));
+}
+
 TEST(OnlineKitsune, DetectsPostTrainingAttackStream) {
   // A capture with a clean grace period: ~110s of benign camera traffic,
   // then two known devices turn into Mirai bots and flood (the canonical
@@ -92,8 +114,8 @@ TEST(OnlineKitsune, DetectsPostTrainingAttackStream) {
   EXPECT_GT(ml::auc(y_true, scores), 0.8);
 }
 
-// Pin the online scoring contract: score_packet rides the same fused
-// PackedDense block path as score_packets, so scoring packets one at a
+// Pin the online scoring contract: score_packet rides the same compiled
+// plan as score_packets (a one-row block), so scoring packets one at a
 // time, in micro-batches of 64, or in ragged chunks yields bit-identical
 // scores (EXPECT_EQ on doubles — not merely near). This is what lets the
 // ingestion runtime chop the stream into arbitrary batches without the

@@ -193,29 +193,26 @@ fi
 echo "check_bench: online micro-batched $BATCHED_NS ns/pkt <= row-at-a-time $ROW_NS ns/pkt, alerts identical"
 
 # --- compiled inference: plan speed and divergence gates ------------------
-# f64 plans replay the reference kernels in the reference order, so their
-# scores must be bit-identical (divergence exactly 0) and the alert set must
-# match. f32 is the deployment precision: it must clear the absolute 700
-# ns/pkt budget AND a 1.4x speedup over the reference batched path, with
-# score divergence within 1e-3 and an identical alert set. i8 trades more
-# divergence for an 8x smaller weight arena; only its documented 0.35
-# divergence bound is gated (see docs/framework.md).
+# The f64 plan is the detector's own scoring path, so re-scoring through
+# compile(kF64) must be bit-identical (divergence exactly 0) with the same
+# alert set. f32 is the opt-in fast precision: it must clear the absolute
+# 700 ns/pkt budget AND a 1.4x speedup over the f64 plan, with score
+# divergence within 1e-3 and an identical alert set.
 F64_DIV="$(json_pair "$JSON" precision '"f64"' max_rel_divergence)"
 F64_ALERTS="$(json_pair "$JSON" precision '"f64"' alerts_identical)"
 F32_NS="$(json_pair "$JSON" precision '"f32"' score_ns_per_pkt)"
 F32_SPD="$(json_pair "$JSON" precision '"f32"' speedup_vs_reference)"
 F32_DIV="$(json_pair "$JSON" precision '"f32"' max_rel_divergence)"
 F32_ALERTS="$(json_pair "$JSON" precision '"f32"' alerts_identical)"
-I8_DIV="$(json_pair "$JSON" precision '"i8"' max_rel_divergence)"
 [ -n "$F64_DIV" ] && [ -n "$F32_NS" ] && [ -n "$F32_SPD" ] &&
-  [ -n "$F32_DIV" ] && [ -n "$I8_DIV" ] || {
+  [ -n "$F32_DIV" ] || {
   echo "check_bench: could not parse online_compiled section from $JSON" >&2
   exit 1
 }
 
 if awk -v d="$F64_DIV" 'BEGIN { exit !(d != 0.0) }' ||
   [ "$F64_ALERTS" != "true" ]; then
-  echo "check_bench: FAIL — compiled f64 plan not bit-identical to reference (divergence $F64_DIV, alerts_identical=$F64_ALERTS)" >&2
+  echo "check_bench: FAIL — compiled f64 plan not bit-identical to the detector's scoring path (divergence $F64_DIV, alerts_identical=$F64_ALERTS)" >&2
   exit 1
 fi
 if awk -v n="$F32_NS" 'BEGIN { exit !(n > 700.0) }'; then
@@ -223,7 +220,7 @@ if awk -v n="$F32_NS" 'BEGIN { exit !(n > 700.0) }'; then
   exit 1
 fi
 if awk -v s="$F32_SPD" 'BEGIN { exit !(s < 1.4) }'; then
-  echo "check_bench: FAIL — compiled f32 KitNET plan only ${F32_SPD}x the reference batched path (need >= 1.4x)" >&2
+  echo "check_bench: FAIL — compiled f32 KitNET plan only ${F32_SPD}x the f64 plan (need >= 1.4x)" >&2
   exit 1
 fi
 if awk -v d="$F32_DIV" 'BEGIN { exit !(d > 0.001) }' ||
@@ -231,17 +228,13 @@ if awk -v d="$F32_DIV" 'BEGIN { exit !(d > 0.001) }' ||
   echo "check_bench: FAIL — compiled f32 divergence $F32_DIV (bound 1e-3) or alert set diverged (alerts_identical=$F32_ALERTS)" >&2
   exit 1
 fi
-if awk -v d="$I8_DIV" 'BEGIN { exit !(d > 0.35) }'; then
-  echo "check_bench: FAIL — compiled i8 divergence $I8_DIV exceeds the documented 0.35 bound" >&2
-  exit 1
-fi
+echo "check_bench: compiled f64 bit-identical; f32 $F32_NS ns/pkt (${F32_SPD}x, divergence $F32_DIV) within bounds"
 
-echo "check_bench: compiled f64 bit-identical; f32 $F32_NS ns/pkt (${F32_SPD}x, divergence $F32_DIV); i8 divergence $I8_DIV within bounds"
-
-# Every deployable scorer: the compiled plan must not lose to the reference
-# scoring path. compiled_vs_reference is reference_ns / compiled_ns; several
-# plans replay identical arithmetic, so the ratio sits at 1.0 +- timer noise
-# on a shared host — gate at 0.85 to reject real regressions, not jitter.
+# Every deployable scorer: the compiled plan must not lose to the model's
+# own scoring path (for KitNET / AutoEncoder: the f32 plan against the f64
+# plan). compiled_vs_reference is reference_ns / compiled_ns; several plans
+# replay identical arithmetic, so the ratio sits at 1.0 +- timer noise on a
+# shared host — gate at 0.85 to reject real regressions, not jitter.
 FAILED=0
 FOUND=0
 while read -r name ratio; do
