@@ -1,8 +1,10 @@
 // Extractor hot-path benchmark: packed-key KitsuneExtractor vs the retired
 // string-keyed reference implementation on the same capture, plus a
-// capped-eviction run showing the bounded-memory mode. Emits
-// BENCH_extractor.json with per-implementation throughput and tracked
-// context counts.
+// capped-eviction run showing the bounded-memory mode. A spoofed-source SYN
+// flood, where nearly every frame opens new contexts, times the context
+// tables' growth path (uncapped, and capped across many storage chunks).
+// Emits BENCH_extractor.json with per-implementation throughput and
+// tracked context counts.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include "common/telemetry.h"
 #include "core/kitsune_extractor.h"
 #include "core/kitsune_extractor_ref.h"
+#include "trace/attacks.h"
 #include "trace/registry.h"
 
 namespace {
@@ -48,6 +51,28 @@ RunResult time_extractor(const lumen::netio::Trace& trace, Make make) {
   return r;
 }
 
+void print_header() {
+  std::printf("%-22s %-10s %-12s %s\n", "implementation", "seconds",
+              "pkts/sec", "tracked_contexts");
+}
+
+void print_row(const char* name, const RunResult& r) {
+  std::printf("%-22s %-10.3f %-12.0f %zu\n", name, r.seconds, r.pkts_per_sec,
+              r.tracked);
+}
+
+/// ~120k frames: 1000 spoofed SYN/s plus the victim's occasional RST for
+/// 100 s, over a dozen benign devices.
+lumen::trace::Dataset spoofed_flood() {
+  namespace tr = lumen::trace;
+  tr::Sim sim(2024);
+  const tr::BenignStyle st;
+  sim.benign_iot_traffic(0.0, 100.0, 12, st);
+  tr::attack_syn_flood(sim, 0.0, 100.0, sim.lan_ip(st, 1), 554, 1000.0,
+                       tr::AttackType::kSynFlood);
+  return sim.finish("flood", "spoofed SYN flood", tr::Granularity::kPacket);
+}
+
 }  // namespace
 
 int main() {
@@ -69,15 +94,23 @@ int main() {
 
   const double speedup =
       ref.pkts_per_sec > 0.0 ? packed.pkts_per_sec / ref.pkts_per_sec : 0.0;
-  std::printf("%-22s %-10s %-12s %s\n", "implementation", "seconds",
-              "pkts/sec", "tracked_contexts");
-  std::printf("%-22s %-10.3f %-12.0f %zu\n", "string-keyed (ref)", ref.seconds,
-              ref.pkts_per_sec, ref.tracked);
-  std::printf("%-22s %-10.3f %-12.0f %zu\n", "packed-key", packed.seconds,
-              packed.pkts_per_sec, packed.tracked);
-  std::printf("%-22s %-10.3f %-12.0f %zu\n", "packed-key (cap 256)",
-              capped.seconds, capped.pkts_per_sec, capped.tracked);
+  print_header();
+  print_row("string-keyed (ref)", ref);
+  print_row("packed-key", packed);
+  print_row("packed-key (cap 256)", capped);
   std::printf("\nspeedup (packed vs ref): %.2fx\n", speedup);
+
+  const trace::Dataset flood = spoofed_flood();
+  constexpr size_t kFloodCap = 5000;
+  const RunResult flood_packed = time_extractor<core::KitsuneExtractor>(
+      flood.trace, [] { return core::KitsuneExtractor(); });
+  const RunResult flood_capped = time_extractor<core::KitsuneExtractor>(
+      flood.trace, [] { return core::KitsuneExtractor({}, kFloodCap); });
+  std::printf("\ncapture: spoofed SYN flood, %zu packets\n",
+              flood.trace.view.size());
+  print_header();
+  print_row("packed-key", flood_packed);
+  print_row("packed-key (cap 5000)", flood_capped);
 
   if (packed.tracked != ref.tracked) {
     std::fprintf(stderr,
@@ -94,8 +127,10 @@ int main() {
   w.kv_u64("threads", ThreadPool::global().size());
   w.kv_u64("hardware_threads", ThreadPool::hardware_threads());
   w.kv_i64("reps", kReps);
-  const auto impl = [&w](const char* key, const RunResult& r) {
+  const auto impl = [&w](const char* key, const RunResult& r,
+                         size_t max_contexts = 0) {
     w.begin_inline_object(key);
+    if (max_contexts > 0) w.kv_u64("max_contexts", max_contexts);
     w.kv_f("seconds", r.seconds, 4);
     w.kv_f("pkts_per_sec", r.pkts_per_sec, 1);
     w.kv_u64("tracked_contexts", r.tracked);
@@ -103,13 +138,14 @@ int main() {
   };
   impl("string_keyed", ref);
   impl("packed_key", packed);
-  w.begin_inline_object("packed_key_capped");
-  w.kv_u64("max_contexts", kCap);
-  w.kv_f("seconds", capped.seconds, 4);
-  w.kv_f("pkts_per_sec", capped.pkts_per_sec, 1);
-  w.kv_u64("tracked_contexts", capped.tracked);
-  w.end();
+  impl("packed_key_capped", capped, kCap);
   w.kv_f("speedup", speedup, 3);
+  w.begin_object("flood");
+  w.kv_str("capture", "spoofed SYN flood");
+  w.kv_u64("packets", flood.trace.view.size());
+  impl("packed_key", flood_packed);
+  impl("packed_key_capped", flood_capped, kFloodCap);
+  w.end();
   if (std::FILE* f = std::fopen("BENCH_extractor.json", "w")) {
     const std::string doc = w.str();
     std::fwrite(doc.data(), 1, doc.size(), f);

@@ -8,9 +8,8 @@
 // no pointer chasing. Keys are small trivially-copyable values (packed
 // 64/128-bit context identifiers; see core/kitsune_extractor.h).
 //
-// Deletion is bulk-only: retain(pred) rebuilds the table keeping the
-// entries the predicate accepts. That fits the one consumer — decay-weight
-// context eviction — which removes a large batch rarely, and it keeps the
+// There is no deletion: the one consumer that drops entries — decay-weight
+// context eviction — builds a fresh map of the survivors, which keeps the
 // probe sequences trivially correct (no tombstones, no backward shifting).
 #pragma once
 
@@ -98,7 +97,7 @@ class FlatMap {
 
   /// Find `k`, inserting Mapped(args...) if absent. Returns the mapped
   /// value and whether an insert happened. References stay valid until the
-  /// next insert / retain / clear.
+  /// next insert / clear.
   template <typename... Args>
   std::pair<Mapped*, bool> try_emplace(const Key& k, Args&&... args) {
     if (slots_.empty() ||
@@ -130,29 +129,6 @@ class FlatMap {
     for (Slot& s : slots_) {
       if (s.used) f(s.key, s.value);
     }
-  }
-
-  /// Keep only the entries for which pred(key, value) is true; the table is
-  /// rebuilt, so probe chains stay canonical. Returns how many entries were
-  /// removed.
-  template <typename Pred>
-  size_t retain(Pred&& pred) {
-    if (slots_.empty()) return 0;
-    std::vector<Slot> old = std::move(slots_);
-    const size_t before = size_;
-    slots_.assign(old.size(), Slot{});
-    mask_ = slots_.size() - 1;
-    size_ = 0;
-    for (Slot& s : old) {
-      if (!s.used || !pred(s.key, s.value)) continue;
-      size_t i = index_of(s.key);
-      while (slots_[i].used) i = (i + 1) & mask_;
-      slots_[i].used = true;
-      slots_[i].key = s.key;
-      slots_[i].value = std::move(s.value);
-      ++size_;
-    }
-    return before - size_;
   }
 
  private:

@@ -9,14 +9,20 @@
 // src-IP 32-bit, canonical IP pair, IP pair + canonical ports) probed in
 // open-addressing FlatMaps, and every decay level's state for one context
 // lives in a single contiguous block, so a packet costs at most four map
-// probes and zero heap allocations. The retired string-keyed implementation
-// is preserved in kitsune_extractor_ref.h as the bit-exactness reference
+// probes and zero heap allocations. New contexts (a spoofed-source flood
+// opens about four per frame) fill fixed-size chunks of blocks: growth
+// allocates one chunk per 256 contexts and never moves a live context's
+// state. The retired string-keyed implementation is preserved in
+// kitsune_extractor_ref.h as the bit-exactness reference
 // (tests/extractor_golden_test.cpp).
 //
 // Long-running gateways can bound memory with `max_contexts`: when any one
 // context table exceeds the cap, the lowest decayed-weight contexts (weight
 // of the slowest-decaying lambda, decayed to the current packet time) are
 // evicted until the table is back at 3/4 of the cap.
+//
+// Copies are independent deep copies (each consumer's KitsuneScorer copies
+// the trained detector, extractor state included).
 #pragma once
 
 #include <algorithm>
@@ -72,46 +78,68 @@ class KitsuneExtractor {
     bool has_last = false;
   };
 
-  // One context table: a FlatMap from packed key to a slot in a contiguous
-  // arena holding `stride` (= lambda count) State entries per context.
+  // One context table: a FlatMap from packed key to a dense context id
+  // (0..size()-1), and the contexts' state in fixed-size chunks of
+  // kChunkContexts blocks, each block `stride` (= lambda count) State
+  // entries. Growth allocates one more chunk and never copies existing
+  // blocks, so a flood of new contexts costs no relocation and no
+  // doubling slack.
   template <typename Key, typename State>
   class ContextTable {
    public:
+    ContextTable() = default;
+    // Copies reserve each chunk's full length like the original, so
+    // filling a copy's last chunk never reallocates it either.
+    ContextTable(const ContextTable& o) : index_(o.index_), stride_(o.stride_) {
+      chunks_.reserve(o.chunks_.size());
+      for (const std::vector<State>& c : o.chunks_) {
+        start_chunk(chunks_).assign(c.begin(), c.end());
+      }
+    }
+    ContextTable& operator=(const ContextTable& o) {
+      if (this != &o) *this = ContextTable(o);
+      return *this;
+    }
+    ContextTable(ContextTable&&) = default;
+    ContextTable& operator=(ContextTable&&) = default;
+
     void configure(size_t stride) { stride_ = stride; }
     size_t size() const { return index_.size(); }
 
     void clear() {
       index_.clear();
-      arena_.clear();
+      chunks_.clear();
     }
 
     /// The stride-long state block for `key`, created with make(level) per
-    /// decay level on first sight. The pointer stays valid until the next
-    /// find_or_create / evict / clear on this table.
+    /// decay level on first sight. A block never moves while its context
+    /// lives: the pointer stays valid until the next evict / clear on this
+    /// table (evict moves the survivors into fresh chunks).
     template <typename Make>
     State* find_or_create(const Key& key, const Make& make) {
-      auto [slot, inserted] = index_.try_emplace(key, uint32_t{0});
-      if (inserted) {
-        *slot = static_cast<uint32_t>(arena_.size() / stride_);
-        for (size_t i = 0; i < stride_; ++i) arena_.push_back(make(i));
-      }
-      return arena_.data() + size_t{*slot} * stride_;
+      auto [id, inserted] = index_.try_emplace(key, uint32_t{0});
+      if (!inserted) return block(*id);
+      *id = static_cast<uint32_t>(index_.size() - 1);
+      if ((*id & kChunkMask) == 0) start_chunk(chunks_);
+      for (size_t i = 0; i < stride_; ++i) chunks_.back().push_back(make(i));
+      return block(*id);
     }
 
     /// Keep the `keep` highest-scoring contexts (score(block) over each
-    /// context's state block); rebuild the index and compact the arena.
+    /// context's state block); rebuild the index and move the survivors'
+    /// blocks into fresh chunks under ids 0..keep-1.
     template <typename ScoreFn>
     void evict(size_t keep, const ScoreFn& score) {
       if (index_.size() <= keep) return;
       struct Entry {
         Key key;
-        uint32_t slot;
+        uint32_t id;
         double score;
       };
       std::vector<Entry> all;
       all.reserve(index_.size());
-      index_.for_each([&](const Key& k, const uint32_t& s) {
-        all.push_back({k, s, score(arena_.data() + size_t{s} * stride_)});
+      index_.for_each([&](const Key& k, const uint32_t& id) {
+        all.push_back({k, id, score(block(id))});
       });
       std::nth_element(all.begin(),
                        all.begin() + static_cast<std::ptrdiff_t>(keep),
@@ -120,24 +148,43 @@ class KitsuneExtractor {
                          return a.score > b.score;
                        });
       all.resize(keep);
-      std::vector<State> arena;
-      arena.reserve(keep * stride_);
+      std::vector<std::vector<State>> chunks;
+      chunks.reserve((keep + kChunkContexts - 1) / kChunkContexts);
       FlatMap<Key, uint32_t> index;
       index.reserve(keep);
       for (size_t i = 0; i < all.size(); ++i) {
         index.try_emplace(all[i].key, static_cast<uint32_t>(i));
-        State* block = arena_.data() + size_t{all[i].slot} * stride_;
+        if ((i & kChunkMask) == 0) start_chunk(chunks);
+        State* b = block(all[i].id);
         for (size_t j = 0; j < stride_; ++j) {
-          arena.push_back(std::move(block[j]));
+          chunks.back().push_back(std::move(b[j]));
         }
       }
-      arena_ = std::move(arena);
+      chunks_ = std::move(chunks);
       index_ = std::move(index);
     }
 
    private:
+    // 256 contexts per chunk: one allocation per 256 new contexts, and the
+    // last chunk's unused tail stays small (64 and 1024 measured the same).
+    static constexpr size_t kChunkShift = 8;
+    static constexpr size_t kChunkContexts = size_t{1} << kChunkShift;
+    static constexpr size_t kChunkMask = kChunkContexts - 1;
+
+    // Appends an empty chunk reserved to its full length, so filling it
+    // never reallocates (its blocks never move).
+    std::vector<State>& start_chunk(
+        std::vector<std::vector<State>>& chunks) const {
+      std::vector<State>& c = chunks.emplace_back();
+      c.reserve(kChunkContexts * stride_);
+      return c;
+    }
+    State* block(uint32_t id) {
+      return chunks_[id >> kChunkShift].data() + (id & kChunkMask) * stride_;
+    }
+
     FlatMap<Key, uint32_t> index_;
-    std::vector<State> arena_;
+    std::vector<std::vector<State>> chunks_;
     size_t stride_ = 1;
   };
 

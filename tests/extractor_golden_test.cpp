@@ -1,8 +1,10 @@
 // Golden-equivalence tests for the packed-key KitsuneExtractor: the hot
 // path must emit feature vectors bit-identical to the retired string-keyed
 // implementation (core/kitsune_extractor_ref.h) on every packet of every
-// corpus trace — including non-IP frames — and the context-eviction cap
-// must bound the tracked state.
+// corpus trace — including non-IP frames and a spoofed-source flood whose
+// context tables span many storage chunks — and the context-eviction cap
+// must bound the tracked state without changing the rows of contexts that
+// survive it.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,6 +14,7 @@
 #include "core/kitsune_extractor_ref.h"
 #include "netio/builder.h"
 #include "netio/parse.h"
+#include "trace/attacks.h"
 #include "trace/registry.h"
 
 namespace lumen::core {
@@ -115,6 +118,60 @@ TEST(ExtractorGolden, NonDefaultLambdas) {
   expect_bit_identical(t, {1.0}, "lambdas{1}");
 }
 
+// A spoofed-source SYN flood over a little benign traffic: every flood
+// frame opens new source, channel and socket contexts, so each IP context
+// table grows through dozens of 256-context storage chunks.
+const trace::Dataset& spoofed_flood() {
+  static const trace::Dataset ds = [] {
+    trace::Sim sim(1313);
+    trace::BenignStyle st;
+    sim.benign_iot_traffic(0.0, 14.0, 4, st);
+    trace::attack_syn_flood(sim, 1.0, 12.0, sim.lan_ip(st, 1), 80, 1000.0,
+                            trace::AttackType::kSynFlood);
+    return sim.finish("flood", "spoofed SYN flood",
+                      trace::Granularity::kPacket);
+  }();
+  return ds;
+}
+
+TEST(ExtractorGolden, SpoofedFloodAcrossManyChunks) {
+  const Trace& t = spoofed_flood().trace;
+  expect_bit_identical(t, {}, "flood");
+  KitsuneExtractor ex;
+  std::vector<double> row;
+  for (const auto& v : t.view) ex.process(v, row);
+  const auto counts = ex.context_counts();
+  EXPECT_GT(counts.src, 10000u);
+  EXPECT_GT(counts.chan, 10000u);
+  EXPECT_GT(counts.sock, 10000u);
+}
+
+TEST(ExtractorGolden, CopyMidFloodMatchesOriginal) {
+  // Copies taken halfway (a KitsuneScorer copies its trained detector) must
+  // own their state: all extractors then see the rest of the flood and must
+  // emit identical rows while each keeps growing its own chunks.
+  const Trace& t = spoofed_flood().trace;
+  KitsuneExtractor ex;
+  std::vector<double> a, b, c;
+  const size_t half = t.view.size() / 2;
+  for (size_t i = 0; i < half; ++i) ex.process(t.view[i], a);
+  KitsuneExtractor copy = ex;
+  KitsuneExtractor assigned;
+  assigned.process(t.view[0], c);
+  assigned = ex;
+  for (size_t i = half; i < t.view.size(); ++i) {
+    ex.process(t.view[i], a);
+    copy.process(t.view[i], b);
+    assigned.process(t.view[i], c);
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "copy, packet " << i << " of " << t.view.size();
+    ASSERT_EQ(std::memcmp(a.data(), c.data(), a.size() * sizeof(double)), 0)
+        << "assigned, packet " << i << " of " << t.view.size();
+  }
+  EXPECT_EQ(copy.tracked_contexts(), ex.tracked_contexts());
+  EXPECT_EQ(assigned.tracked_contexts(), ex.tracked_contexts());
+}
+
 TEST(ExtractorEviction, CapBoundsTrackedContexts) {
   // A scan-like stream: every packet a fresh source IP/MAC/socket, far
   // more distinct contexts than the cap.
@@ -181,6 +238,53 @@ TEST(ExtractorEviction, ActiveContextSurvivesGc) {
                         netio::TcpOpts{}, Bytes(8, 'x')),
        9999);
   EXPECT_GT(row[0], 2.0) << "hot context was evicted";
+}
+
+TEST(ExtractorEviction, CapAcrossChunksKeepsRowsOfRecurringContexts) {
+  // A cap spanning several storage chunks, one-shot scanners and a few hot
+  // flows. A scanner's contexts never recur and eviction runs after the
+  // row is written, while the hot flows always outweigh the scanners, so
+  // every row must equal an uncapped extractor's row bit for bit.
+  const size_t kCap = 1000;
+  KitsuneExtractor capped({}, kCap);
+  KitsuneExtractor uncapped;
+  const MacAddr dst{2, 0, 0, 0, 0, 0xfe};
+  std::vector<double> a, b;
+  double ts = 100.0;
+  uint32_t scanner = 0;
+  for (uint32_t i = 0; i < 6000; ++i) {
+    ts += 0.0005;
+    Bytes frame;
+    if (i % 8 == 0) {
+      const uint32_t h = (i / 8) % 3;
+      const MacAddr src{2, 0, 0, 0, 0, static_cast<uint8_t>(1 + h)};
+      frame = netio::build_tcp(src, dst, 0x0a000001 + h, 0x0a0000fe,
+                               static_cast<uint16_t>(4000 + h), 80,
+                               netio::TcpOpts{}, Bytes(8 + h, 'h'));
+    } else {
+      ++scanner;
+      const MacAddr src{2, 1, 0, static_cast<uint8_t>(scanner >> 16),
+                        static_cast<uint8_t>(scanner >> 8),
+                        static_cast<uint8_t>(scanner)};
+      frame = netio::build_udp(src, dst, 0x0b000000 + scanner, 0x0a0000fe,
+                               static_cast<uint16_t>(2000 + scanner % 60000),
+                               53, Bytes(2, 's'));
+    }
+    RawPacket raw{ts, std::move(frame)};
+    auto parsed = netio::parse_packet(raw, netio::LinkType::kEthernet, i);
+    ASSERT_TRUE(parsed.ok());
+    capped.process(parsed.value(), a);
+    uncapped.process(parsed.value(), b);
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "packet " << i;
+    const auto counts = capped.context_counts();
+    ASSERT_LE(counts.mac, kCap) << "packet " << i;
+    ASSERT_LE(counts.src, kCap) << "packet " << i;
+    ASSERT_LE(counts.chan, kCap) << "packet " << i;
+    ASSERT_LE(counts.sock, kCap) << "packet " << i;
+  }
+  // The cap was exercised: the uncapped tables hold every scanner.
+  EXPECT_GT(uncapped.context_counts().src, 5 * kCap);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // FlatMap (common/flat_map.h) unit tests: lookup/insert semantics, forced
-// collisions under a degenerate hash, growth across rehashes, and the bulk
-// retain() used for context eviction.
+// collisions under a degenerate hash, and growth across rehashes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,27 +73,6 @@ TEST(FlatMap, ReserveAvoidsLaterGrowth) {
   const size_t cap = m.capacity();
   for (uint64_t k = 0; k < 1000; ++k) m.try_emplace(k, 1);
   EXPECT_EQ(m.capacity(), cap);
-}
-
-TEST(FlatMap, RetainEvictsByPredicate) {
-  FlatMap<uint64_t, uint64_t> m;
-  for (uint64_t k = 0; k < 500; ++k) m.try_emplace(k, k);
-  const size_t removed = m.retain(
-      [](uint64_t k, const uint64_t&) { return k % 3 == 0; });
-  EXPECT_EQ(removed, 500u - 167u);
-  EXPECT_EQ(m.size(), 167u);  // 0, 3, ..., 498
-  for (uint64_t k = 0; k < 500; ++k) {
-    if (k % 3 == 0) {
-      ASSERT_NE(m.find(k), nullptr) << k;
-      EXPECT_EQ(*m.find(k), k);
-    } else {
-      EXPECT_EQ(m.find(k), nullptr) << k;
-    }
-  }
-  // Evicted keys can be re-inserted cleanly.
-  auto [v, fresh] = m.try_emplace(1, 11);
-  EXPECT_TRUE(fresh);
-  EXPECT_EQ(*v, 11u);
 }
 
 TEST(FlatMap, ForEachVisitsEveryEntryOnce) {

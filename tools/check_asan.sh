@@ -2,7 +2,8 @@
 # Memory-check the capture and ingestion path: build the netio/pcap/ingest
 # tests with AddressSanitizer and run them (the malformed-packet corpus and
 # the fault-injecting source are designed to catch out-of-bounds parser
-# reads here). Usage:
+# reads here), plus the extractor's chunked context tables and eviction.
+# Usage:
 #   tools/check_asan.sh [build-dir]
 set -euo pipefail
 
@@ -10,7 +11,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test telemetry_test
+cmake --build "$BUILD" -j --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test telemetry_test extractor_golden_test flat_map_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 
@@ -25,5 +26,7 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 "$BUILD/tests/dense_test"
 "$BUILD/tests/compiled_model_test"
 "$BUILD/tests/telemetry_test"
+"$BUILD/tests/extractor_golden_test"
+"$BUILD/tests/flat_map_test"
 
-echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + telemetry_test clean"
+echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + telemetry_test + extractor_golden_test + flat_map_test clean"
