@@ -99,14 +99,14 @@ int main(int argc, char** argv) {
       grace, detector.threshold());
 
   // Stream the rest through the ingestion runtime: a replay source feeding
-  // the bounded queue, one consumer scoring with the trained detector.
+  // one shard ring (the default), whose consumer scores with the trained
+  // detector and so keeps the timeline in capture order.
   netio::ReplayOptions replay;
   replay.begin = grace;
   netio::TraceReplaySource rest(live, replay);
 
   TimelineSink sink(ds.pkt_label);
   core::IngestRuntime::Options opts;
-  opts.consumers = 1;  // one consumer keeps the timeline in capture order
   // Instruments land in a registry a monitoring agent could scrape mid-run;
   // here we use an example-local one and dump it after the stream ends.
   telemetry::Registry registry;

@@ -56,7 +56,7 @@ int main() {
   const trace::Dataset site1 = trace::make_dataset("P1", 0.2);
   const trace::Dataset site2 = trace::make_dataset("P3", 0.2);
 
-  // The runtime: one consumer, per-tenant scorers registered up front.
+  // The runtime: one shard, per-tenant scorers registered up front.
   // Both tenants start with an insensitive model (threshold 10 kB — it
   // alerts on nearly nothing).
   telemetry::Registry reg;

@@ -117,14 +117,14 @@ int main() {
   const core::ModelValue model =
       *trained.value().get<core::ModelValue>("Model");
 
-  // Deploy: the ingestion runtime builds one compiled chain per consumer;
-  // bindings carry the trained model into the chain's predict stage.
+  // Deploy: the ingestion runtime builds one compiled chain per shard (one
+  // by default, which keeps epochs in capture order); bindings carry the
+  // trained model into the chain's predict stage.
   const core::PipelineSpec deploy = parse_spec(
       front + R"({"func": "predict", "input": ["Model", "N"],
                   "output": "Preds"},)");
   telemetry::Registry registry;
   core::IngestRuntime::Options opts;
-  opts.consumers = 1;  // one chain keeps epochs in capture order
   opts.registry = &registry;
   opts.instrument_prefix = "gateway.";
   EpochPrinter sink;

@@ -213,10 +213,6 @@ std::string render_op_profile(const std::vector<OpProfile>& profile,
   return out;
 }
 
-std::string PipelineReport::profile_table() const {
-  return render_op_profile(profile, peak_bytes);
-}
-
 Engine::Options Engine::Options::normalized(Options opts,
                                             std::string* diagnostic) {
   OptionNormalizer norm("engine");

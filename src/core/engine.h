@@ -13,8 +13,8 @@ namespace lumen::core {
 
 /// One row of the engine's time/memory profile.
 ///
-/// DEPRECATION NOTE: OpProfile/profile_table() are now compatibility views
-/// over the unified telemetry API (common/telemetry.h). Engine::run records
+/// DEPRECATION NOTE: OpProfile is now a compatibility view over the
+/// unified telemetry API (common/telemetry.h). Engine::run records
 /// one telemetry::Span per operation (name `<prefix>op.<func>`, detail = the
 /// output binding, value = output bytes, flag = freed-early) into
 /// Options::registry and rebuilds this struct from the registry snapshot, so
@@ -36,9 +36,9 @@ std::vector<OpProfile> profile_from_spans(const telemetry::Snapshot& snap,
                                           std::string_view op_prefix);
 
 /// Render profile rows as an aligned text table plus the peak-resident
-/// footer. This is the one renderer: PipelineReport::profile_table() is a
-/// façade over it, and telemetry-first consumers call it directly on rows
-/// they rebuilt with profile_from_spans — no PipelineReport needed.
+/// footer (the engine's "plots"): pass a PipelineReport's `profile` and
+/// `peak_bytes`, or rows rebuilt with profile_from_spans — no
+/// PipelineReport needed.
 std::string render_op_profile(const std::vector<OpProfile>& profile,
                               size_t peak_bytes);
 
@@ -62,9 +62,6 @@ struct PipelineReport {
     const Value* v = find(name);
     return v == nullptr ? nullptr : std::get_if<T>(v);
   }
-
-  /// Render the profile as an aligned text table (the engine's "plots").
-  std::string profile_table() const;
 };
 
 class Engine {
@@ -76,7 +73,7 @@ class Engine {
     /// Where per-op spans and byte gauges land. Default: the process-wide
     /// registry, so any embedder can scrape engine activity. nullptr keeps
     /// the run's telemetry in a run-local registry (nothing published) —
-    /// the report/profile_table still work. Same shape as
+    /// the report and its profile still work. Same shape as
     /// IngestRuntime::Options.
     telemetry::Registry* registry = &telemetry::Registry::process();
     /// Prepended to every instrument and span name this engine records.

@@ -17,167 +17,6 @@
 
 namespace lumen::core {
 
-const char* overflow_policy_name(OverflowPolicy p) {
-  switch (p) {
-    case OverflowPolicy::kBlock:
-      return "kBlock";
-    case OverflowPolicy::kDropOldest:
-      return "kDropOldest";
-    case OverflowPolicy::kDropNewest:
-      return "kDropNewest";
-  }
-  return "unknown";
-}
-
-BoundedPacketQueue::BoundedPacketQueue(size_t capacity, OverflowPolicy policy)
-    : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
-
-netio::FeedStatus BoundedPacketQueue::offer(netio::SourcePacket&& p) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return netio::FeedStatus::kClosed;
-  bool evicted = false;
-  if (q_.size() >= capacity_) {
-    switch (policy_) {
-      case OverflowPolicy::kBlock:
-        return netio::FeedStatus::kBusy;  // p untouched; caller waits
-      case OverflowPolicy::kDropOldest:
-        q_.pop_front();
-        note_drop_locked();
-        evicted = true;  // enqueue p in the freed slot below
-        break;
-      case OverflowPolicy::kDropNewest:
-        note_drop_locked();
-        return netio::FeedStatus::kShed;  // p discarded
-    }
-  }
-  const bool was_empty = q_.empty();
-  q_.push_back(std::move(p));
-  high_water_ = std::max(high_water_, q_.size());
-  note_size_locked();
-  lock.unlock();
-  // Consumers only sleep on an empty queue, so only the empty->non-empty
-  // transition needs a wakeup; steady-state pushes skip the notify.
-  if (was_empty) not_empty_.notify_one();
-  return evicted ? netio::FeedStatus::kShed : netio::FeedStatus::kAccepted;
-}
-
-bool BoundedPacketQueue::wait_notfull() {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [this] { return q_.size() < capacity_ || closed_; });
-  return !closed_;
-}
-
-bool BoundedPacketQueue::push(netio::SourcePacket p) {
-  for (;;) {
-    switch (offer(std::move(p))) {
-      case netio::FeedStatus::kAccepted:
-      case netio::FeedStatus::kShed:
-        return true;
-      case netio::FeedStatus::kClosed:
-        return false;
-      case netio::FeedStatus::kBusy:
-        if (!wait_notfull()) return false;
-        break;  // room appeared (or raced away): retry the offer
-    }
-  }
-}
-
-bool BoundedPacketQueue::pop(netio::SourcePacket& out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return !q_.empty() || closed_; });
-  if (q_.empty()) return false;  // closed and drained
-  const bool was_full = q_.size() >= capacity_;
-  out = std::move(q_.front());
-  q_.pop_front();
-  note_size_locked();
-  const bool still_nonempty = !q_.empty();
-  lock.unlock();
-  if (was_full) not_full_.notify_one();
-  if (still_nonempty) not_empty_.notify_one();
-  return true;
-}
-
-size_t BoundedPacketQueue::pop_batch(std::vector<netio::SourcePacket>& out,
-                                     size_t max) {
-  out.clear();
-  if (max == 0) max = 1;
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return !q_.empty() || closed_; });
-  if (q_.empty()) return 0;  // closed and drained
-  const bool was_full = q_.size() >= capacity_;
-  const size_t n = std::min(max, q_.size());
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(q_.front()));
-    q_.pop_front();
-  }
-  note_size_locked();
-  const bool still_nonempty = !q_.empty();
-  lock.unlock();
-  // A blocked producer only waits while the queue is at capacity.
-  if (was_full) not_full_.notify_one();
-  // If packets remain, another consumer can run concurrently; hand the
-  // wakeup on since push() only notifies on the empty->non-empty edge.
-  if (still_nonempty) not_empty_.notify_one();
-  return n;
-}
-
-void BoundedPacketQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  not_full_.notify_all();
-  not_empty_.notify_all();
-}
-
-void BoundedPacketQueue::attach_telemetry(telemetry::Gauge* depth,
-                                          telemetry::Gauge* high_water,
-                                          telemetry::Counter* dropped) {
-  std::lock_guard<std::mutex> lock(mu_);
-  depth_gauge_ = depth;
-  high_water_gauge_ = high_water;
-  dropped_counter_ = dropped;
-  // Catch the mirror up with drops that predate attachment; from here on
-  // note_drop_locked keeps counter and dropped_ in lockstep. Without this,
-  // pre-attach drops were lost from the mirror for good and dropped() and
-  // the counter disagreed for the rest of the queue's life.
-  if (dropped_counter_ != nullptr && mirrored_dropped_ < dropped_) {
-    dropped_counter_->add(dropped_ - mirrored_dropped_);
-    mirrored_dropped_ = dropped_;
-  }
-  note_size_locked();
-}
-
-void BoundedPacketQueue::note_size_locked() {
-  if (depth_gauge_ != nullptr) {
-    depth_gauge_->set(static_cast<double>(q_.size()));
-  }
-  if (high_water_gauge_ != nullptr) {
-    high_water_gauge_->update_max(static_cast<double>(high_water_));
-  }
-}
-
-void BoundedPacketQueue::note_drop_locked() {
-  // Counter bump and dropped_ increment share the critical section of the
-  // drop itself, so a scraper can never observe the mirror ahead of the
-  // authoritative count (it may lag by at most the in-flight push).
-  ++dropped_;
-  if (dropped_counter_ != nullptr) {
-    dropped_counter_->add(1);
-    ++mirrored_dropped_;
-  }
-}
-
-uint64_t BoundedPacketQueue::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-size_t BoundedPacketQueue::high_water() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return high_water_;
-}
-
 uint64_t FlowShardRouter::flow_hash(const netio::RawPacket& pkt) const {
   const uint8_t* b = pkt.data.data();
   const size_t n = pkt.data.size();
@@ -222,80 +61,26 @@ IngestRuntime::Options IngestRuntime::Options::normalized(
   OptionNormalizer norm("ingest");
   norm.clamp(opts.queue_capacity, size_t{1}, size_t{1} << 24,
              "queue_capacity");
-  norm.clamp(opts.consumers, size_t{1}, size_t{256}, "consumers");
-  // shards = 0 selects single-queue mode, so only the upper bound applies.
-  norm.clamp(opts.shards, size_t{0}, size_t{256}, "shards");
+  norm.clamp(opts.shards, size_t{1}, size_t{256}, "shards");
   norm.clamp(opts.consumer_batch, size_t{1}, size_t{65536}, "consumer_batch");
   norm.clamp(opts.score_batch, size_t{1}, size_t{65536}, "score_batch");
-  // SPSC shard rings cannot evict their head, so kDropOldest has no
-  // sharded implementation; rewrite to the policy that exists and say so
-  // (the constructor also bumps `<prefix>policy_degraded`).
-  if (opts.shards > 0 && opts.overflow == OverflowPolicy::kDropOldest) {
-    norm.replace(opts.overflow, OverflowPolicy::kDropNewest, "overflow",
-                 "kDropOldest", "kDropNewest (SPSC shard rings cannot evict)");
-  }
   norm.emit(diagnostic);
   return opts;
 }
 
 namespace {
 
-/// PacketFeed over the shared mutex+condvar queue (single-queue mode).
-class QueueFeed : public PacketFeed {
- public:
-  explicit QueueFeed(BoundedPacketQueue& q) : q_(q) {}
-  size_t claim(std::vector<netio::SourcePacket>& out, size_t max) override {
-    return q_.pop_batch(out, max);
+/// Claim up to `max` packets from a shard's ring into `out` (cleared
+/// first), blocking while the ring is open and empty. Returns the number
+/// claimed; 0 only at end-of-stream (closed and fully drained).
+size_t claim(SpscRing<netio::SourcePacket>& ring,
+             std::vector<netio::SourcePacket>& out, size_t max) {
+  while (ring.wait_nonempty()) {
+    if (const size_t n = ring.try_pop(out, max); n != 0) return n;
   }
-
- private:
-  BoundedPacketQueue& q_;
-};
-
-/// PacketFeed over one shard's private SPSC ring (sharded mode).
-class RingFeed : public PacketFeed {
- public:
-  explicit RingFeed(SpscRing<netio::SourcePacket>& r) : r_(r) {}
-  size_t claim(std::vector<netio::SourcePacket>& out, size_t max) override {
-    for (;;) {
-      if (!r_.wait_nonempty()) return 0;  // closed and drained
-      const size_t n = r_.try_pop(out, max == 0 ? 1 : max);
-      if (n != 0) return n;
-    }
-  }
-
- private:
-  SpscRing<netio::SourcePacket>& r_;
-};
-
-/// Producer-side FrameFeed over the shared queue (single-queue mode): the
-/// non-blocking face any SourceDriver pushes through. Counts enqueued on
-/// every accepted/shed packet — exactly where the old producer loop did.
-class QueueFrameFeed : public netio::FrameFeed {
- public:
-  QueueFrameFeed(BoundedPacketQueue& q, telemetry::Counter& enqueued,
-                 telemetry::Counter& dropped)
-      : q_(q), enqueued_(enqueued), dropped_(dropped) {}
-
-  netio::FeedStatus offer(netio::SourcePacket& p) override {
-    const netio::FeedStatus s = q_.offer(std::move(p));
-    if (s == netio::FeedStatus::kAccepted || s == netio::FeedStatus::kShed)
-      enqueued_.add(1);
-    return s;
-  }
-  bool wait_ready() override { return q_.wait_notfull(); }
-  void account_shed(uint64_t n) override {
-    // Frames the front-end shed before they reached the queue: count them
-    // enqueued AND dropped so conservation spans the socket path.
-    enqueued_.add(n);
-    dropped_.add(n);
-  }
-
- private:
-  BoundedPacketQueue& q_;
-  telemetry::Counter& enqueued_;
-  telemetry::Counter& dropped_;
-};
+  out.clear();
+  return 0;
+}
 
 /// Producer-side FrameFeed over the shard router + SPSC rings: routes each
 /// offered frame by flow hash, then try-pushes into the owning ring.
@@ -329,8 +114,8 @@ class ShardFrameFeed : public netio::FrameFeed {
       busy_shard_ = s;
       return netio::FeedStatus::kBusy;
     }
-    // kDropNewest (kDropOldest was rewritten at normalization): shed the
-    // incoming packet, still counted enqueued + routed like the old loop.
+    // kDropNewest: shed the incoming packet, still counted enqueued and
+    // routed like an accepted one.
     dropped_.add(1);
     account(s);
     return netio::FeedStatus::kShed;
@@ -369,16 +154,13 @@ class ShardFrameFeed : public netio::FrameFeed {
 IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
                              AlertSink* sink)
     : sink_(sink) {
-  const bool policy_degraded =
-      opts.shards > 0 && opts.overflow == OverflowPolicy::kDropOldest;
   std::string diag;
   opts_ = Options::normalized(std::move(opts), &diag);
   if (!diag.empty()) std::cerr << diag << "\n";
   scorer_slot_ = std::make_unique<ModelSlot<ScorerFactory>>(
-      std::make_unique<ScorerFactory>(std::move(factory)),
-      effective_consumers());
+      std::make_unique<ScorerFactory>(std::move(factory)), opts_.shards);
   // Core accounting always lives in registry counters (the IngestStats
-  // façade reads them back); the extended instruments — queue gauges and
+  // façade reads them back); the extended instruments — ring gauges and
   // per-stage latency histograms, with their clock reads — only run when
   // the embedder gave us a registry to publish into.
   extended_ = opts_.registry != nullptr;
@@ -390,26 +172,21 @@ IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
   scored_ = &reg_->counter(p + "scored");
   alerted_ = &reg_->counter(p + "alerted");
   swaps_applied_ = &reg_->counter(p + "swaps_applied");
-  policy_degraded_ = &reg_->counter(p + "policy_degraded");
-  if (policy_degraded) policy_degraded_->add(1);
   if (extended_) {
-    queue_depth_ = &reg_->gauge(p + "queue.depth");
     queue_high_water_ = &reg_->gauge(p + "queue.high_water");
     extract_ns_ = &reg_->histogram(p + "stage.extract_ns");
     score_ns_ = &reg_->histogram(p + "stage.score_ns");
     flush_ns_ = &reg_->histogram(p + "stage.flush_ns");
     score_batch_rows_ = &reg_->histogram(p + "score.batch_rows");
-    if (opts_.shards > 0) {
-      shard_instruments_.resize(opts_.shards);
-      for (size_t i = 0; i < opts_.shards; ++i) {
-        const std::string sp = p + "shard" + std::to_string(i) + ".";
-        shard_instruments_[i] =
-            ShardInstruments{&reg_->counter(sp + "routed"),
-                             &reg_->counter(sp + "scored"),
-                             &reg_->counter(sp + "alerted"),
-                             &reg_->counter(sp + "parse_skipped"),
-                             &reg_->gauge(sp + "ring.high_water")};
-      }
+    shard_instruments_.resize(opts_.shards);
+    for (size_t i = 0; i < opts_.shards; ++i) {
+      const std::string sp = p + "shard" + std::to_string(i) + ".";
+      shard_instruments_[i] =
+          ShardInstruments{&reg_->counter(sp + "routed"),
+                           &reg_->counter(sp + "scored"),
+                           &reg_->counter(sp + "alerted"),
+                           &reg_->counter(sp + "parse_skipped"),
+                           &reg_->gauge(sp + "ring.high_water")};
     }
   }
   // stats() before the first run() must read zero even when another
@@ -436,8 +213,7 @@ bool IngestRuntime::register_tenant(uint32_t tenant, ScorerFactory factory) {
   auto [it, inserted] = tenants_.try_emplace(tenant);
   if (!inserted) return false;
   it->second.slot = std::make_unique<ModelSlot<ScorerFactory>>(
-      std::make_unique<ScorerFactory>(std::move(factory)),
-      effective_consumers());
+      std::make_unique<ScorerFactory>(std::move(factory)), opts_.shards);
   const std::string tp =
       opts_.instrument_prefix + "tenant" + std::to_string(tenant) + ".";
   it->second.scored = &reg_->counter(tp + "scored");
@@ -458,11 +234,11 @@ bool IngestRuntime::deploy(uint32_t tenant, ScorerFactory factory) {
   return true;
 }
 
-void IngestRuntime::consume(size_t id, PacketFeed& feed,
+void IngestRuntime::consume(size_t id, Ring& ring,
                             std::unique_ptr<PacketScorer> scorer,
                             uint64_t scorer_version, netio::LinkType link) {
   // Everything below is consumer-local until the per-batch flush: packets
-  // are claimed in batches (one queue lock / ring publication per batch),
+  // are claimed in batches (one ring publication per batch),
   // scored without any shared state, and sink records plus stats counters
   // are published once per batch. Buffers are reused across batches, so
   // the steady-state loop performs no allocation. Telemetry is also
@@ -547,9 +323,8 @@ void IngestRuntime::consume(size_t id, PacketFeed& feed,
   std::vector<netio::PacketView> parsed;
   std::vector<uint32_t> tenant_of;      // aligned with parsed
   std::vector<uint32_t> batch_tenants;  // distinct, first-appearance order
-  std::vector<uint64_t> t_scored, t_alerted;  // aligned with batch_tenants
-  std::vector<double> scores;
-  std::vector<double> thresholds;  // aligned with parsed (mixed path only)
+  std::vector<double> scores;      // aligned with parsed
+  std::vector<double> thresholds;  // aligned with parsed
   std::vector<netio::PacketView> scratch_views;
   std::vector<double> scratch_scores;
   std::vector<size_t> scratch_idx;
@@ -558,8 +333,9 @@ void IngestRuntime::consume(size_t id, PacketFeed& feed,
   parsed.reserve(opts_.consumer_batch);
   tenant_of.reserve(opts_.consumer_batch);
   scores.reserve(opts_.consumer_batch);
+  thresholds.reserve(opts_.consumer_batch);
   pending.reserve(opts_.consumer_batch);
-  while (feed.claim(batch, opts_.consumer_batch) > 0) {
+  while (claim(ring, batch, opts_.consumer_batch) > 0) {
     batch_tenants.clear();
     for (const netio::SourcePacket& sp : batch) {
       if (std::find(batch_tenants.begin(), batch_tenants.end(), sp.tenant) ==
@@ -567,7 +343,7 @@ void IngestRuntime::consume(size_t id, PacketFeed& feed,
         batch_tenants.push_back(sp.tenant);
     }
     for (uint32_t t : batch_tenants) pin_ctx(t);
-    uint64_t skipped = 0, scored = 0, alerted = 0;
+    uint64_t skipped = 0, alerted = 0;
     Clock::time_point t0, t1, t2;
     // Stage 1 — extract: parse the whole batch (views borrow the packet
     // bytes in `batch`, which outlives the flush below).
@@ -584,100 +360,58 @@ void IngestRuntime::consume(size_t id, PacketFeed& feed,
       tenant_of.push_back(sp.tenant);
     }
     if (extended_) t1 = Clock::now();
-    // Stage 2 — score, in consumption order (scorer state is per-consumer
-    // per-tenant). The claimed batch is scored in score_batch-row
-    // micro-batches through the fused PacketScorer::score_batch path;
-    // per-packet alert ordering is preserved because scores land
-    // positionally in `scores` and the alert/sink pass below walks them in
-    // consumption order. A tail chunk is just a smaller micro-batch — the
+    // Stage 2 — score. Each tenant's packets form one partition in arrival
+    // order, scored contiguously through that tenant's scorer (its state
+    // is per-shard per-tenant) in score_batch-row micro-batches through
+    // the fused PacketScorer::score_batch path, with results scattered
+    // back positionally — equivalent to having claimed each tenant's
+    // packets in separate batches. A one-tenant batch is a single
+    // partition. A tail chunk is just a smaller micro-batch; the
     // batch-invariance contract makes its scores identical either way.
     scores.resize(parsed.size());
-    const bool single_tenant = batch_tenants.size() <= 1;
-    double uniform_threshold = 0.0;
-    if (single_tenant) {
-      // Fast path (a replay run, or a gateway serving one tenant): exactly
-      // the historic single-scorer batch loop, bit for bit.
-      PacketScorer& sc =
-          *ctxs.at(batch_tenants.empty() ? 0 : batch_tenants[0]).scorer;
-      for (size_t lo = 0; lo < parsed.size(); lo += opts_.score_batch) {
-        const size_t n = std::min(opts_.score_batch, parsed.size() - lo);
-        sc.score_batch(
-            std::span<const netio::PacketView>(parsed.data() + lo, n),
-            scores.data() + lo);
+    thresholds.resize(parsed.size());
+    for (uint32_t t : batch_tenants) {
+      scratch_idx.clear();
+      scratch_views.clear();
+      for (size_t i = 0; i < parsed.size(); ++i) {
+        if (tenant_of[i] != t) continue;
+        scratch_idx.push_back(i);
+        scratch_views.push_back(parsed[i]);
+      }
+      if (scratch_idx.empty()) continue;  // all of t's packets skipped
+      TenantCtx& ctx = ctxs.at(t);
+      scratch_scores.resize(scratch_views.size());
+      for (size_t lo = 0; lo < scratch_views.size(); lo += opts_.score_batch) {
+        const size_t n = std::min(opts_.score_batch, scratch_views.size() - lo);
+        ctx.scorer->score_batch(
+            std::span<const netio::PacketView>(scratch_views.data() + lo, n),
+            scratch_scores.data() + lo);
         if (extended_) score_batch_rows_->record(static_cast<double>(n));
       }
-      uniform_threshold = sc.threshold();
-    } else {
-      // Mixed batch: partition by tenant preserving each tenant's arrival
-      // order, score each partition contiguously through that tenant's
-      // scorer, and scatter results back positionally. Equivalent to
-      // having claimed each tenant's packets in separate batches.
-      thresholds.resize(parsed.size());
-      for (uint32_t t : batch_tenants) {
-        scratch_idx.clear();
-        scratch_views.clear();
-        for (size_t i = 0; i < parsed.size(); ++i) {
-          if (tenant_of[i] != t) continue;
-          scratch_idx.push_back(i);
-          scratch_views.push_back(parsed[i]);
-        }
-        if (scratch_idx.empty()) continue;  // all of t's packets skipped
-        TenantCtx& ctx = ctxs.at(t);
-        scratch_scores.resize(scratch_views.size());
-        for (size_t lo = 0; lo < scratch_views.size();
-             lo += opts_.score_batch) {
-          const size_t n =
-              std::min(opts_.score_batch, scratch_views.size() - lo);
-          ctx.scorer->score_batch(
-              std::span<const netio::PacketView>(scratch_views.data() + lo,
-                                                 n),
-              scratch_scores.data() + lo);
-          if (extended_) score_batch_rows_->record(static_cast<double>(n));
-        }
-        const double thr = ctx.scorer->threshold();
-        for (size_t k = 0; k < scratch_idx.size(); ++k) {
-          scores[scratch_idx[k]] = scratch_scores[k];
-          thresholds[scratch_idx[k]] = thr;
-        }
+      const double thr = ctx.scorer->threshold();
+      uint64_t t_alerted = 0;
+      for (size_t k = 0; k < scratch_idx.size(); ++k) {
+        scores[scratch_idx[k]] = scratch_scores[k];
+        thresholds[scratch_idx[k]] = thr;
+        if (scratch_scores[k] > thr) ++t_alerted;
+      }
+      alerted += t_alerted;
+      if (ctx.state != nullptr) {
+        ctx.state->scored->add(scratch_idx.size());
+        if (t_alerted != 0) ctx.state->alerted->add(t_alerted);
       }
     }
-    t_scored.assign(batch_tenants.size(), 0);
-    t_alerted.assign(batch_tenants.size(), 0);
-    uint32_t run_tenant = 0;
-    size_t run_ti = 0;
-    bool run_valid = false;
-    for (size_t i = 0; i < parsed.size(); ++i) {
-      const netio::PacketView& view = parsed[i];
-      const double score = scores[i];
-      const double threshold =
-          single_tenant ? uniform_threshold : thresholds[i];
-      const bool is_alert = score > threshold;
-      ++scored;
-      if (is_alert) ++alerted;
-      const uint32_t t = tenant_of[i];
-      if (!run_valid || t != run_tenant) {
-        run_tenant = t;
-        run_ti = static_cast<size_t>(
-            std::find(batch_tenants.begin(), batch_tenants.end(), t) -
-            batch_tenants.begin());
-        run_valid = true;
-      }
-      ++t_scored[run_ti];
-      if (is_alert) ++t_alerted[run_ti];
-      if (sink_ != nullptr) {
-        pending.push_back(Scored{view, score, threshold, is_alert, t});
+    if (sink_ != nullptr) {
+      for (size_t i = 0; i < parsed.size(); ++i) {
+        pending.push_back(Scored{parsed[i], scores[i], thresholds[i],
+                                 scores[i] > thresholds[i], tenant_of[i]});
       }
     }
     if (extended_) t2 = Clock::now();
+    const uint64_t scored = parsed.size();
     if (skipped != 0) parse_skipped_->add(skipped);
     if (scored != 0) scored_->add(scored);
     if (alerted != 0) alerted_->add(alerted);
-    for (size_t ti = 0; ti < batch_tenants.size(); ++ti) {
-      TenantState* ts = ctxs.at(batch_tenants[ti]).state;
-      if (ts == nullptr) continue;
-      if (t_scored[ti] != 0) ts->scored->add(t_scored[ti]);
-      if (t_alerted[ti] != 0) ts->alerted->add(t_alerted[ti]);
-    }
     if (si != nullptr) {
       if (skipped != 0) si->parse_skipped->add(skipped);
       if (scored != 0) si->scored->add(scored);
@@ -712,7 +446,7 @@ void IngestRuntime::consume(size_t id, PacketFeed& feed,
   }
 }
 
-void IngestRuntime::consume_pipeline(size_t id, PacketFeed& feed,
+void IngestRuntime::consume_pipeline(size_t id, Ring& ring,
                                      StreamPipeline& pipe,
                                      netio::LinkType link) {
   // Same staged batch loop as consume(), but the scoring stage feeds the
@@ -730,7 +464,7 @@ void IngestRuntime::consume_pipeline(size_t id, PacketFeed& feed,
   std::vector<netio::PacketView> parsed;
   batch.reserve(opts_.consumer_batch);
   parsed.reserve(opts_.consumer_batch);
-  while (feed.claim(batch, opts_.consumer_batch) > 0) {
+  while (claim(ring, batch, opts_.consumer_batch) > 0) {
     uint64_t skipped = 0;
     Clock::time_point t0, t1, t2;
     if (extended_) t0 = Clock::now();
@@ -767,10 +501,8 @@ void IngestRuntime::consume_pipeline(size_t id, PacketFeed& feed,
   pipe.finish();
 }
 
-Result<IngestStats> IngestRuntime::drive(
-    netio::SourceDriver& driver,
-    const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
-        consumer_body) {
+Result<IngestStats> IngestRuntime::drive(netio::SourceDriver& driver,
+                                         const ConsumerBody& consumer_body) {
   // Per-run façade semantics over cumulative instruments: re-baseline now.
   base_ = Baseline{enqueued_->value(), dropped_->value(),
                    parse_skipped_->value(), scored_->value(),
@@ -778,113 +510,49 @@ Result<IngestStats> IngestRuntime::drive(
   high_water_snapshot_ = 0;
   stop_.store(false);
   running_.store(true, std::memory_order_release);
-  auto result = opts_.shards > 0 ? drive_sharded(driver, consumer_body)
-                                 : drive_single_queue(driver, consumer_body);
-  running_.store(false, std::memory_order_release);
-  return result;
-}
 
-Result<IngestStats> IngestRuntime::drive_single_queue(
-    netio::SourceDriver& driver,
-    const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
-        consumer_body) {
-  BoundedPacketQueue queue(opts_.queue_capacity, opts_.overflow);
-  if (extended_) {
-    // The queue gauges describe THIS run's queue: reset them before
-    // attaching, or a reused runtime (or a second runtime sharing the
-    // registry and prefix) keeps publishing the previous run's high-water
-    // mark — update_max never comes back down on its own.
-    queue_depth_->set(0.0);
-    queue_high_water_->set(0.0);
-    // Live queue instruments: depth, high-water, and drops update under
-    // the queue's own lock, so scrapers see them mid-run (the historic
-    // snapshots only materialized after run() returned).
-    queue.attach_telemetry(queue_depth_, queue_high_water_, dropped_);
-  }
-  const netio::LinkType link = driver.link();
-  QueueFeed feed(queue);
-
-  // Consumers follow the parallel.h exception convention: the first failure
-  // is captured and rethrown on the caller once every thread has joined.
-  std::vector<std::exception_ptr> errors(opts_.consumers);
-  std::vector<std::thread> threads;
-  threads.reserve(opts_.consumers);
-  for (size_t c = 0; c < opts_.consumers; ++c) {
-    threads.emplace_back([c, &queue, &feed, &errors, link, &consumer_body] {
-      try {
-        consumer_body(c, feed, link);
-      } catch (...) {
-        errors[c] = std::current_exception();
-        queue.close();  // don't leave the producer blocked on a dead run
-      }
-    });
-  }
-
-  // The driver runs on the calling thread, pushing through the feed; a
-  // closed queue (consumer death) surfaces as kClosed and the driver
-  // returns, exactly where the old push loop broke.
-  QueueFrameFeed ffeed(queue, *enqueued_, *dropped_);
-  Result<void> driven = driver.drive(ffeed, stop_);
-  queue.close();
-  for (auto& t : threads) t.join();
-
-  // With attached telemetry the queue streamed drops into the counter
-  // live; otherwise fold them in now.
-  if (!extended_) dropped_->add(queue.dropped());
-  high_water_snapshot_ = queue.high_water();
-  for (auto& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
-  if (!driven.ok()) return driven.error();
-  return stats();
-}
-
-Result<IngestStats> IngestRuntime::drive_sharded(
-    netio::SourceDriver& driver,
-    const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
-        consumer_body) {
   const size_t n_shards = opts_.shards;
   const netio::LinkType link = driver.link();
   FlowShardRouter router(n_shards, link);
-
-  std::vector<std::unique_ptr<SpscRing<netio::SourcePacket>>> rings;
-  std::vector<RingFeed> feeds;
+  std::vector<std::unique_ptr<Ring>> rings;
   rings.reserve(n_shards);
-  feeds.reserve(n_shards);
   for (size_t i = 0; i < n_shards; ++i) {
-    rings.push_back(
-        std::make_unique<SpscRing<netio::SourcePacket>>(opts_.queue_capacity));
-    feeds.emplace_back(*rings.back());
+    rings.push_back(std::make_unique<Ring>(opts_.queue_capacity));
   }
   if (extended_) {
-    // Same reset-before-run contract as the single-queue gauges; in this
-    // mode queue.high_water reports the max ring high-water across shards.
-    queue_depth_->set(0.0);
+    // The ring gauges describe THIS run's rings: reset them first, or a
+    // reused runtime (or a second runtime sharing the registry and prefix)
+    // keeps publishing the previous run's high-water mark — update_max
+    // never comes back down on its own. queue.high_water reports the max
+    // ring high-water across shards.
     queue_high_water_->set(0.0);
     for (ShardInstruments& si : shard_instruments_) {
       si.ring_high_water->set(0.0);
     }
   }
 
+  // Consumers follow the parallel.h exception convention: the first failure
+  // is captured and rethrown on the caller once every thread has joined.
   std::vector<std::exception_ptr> errors(n_shards);
   std::vector<std::thread> threads;
   threads.reserve(n_shards);
   for (size_t c = 0; c < n_shards; ++c) {
-    threads.emplace_back([c, &feeds, &rings, &errors, link, &consumer_body] {
+    threads.emplace_back([c, &rings, &errors, link, &consumer_body] {
       try {
-        consumer_body(c, feeds[c], link);
+        consumer_body(c, *rings[c], link);
       } catch (...) {
         errors[c] = std::current_exception();
         // Close every ring: siblings drain and exit, and the producer
-        // stops instead of feeding a dead run (mirrors queue.close()).
+        // stops instead of feeding a dead run.
         for (auto& r : rings) r->close();
       }
     });
   }
 
   // The driver runs on the calling thread; the shard feed routes each
-  // offered frame by flow hash into the owning ring. Per-shard routed
-  // counts and ring high-water marks are mirrored into telemetry in
+  // offered frame by flow hash into the owning ring. A closed ring
+  // (consumer death) surfaces as kClosed and the driver returns. Per-shard
+  // routed counts and ring high-water marks are mirrored into telemetry in
   // periodic flushes, never per packet.
   std::vector<uint64_t> routed(n_shards, 0);
   std::vector<uint64_t> routed_flushed(n_shards, 0);
@@ -909,6 +577,7 @@ Result<IngestStats> IngestRuntime::drive_sharded(
   high_water_snapshot_ = hw;
   flush_shard_telemetry();
   if (extended_) queue_high_water_->update_max(static_cast<double>(hw));
+  running_.store(false, std::memory_order_release);
   for (auto& err : errors) {
     if (err) std::rethrow_exception(err);
   }
@@ -922,11 +591,11 @@ Result<IngestStats> IngestRuntime::run(netio::PacketSource& source) {
 }
 
 Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
-  const size_t n_consumers = effective_consumers();
+  const size_t n_shards = opts_.shards;
   if (pipeline_factory_) {
     std::vector<std::unique_ptr<StreamPipeline>> pipes;
-    pipes.reserve(n_consumers);
-    for (size_t c = 0; c < n_consumers; ++c) {
+    pipes.reserve(n_shards);
+    for (size_t c = 0; c < n_shards; ++c) {
       pipes.push_back(pipeline_factory_(c));
       if (!pipes.back()) {
         return Error::make(
@@ -949,9 +618,8 @@ Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
       });
     }
     return drive(driver,
-                 [this, &pipes](size_t id, PacketFeed& feed,
-                                netio::LinkType link) {
-                   consume_pipeline(id, feed, *pipes[id], link);
+                 [this, &pipes](size_t id, Ring& ring, netio::LinkType link) {
+                   consume_pipeline(id, ring, *pipes[id], link);
                  });
   }
 
@@ -960,9 +628,9 @@ Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
   // deploy() publishes something newer.
   std::vector<std::unique_ptr<PacketScorer>> scorers;
   std::vector<uint64_t> versions;
-  scorers.reserve(n_consumers);
-  versions.reserve(n_consumers);
-  for (size_t c = 0; c < n_consumers; ++c) {
+  scorers.reserve(n_shards);
+  versions.reserve(n_shards);
+  for (size_t c = 0; c < n_shards; ++c) {
     const auto pinned = scorer_slot_->pin(c);
     scorers.push_back((*pinned.value)(c));
     versions.push_back(pinned.version);
@@ -972,9 +640,9 @@ Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
     }
   }
   return drive(driver,
-               [this, &scorers, &versions](size_t id, PacketFeed& feed,
+               [this, &scorers, &versions](size_t id, Ring& ring,
                                            netio::LinkType link) {
-                 consume(id, feed, std::move(scorers[id]), versions[id], link);
+                 consume(id, ring, std::move(scorers[id]), versions[id], link);
                });
 }
 

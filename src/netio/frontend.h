@@ -62,7 +62,8 @@ enum class FeedStatus : uint8_t {
 };
 
 /// Downstream half of the front-end API. IngestRuntime implements this
-/// over its single queue or its per-shard rings; drivers never know which.
+/// over its flow-hash shard router and per-shard rings; drivers never see
+/// the shards.
 class FrameFeed {
  public:
   virtual ~FrameFeed() = default;

@@ -444,7 +444,6 @@ TEST(CompiledPlan, DeploysThroughModelSlotMidRun) {
   netio::TraceReplaySource src(ds.trace, replay);
   telemetry::Registry reg;
   core::IngestRuntime::Options opts;
-  opts.consumers = 1;
   opts.registry = &reg;
   core::CollectingSink sink;
   core::IngestRuntime rt(

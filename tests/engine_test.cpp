@@ -130,7 +130,9 @@ TEST(Engine, RunsPaperTemplateEndToEnd) {
   // Profile covers every op.
   EXPECT_EQ(report.value().profile.size(), 8u);
   EXPECT_GT(report.value().peak_bytes, 0u);
-  EXPECT_FALSE(report.value().profile_table().empty());
+  EXPECT_FALSE(
+      render_op_profile(report.value().profile, report.value().peak_bytes)
+          .empty());
 }
 
 // The report's profile is rebuilt from the telemetry spans the run
@@ -193,7 +195,9 @@ TEST(Engine, NullRegistryStillProfiles) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().profile.size(), 2u);
   EXPECT_GT(report.value().peak_bytes, 0u);
-  EXPECT_FALSE(report.value().profile_table().empty());
+  EXPECT_FALSE(
+      render_op_profile(report.value().profile, report.value().peak_bytes)
+          .empty());
 }
 
 TEST(Engine, DeadValueEliminationFreesConsumedBindings) {

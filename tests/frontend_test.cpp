@@ -1,10 +1,11 @@
 // Gateway front-end tests: loopback TCP/UDP ingestion must score
-// bit-identically to local trace replay (single-queue and sharded), the
+// bit-identically to local trace replay (one shard and several), the
 // malformed-frame corpus must be rejected with exact protocol-error
 // accounting while later good streams keep working, slow clients must be
 // evicted by the low-and-slow defense, per-tenant deploy() must swap
 // exactly one tenant's scorer, backpressure must be lossless on the TCP
-// path, and the event loop must leak no file descriptors.
+// path, kDropNewest must shed incoming frames and keep admitted ones, and
+// the event loop must leak no file descriptors.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -212,8 +213,8 @@ TEST(FrontendIdentity, TcpMatchesReplayOnBenchmarkCaptures) {
   for (const char* id : {"P1", "P2", "P3", "P4"}) {
     SCOPED_TRACE(id);
     const trace::Dataset ds = trace::make_dataset(id, 0.2);
-    const Recorder ref = replay_run(ds.trace, 0, stateful_factory(50.0));
-    const Recorder got = socket_run(ds.trace, 0, stateful_factory(50.0),
+    const Recorder ref = replay_run(ds.trace, 1, stateful_factory(50.0));
+    const Recorder got = socket_run(ds.trace, 1, stateful_factory(50.0),
                                     nullptr);
     ASSERT_EQ(ref.recs.size(), got.recs.size());
     EXPECT_EQ(ref.recs, got.recs);  // scores, order, and alert flags
@@ -240,7 +241,7 @@ TEST(FrontendIdentity, TcpMatchesReplaySharded) {
 
 TEST(FrontendIdentity, UdpMatchesReplay) {
   const trace::Dataset ds = trace::make_dataset("P1", 0.2);
-  Recorder ref = replay_run(ds.trace, 0, stateless_factory(50.0));
+  Recorder ref = replay_run(ds.trace, 1, stateless_factory(50.0));
 
   FrontendOptions fo;
   fo.link = ds.trace.link;
@@ -523,7 +524,7 @@ TEST(FrontendTenants, DeploySwapsExactlyOneTenant) {
 
 TEST(FrontendBackpressure, TcpPauseIsLossless) {
   const Trace trace = make_trace(3000);
-  // Tiny queue + per-packet claims force sustained kBusy at the feed: the
+  // Tiny ring + per-packet claims force sustained kBusy at the feed: the
   // gateway must stage, pause the socket, and deliver every frame anyway.
   IngestRuntime::Options o;
   o.registry = nullptr;
@@ -549,7 +550,7 @@ TEST(FrontendBackpressure, TcpPauseIsLossless) {
   ASSERT_TRUE(st.ok());
 
   ASSERT_EQ(trace.raw.size(), sink.recs.size());
-  Recorder ref = replay_run(trace, 0, stateful_factory(50.0));
+  Recorder ref = replay_run(trace, 1, stateful_factory(50.0));
   EXPECT_EQ(ref.recs, sink.recs);
   EXPECT_EQ(0u, reg.snapshot().counter_value("frontend.shed"));
 }
@@ -613,79 +614,78 @@ TEST(FrontendBackpressure, ShedModeAccountsEveryFrame) {
 TEST(FrontendHygiene, NoLeakedFileDescriptors) {
   const Trace trace = make_trace(50);
   // Warm-up run absorbs lazily-created process-wide fds.
-  socket_run(trace, 0, stateless_factory(1e9), nullptr);
+  socket_run(trace, 1, stateless_factory(1e9), nullptr);
   const size_t before = count_open_fds();
   for (int i = 0; i < 3; ++i) {
-    socket_run(trace, 0, stateless_factory(1e9), nullptr);
+    socket_run(trace, 1, stateless_factory(1e9), nullptr);
   }
   EXPECT_EQ(before, count_open_fds());
 }
 
 // ---------------------------------------------------------------------------
-// Overflow policy: explicit kDropNewest, no silent degradation
+// Overflow policy: kDropNewest sheds the incoming frame, never the head
+
+// Offers frame 0, waits until the consumer holds it (blocked inside its
+// scorer), then offers the rest into the full ring and opens the gate.
+class GatedDriver : public netio::SourceDriver {
+ public:
+  GatedDriver(const Trace& t, std::atomic<bool>& holding,
+              std::atomic<bool>& gate)
+      : t_(t), holding_(holding), gate_(gate) {}
+  netio::LinkType link() const override { return t_.link; }
+  Result<void> drive(netio::FrameFeed& feed,
+                     const std::atomic<bool>& /*stop*/) override {
+    for (size_t i = 0; i < t_.raw.size(); ++i) {
+      SourcePacket sp;
+      sp.pkt = t_.raw[i];
+      sp.capture_index = static_cast<uint32_t>(t_.view[i].index);
+      EXPECT_NE(netio::FeedStatus::kBusy, feed.offer(sp));
+      while (i == 0 && !holding_.load()) std::this_thread::yield();
+    }
+    gate_.store(true);
+    return {};
+  }
+
+ private:
+  const Trace& t_;
+  std::atomic<bool>& holding_;
+  std::atomic<bool>& gate_;
+};
 
 TEST(OverflowPolicyTest, DropNewestKeepsOldest) {
-  core::BoundedPacketQueue q(2, OverflowPolicy::kDropNewest);
-  SourcePacket a, b, c;
-  a.capture_index = 1;
-  b.capture_index = 2;
-  c.capture_index = 3;
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(a)));
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(b)));
-  EXPECT_EQ(netio::FeedStatus::kShed, q.offer(std::move(c)));
-  std::vector<SourcePacket> out;
-  q.close();
-  EXPECT_EQ(2u, q.pop_batch(out, 8));
-  EXPECT_EQ(1u, out[0].capture_index);
-  EXPECT_EQ(2u, out[1].capture_index);
-  EXPECT_EQ(1u, q.dropped());
-}
-
-TEST(OverflowPolicyTest, DropOldestEvictsHead) {
-  core::BoundedPacketQueue q(2, OverflowPolicy::kDropOldest);
-  SourcePacket a, b, c;
-  a.capture_index = 1;
-  b.capture_index = 2;
-  c.capture_index = 3;
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(a)));
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(b)));
-  EXPECT_EQ(netio::FeedStatus::kShed, q.offer(std::move(c)));
-  std::vector<SourcePacket> out;
-  q.close();
-  EXPECT_EQ(2u, q.pop_batch(out, 8));
-  EXPECT_EQ(2u, out[0].capture_index);
-  EXPECT_EQ(3u, out[1].capture_index);
-  EXPECT_EQ(1u, q.dropped());
-}
-
-TEST(OverflowPolicyTest, ShardedDropOldestNormalizedWithDiagnostic) {
+  const Trace trace = make_trace(10);
   IngestRuntime::Options o;
-  o.shards = 2;
-  o.overflow = OverflowPolicy::kDropOldest;
-  std::string diag;
-  const auto n = IngestRuntime::Options::normalized(o, &diag);
-  EXPECT_EQ(OverflowPolicy::kDropNewest, n.overflow);
-  EXPECT_NE(std::string::npos, diag.find("overflow"));
+  o.registry = nullptr;
+  o.queue_capacity = 2;
+  o.consumer_batch = 1;
+  o.overflow = OverflowPolicy::kDropNewest;
+  std::atomic<bool> holding{false}, gate{false};
+  Recorder sink;
+  IngestRuntime rt(
+      o,
+      [&](size_t) {
+        return std::make_unique<FnScorer>(
+            [&](const netio::PacketView& v) {
+              holding.store(true);
+              while (!gate.load()) std::this_thread::yield();
+              return static_cast<double>(v.index);
+            },
+            1e9);
+      },
+      &sink);
+  GatedDriver driver(trace, holding, gate);
+  auto st = rt.run(driver);
+  ASSERT_TRUE(st.ok());
 
-  // Single-queue mode keeps kDropOldest untouched.
-  IngestRuntime::Options sq;
-  sq.overflow = OverflowPolicy::kDropOldest;
-  std::string diag2;
-  EXPECT_EQ(OverflowPolicy::kDropOldest,
-            IngestRuntime::Options::normalized(sq, &diag2).overflow);
-  EXPECT_EQ("", diag2);
-
-  // Construction bumps the policy_degraded counter exactly once.
-  telemetry::Registry reg;
-  o.registry = &reg;
-  IngestRuntime rt(o, stateless_factory(1e9), nullptr);
-  EXPECT_EQ(1u, reg.snapshot().counter_value("ingest.policy_degraded"));
-
-  EXPECT_STREQ("kDropOldest",
-               core::overflow_policy_name(OverflowPolicy::kDropOldest));
-  EXPECT_STREQ("kDropNewest",
-               core::overflow_policy_name(OverflowPolicy::kDropNewest));
-  EXPECT_STREQ("kBlock", core::overflow_policy_name(OverflowPolicy::kBlock));
+  // Frame 0 was in the consumer's hands and frames 1-2 filled the ring;
+  // everything after was shed, and the admitted frames were all scored.
+  std::vector<uint32_t> scored;
+  for (const ScoreRecord& r : sink.recs) scored.push_back(r.index);
+  EXPECT_EQ((std::vector<uint32_t>{0, 1, 2}), scored);
+  EXPECT_EQ(trace.raw.size(), st.value().enqueued);
+  EXPECT_EQ(trace.raw.size() - 3, st.value().dropped);
+  EXPECT_EQ(st.value().enqueued - st.value().dropped,
+            st.value().scored + st.value().parse_skipped);
 }
 
 }  // namespace

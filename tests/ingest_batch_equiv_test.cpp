@@ -57,7 +57,6 @@ struct RunResult {
 RunResult run_once(const OnlineKitsune& proto, netio::PacketSource& source,
                    size_t consumer_batch, size_t score_batch) {
   IngestRuntime::Options opts;
-  opts.consumers = 1;
   opts.consumer_batch = consumer_batch;
   opts.score_batch = score_batch;
   RecordingSink sink;

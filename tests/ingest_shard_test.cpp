@@ -8,9 +8,7 @@
 // N-shard run must be bit-identical to scoring each shard's subsequence
 // sequentially with a fresh detector. That reference is scheduling-free:
 // it pins that concurrency, ring capacity, and batching add zero
-// divergence on top of the (deterministic) partition itself. Additionally
-// shards=1 must be bit-identical to the classic single-queue one-consumer
-// run: the router routes everything to shard 0 in arrival order.
+// divergence on top of the (deterministic) partition itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -202,26 +200,6 @@ TEST(ShardedEquivalence, MatchesReferenceUnderFaultInjection) {
   expect_bit_identical(got, want, "faulty shards=4");
 }
 
-TEST(ShardedEquivalence, ShardsOneBitIdenticalToSingleQueue) {
-  const trace::Dataset ds = trace::make_dataset("P1", 0.05);
-  const size_t grace = ds.trace.view.size() * 45 / 100;
-  const OnlineKitsune proto = trained_proto(ds, grace);
-  ReplayOptions replay;
-  replay.begin = grace;
-
-  IngestRuntime::Options single;
-  single.consumers = 1;
-  TraceReplaySource single_src(ds.trace, replay);
-  const RunResult want = run_with(proto, single_src, single);
-  ASSERT_FALSE(want.packets.empty());
-
-  IngestRuntime::Options sharded;
-  sharded.shards = 1;
-  TraceReplaySource shard_src(ds.trace, replay);
-  const RunResult got = run_with(proto, shard_src, sharded);
-  expect_bit_identical(got, want, "shards=1 vs single-queue");
-}
-
 TEST(ShardedEquivalence, InvariantAcrossRingCapacityAndBatching) {
   const trace::Dataset ds = trace::make_dataset("P2", 0.05);
   const size_t grace = ds.trace.view.size() * 45 / 100;
@@ -237,9 +215,6 @@ TEST(ShardedEquivalence, InvariantAcrossRingCapacityAndBatching) {
 
   // Ring capacity and claim batching reshape scheduling and backpressure;
   // under kBlock the partition — and thus every score — must not move.
-  // The shared-queue multi-consumer mode never had this property (its
-  // packet-to-consumer assignment is a race); sharding is what makes
-  // concurrency deterministic.
   for (const size_t capacity : {size_t{64}, size_t{1024}}) {
     for (const size_t batch : {size_t{1}, size_t{64}}) {
       IngestRuntime::Options opts;
@@ -306,7 +281,7 @@ TEST(ShardedRuntime, DropNewestAccountingStaysExact) {
   IngestRuntime::Options opts;
   opts.shards = 2;
   opts.queue_capacity = 16;
-  opts.overflow = OverflowPolicy::kDropOldest;  // degrades to drop-newest
+  opts.overflow = OverflowPolicy::kDropNewest;
   opts.registry = nullptr;
   CollectingSink sink;
   IngestRuntime rt(
@@ -334,6 +309,10 @@ TEST(ShardedRuntime, DropNewestAccountingStaysExact) {
   EXPECT_EQ(s.scored + s.parse_skipped, s.enqueued - s.dropped);
   EXPECT_GT(s.queue_high_water, 0u);
   EXPECT_LE(s.queue_high_water, 16u);
+  // A null registry keeps the accounting above in a runtime-local registry
+  // and skips the extended instruments.
+  EXPECT_EQ(rt.registry().snapshot().find_histogram("ingest.stage.extract_ns"),
+            nullptr);
 }
 
 TEST(ShardedRuntime, PerShardTelemetrySumsToTotals) {
@@ -438,22 +417,20 @@ TEST(ShardedRuntime, HotSwapDuringPacedReplayKeepsAccountingExact) {
 TEST(OptionsValidation, NormalizedClampsEverythingInOnePass) {
   IngestRuntime::Options wild;
   wild.queue_capacity = 0;
-  wild.consumers = 0;
   wild.shards = 100000;
   wild.consumer_batch = 0;
   wild.score_batch = size_t{1} << 40;
   std::string diag;
   const auto norm = IngestRuntime::Options::normalized(wild, &diag);
   EXPECT_EQ(norm.queue_capacity, 1u);
-  EXPECT_EQ(norm.consumers, 1u);
   EXPECT_EQ(norm.shards, 256u);
   EXPECT_EQ(norm.consumer_batch, 1u);
   EXPECT_EQ(norm.score_batch, 65536u);
   // One diagnostic line naming every adjustment — not scattered clamps.
   ASSERT_FALSE(diag.empty());
   EXPECT_EQ(diag.find('\n'), std::string::npos);
-  for (const char* field : {"queue_capacity", "consumers", "shards",
-                            "consumer_batch", "score_batch"}) {
+  for (const char* field :
+       {"queue_capacity", "shards", "consumer_batch", "score_batch"}) {
     EXPECT_NE(diag.find(field), std::string::npos) << field;
   }
 
@@ -464,6 +441,16 @@ TEST(OptionsValidation, NormalizedClampsEverythingInOnePass) {
   EXPECT_TRUE(no_diag.empty());
   EXPECT_EQ(same.shards, 4u);
   EXPECT_EQ(same.consumer_batch, sane.consumer_batch);
+
+  // The default is one shard, and zero shards is clamped to one with the
+  // usual diagnostic.
+  EXPECT_EQ(IngestRuntime::Options{}.shards, 1u);
+  IngestRuntime::Options none;
+  none.shards = 0;
+  std::string zero_diag;
+  EXPECT_EQ(IngestRuntime::Options::normalized(none, &zero_diag).shards, 1u);
+  EXPECT_NE(zero_diag.find("shards 0 -> 1"), std::string::npos) << zero_diag;
+  EXPECT_EQ(zero_diag.find('\n'), std::string::npos);
 
   // A runtime built from wild options still runs (shards clamp to 256,
   // which dwarfs the trace — empty shards just drain nothing).

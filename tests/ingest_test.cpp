@@ -1,6 +1,7 @@
-// Ingestion runtime tests: bounded queue overflow policies, packet sources
-// (replay, pacing, fault injection), end-to-end runtime runs, and the
-// paced-vs-unpaced determinism the gateway story depends on.
+// Ingestion runtime tests: packet sources (replay, pacing, fault
+// injection), end-to-end runtime runs over one or more shards, per-tenant
+// scoring isolation, and the paced-vs-unpaced determinism the gateway story
+// depends on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "common/telemetry.h"
 #include "core/ingest.h"
 #include "netio/builder.h"
+#include "netio/frontend.h"
 #include "netio/parse.h"
 #include "netio/source.h"
 #include "trace/registry.h"
@@ -18,7 +20,6 @@
 namespace lumen {
 namespace {
 
-using core::BoundedPacketQueue;
 using core::CollectingSink;
 using core::FnScorer;
 using core::IngestRuntime;
@@ -37,125 +38,22 @@ using netio::TraceReplaySource;
 const MacAddr kMacA{2, 0, 0, 0, 0, 1};
 const MacAddr kMacB{2, 0, 0, 0, 0, 2};
 
-// n valid TCP packets, 10 ms apart, payload size cycling 0..6.
-Trace make_trace(size_t n) {
+// n valid TCP packets, 10 ms apart, payload size cycling 0..6, spread
+// round-robin over `flows` source addresses (so over shards).
+Trace make_trace(size_t n, uint32_t flows = 1) {
   Trace t;
   for (size_t i = 0; i < n; ++i) {
     netio::TcpOpts tcp;
     tcp.seq = static_cast<uint32_t>(i);
+    const uint32_t src_ip =
+        0x0a000001 + static_cast<uint32_t>(i % flows) * 0x100;
     t.raw.push_back(RawPacket{
         100.0 + 0.01 * static_cast<double>(i),
-        netio::build_tcp(kMacA, kMacB, 0x0a000001, 0x0a000002, 1234, 80, tcp,
+        netio::build_tcp(kMacA, kMacB, src_ip, 0x0a000002, 1234, 80, tcp,
                          Bytes(i % 7, 0x61))});
   }
   netio::parse_trace(t);
   return t;
-}
-
-SourcePacket sp(uint32_t i) {
-  SourcePacket p;
-  p.capture_index = i;
-  p.pkt.ts = i;
-  return p;
-}
-
-TEST(BoundedQueue, BlocksUntilConsumerFrees) {
-  BoundedPacketQueue q(2, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.push(sp(2)));  // blocks until a pop frees a slot
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-
-  SourcePacket out;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.capture_index, 0u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.dropped(), 0u);
-  EXPECT_EQ(q.high_water(), 2u);
-}
-
-TEST(BoundedQueue, DropOldestEvictsAndCounts) {
-  BoundedPacketQueue q(2, OverflowPolicy::kDropOldest);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-  ASSERT_TRUE(q.push(sp(2)));  // evicts 0
-  ASSERT_TRUE(q.push(sp(3)));  // evicts 1
-  EXPECT_EQ(q.dropped(), 2u);
-
-  SourcePacket out;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.capture_index, 2u);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.capture_index, 3u);
-}
-
-TEST(BoundedQueue, LateAttachedMirrorCatchesUpOnPreAttachDrops) {
-  // Regression: drops that happened before attach_telemetry used to be
-  // lost from the mirror forever — the counter and dropped() disagreed for
-  // the rest of the queue's life. Attachment now folds them in, and the
-  // shared locked bookkeeping keeps the two in lockstep afterwards.
-  BoundedPacketQueue q(2, OverflowPolicy::kDropOldest);
-  for (uint32_t i = 0; i < 5; ++i) ASSERT_TRUE(q.push(sp(i)));
-  EXPECT_EQ(q.dropped(), 3u);
-
-  telemetry::Registry reg;
-  telemetry::Counter& dropped = reg.counter("q.dropped");
-  q.attach_telemetry(nullptr, nullptr, &dropped);
-  EXPECT_EQ(dropped.value(), 3u);  // pre-attach drops folded in
-
-  ASSERT_TRUE(q.push(sp(5)));  // evicts one more
-  EXPECT_EQ(q.dropped(), 4u);
-  EXPECT_EQ(dropped.value(), 4u);  // mirror moved with the drop decision
-}
-
-TEST(BoundedQueue, DropMirrorNeverRunsAheadUnderConcurrentPops) {
-  // The counter bump shares the drop's critical section, so a scraper that
-  // samples the mirror first and the authoritative count second must never
-  // see mirror > dropped() — the one-batch divergence this ordering
-  // forbids. Hammered from three sides to give TSan something to chew on.
-  BoundedPacketQueue q(4, OverflowPolicy::kDropOldest);
-  telemetry::Registry reg;
-  telemetry::Counter& mirror = reg.counter("q.dropped");
-  q.attach_telemetry(nullptr, nullptr, &mirror);
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> ordered{true};
-  std::thread scraper([&] {
-    while (!stop.load()) {
-      const uint64_t mirrored = mirror.value();
-      const uint64_t authoritative = q.dropped();  // sampled after
-      if (mirrored > authoritative) ordered.store(false);
-    }
-  });
-  std::thread consumer([&] {
-    std::vector<SourcePacket> batch;
-    for (int i = 0; i < 200; ++i) q.pop_batch(batch, 3);
-  });
-  for (uint32_t i = 0; i < 4000; ++i) ASSERT_TRUE(q.push(sp(i)));
-  stop.store(true);
-  scraper.join();
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(ordered.load());
-  EXPECT_GT(q.dropped(), 0u);
-  EXPECT_EQ(mirror.value(), q.dropped());
-}
-
-TEST(BoundedQueue, CloseDrainsThenStops) {
-  BoundedPacketQueue q(4, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  q.close();
-  EXPECT_FALSE(q.push(sp(1)));  // closed: no new packets
-  SourcePacket out;
-  ASSERT_TRUE(q.pop(out));  // buffered packet still poppable
-  EXPECT_FALSE(q.pop(out));
 }
 
 TEST(Source, TraceReplayYieldsAllPacketsInOrder) {
@@ -252,12 +150,6 @@ TEST(Source, FaultSourceResetReplaysIdentically) {
 }
 
 // A trivial deterministic scorer: alert on any payload-carrying packet.
-IngestRuntime::Options one_consumer() {
-  IngestRuntime::Options o;
-  o.consumers = 1;
-  return o;
-}
-
 core::ScorerFactory payload_scorer() {
   return [](size_t) {
     return std::make_unique<FnScorer>(
@@ -272,7 +164,7 @@ TEST(Runtime, ScoresEveryPacketAndCountsAlerts) {
   Trace t = make_trace(21);  // payload sizes cycle 0..6: 18 of 21 non-empty
   TraceReplaySource src(t);
   CollectingSink sink;
-  IngestRuntime rt(one_consumer(), payload_scorer(), &sink);
+  IngestRuntime rt(IngestRuntime::Options{}, payload_scorer(), &sink);
   auto stats = rt.run(src);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().enqueued, 21u);
@@ -285,11 +177,11 @@ TEST(Runtime, ScoresEveryPacketAndCountsAlerts) {
 }
 
 TEST(Runtime, MultiConsumerConservesPackets) {
-  Trace t = make_trace(400);
-  for (size_t consumers : {2u, 4u}) {
+  Trace t = make_trace(400, 8);
+  for (size_t shards : {2u, 4u}) {
     TraceReplaySource src(t);
     IngestRuntime::Options opts;
-    opts.consumers = consumers;
+    opts.shards = shards;
     CollectingSink sink;
     IngestRuntime rt(opts, payload_scorer(), &sink);
     auto stats = rt.run(src);
@@ -310,38 +202,13 @@ TEST(Runtime, FaultySourceSkipsUnparseableKeepsRest) {
   faults.seed = 11;
   FaultInjectingSource src(inner, faults);
   CollectingSink sink;
-  IngestRuntime rt(one_consumer(), payload_scorer(), &sink);
+  IngestRuntime rt(IngestRuntime::Options{}, payload_scorer(), &sink);
   auto stats = rt.run(src);
   ASSERT_TRUE(stats.ok());
   const IngestStats& s = stats.value();
   EXPECT_EQ(s.enqueued, 300u);
   EXPECT_GT(s.parse_skipped, 0u);
   EXPECT_EQ(s.scored + s.parse_skipped, 300u);
-}
-
-TEST(Runtime, DropOldestUnderSlowConsumerCountsDrops) {
-  Trace t = make_trace(200);
-  TraceReplaySource src(t);
-  IngestRuntime::Options opts;
-  opts.consumers = 1;
-  opts.queue_capacity = 4;
-  opts.overflow = OverflowPolicy::kDropOldest;
-  // A slow scorer guarantees the tiny queue overflows.
-  auto slow = [](size_t) {
-    return std::make_unique<FnScorer>(
-        [](const netio::PacketView&) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          return 0.0;
-        },
-        1.0);
-  };
-  IngestRuntime rt(opts, slow, nullptr);
-  auto stats = rt.run(src);
-  ASSERT_TRUE(stats.ok());
-  const IngestStats& s = stats.value();
-  EXPECT_GT(s.dropped, 0u);
-  EXPECT_EQ(s.scored, s.enqueued - s.dropped);
-  EXPECT_LE(s.queue_high_water, 4u);
 }
 
 TEST(Runtime, PacedAndUnpacedReplayAlertIdentically) {
@@ -353,7 +220,7 @@ TEST(Runtime, PacedAndUnpacedReplayAlertIdentically) {
     opts.max_sleep = 0.001;
     TraceReplaySource src(t, opts);
     CollectingSink sink;
-    IngestRuntime rt(one_consumer(), payload_scorer(), &sink);
+    IngestRuntime rt(IngestRuntime::Options{}, payload_scorer(), &sink);
     auto stats = rt.run(src);
     EXPECT_TRUE(stats.ok());
     return sink.alerts().size();
@@ -372,7 +239,7 @@ TEST(Runtime, KitsuneScorerDetectsOnTheStream) {
   TraceReplaySource src(ds.trace, replay);
   CollectingSink sink;
   IngestRuntime rt(
-      one_consumer(),
+      IngestRuntime::Options{},
       [&proto](size_t) { return std::make_unique<core::KitsuneScorer>(proto); },
       &sink);
   auto stats = rt.run(src);
@@ -387,11 +254,124 @@ TEST(Runtime, KitsuneScorerDetectsOnTheStream) {
   }
 }
 
+// Replays a trace's frames from `begin`, tagging each with tenant 1 or 2
+// by a fixed rule on its capture index. `only` != 0 keeps just that
+// tenant's sub-stream.
+uint32_t tenant_of(uint32_t capture_index) {
+  return capture_index % 3 == 0 ? 2 : 1;
+}
+
+class TenantTaggingDriver : public netio::SourceDriver {
+ public:
+  TenantTaggingDriver(const Trace& t, size_t begin, uint32_t only)
+      : t_(t), begin_(begin), only_(only) {}
+  netio::LinkType link() const override { return t_.link; }
+  Result<void> drive(netio::FrameFeed& feed,
+                     const std::atomic<bool>& stop) override {
+    for (size_t i = begin_; i < t_.raw.size() && !stop.load(); ++i) {
+      SourcePacket sp;
+      sp.pkt = t_.raw[i];
+      sp.capture_index = t_.view[i].index;
+      sp.tenant = tenant_of(sp.capture_index);
+      if (only_ != 0 && sp.tenant != only_) continue;
+      for (;;) {
+        const netio::FeedStatus st = feed.offer(sp);
+        if (st == netio::FeedStatus::kAccepted ||
+            st == netio::FeedStatus::kShed)
+          break;
+        if (st == netio::FeedStatus::kClosed || !feed.wait_ready()) return {};
+      }
+    }
+    return {};
+  }
+
+ private:
+  const Trace& t_;
+  size_t begin_;
+  uint32_t only_;
+};
+
+struct TenantRecord {
+  uint32_t index = 0;
+  double score = 0.0;
+  bool alerted = false;
+  bool operator==(const TenantRecord&) const = default;
+};
+
+class TenantRecorder : public core::AlertSink {
+ public:
+  void on_alert(const core::Alert& a) override { alerts.push_back(a); }
+  void on_packet(const netio::PacketView& v, double score,
+                 bool alerted) override {
+    recs.push_back(TenantRecord{v.index, score, alerted});
+  }
+  std::vector<TenantRecord> recs;
+  std::vector<core::Alert> alerts;
+};
+
+// Two tenants interleaved in every claimed batch, each scored by its own
+// stateful KitsuneScorer, must score exactly as if each tenant's traffic
+// had been replayed alone: per-tenant partitions keep each scorer's
+// packets in arrival order and its threshold its own.
+TEST(Runtime, InterleavedTenantsMatchSoloRuns) {
+  const trace::Dataset ds = trace::make_dataset("P1", 0.1);
+  const size_t grace = ds.trace.view.size() * 45 / 100;
+  // Distinct models per tenant, so a scorer or threshold mix-up shows.
+  core::OnlineKitsune proto1, proto2;
+  proto1.train({ds.trace.view.data(), grace});
+  proto2.train({ds.trace.view.data(), grace * 2 / 3});
+  ASSERT_NE(proto1.threshold(), proto2.threshold());
+
+  const auto run = [&](uint32_t only) {
+    IngestRuntime::Options opts;
+    opts.registry = nullptr;
+    TenantRecorder sink;
+    IngestRuntime rt(opts, payload_scorer(), &sink);
+    EXPECT_TRUE(rt.register_tenant(1, [&proto1](size_t) {
+      return std::make_unique<core::KitsuneScorer>(proto1);
+    }));
+    EXPECT_TRUE(rt.register_tenant(2, [&proto2](size_t) {
+      return std::make_unique<core::KitsuneScorer>(proto2);
+    }));
+    TenantTaggingDriver driver(ds.trace, grace, only);
+    EXPECT_TRUE(rt.run(driver).ok());
+    return sink;
+  };
+  const TenantRecorder mixed = run(0);
+  ASSERT_EQ(mixed.recs.size(), ds.trace.view.size() - grace);
+
+  size_t total_alerts = 0;
+  for (const uint32_t t : {1u, 2u}) {
+    SCOPED_TRACE(t);
+    const TenantRecorder solo = run(t);
+    ASSERT_FALSE(solo.recs.empty());
+    std::vector<TenantRecord> got;
+    for (const TenantRecord& r : mixed.recs) {
+      if (tenant_of(r.index) == t) got.push_back(r);
+    }
+    EXPECT_EQ(got, solo.recs);  // bit-identical scores, order and flags
+    std::vector<core::Alert> got_alerts;
+    for (const core::Alert& a : mixed.alerts) {
+      EXPECT_EQ(a.tenant, tenant_of(a.capture_index));
+      if (a.tenant == t) got_alerts.push_back(a);
+    }
+    ASSERT_EQ(got_alerts.size(), solo.alerts.size());
+    for (size_t i = 0; i < got_alerts.size(); ++i) {
+      EXPECT_EQ(got_alerts[i].capture_index, solo.alerts[i].capture_index);
+      EXPECT_EQ(got_alerts[i].score, solo.alerts[i].score);
+      EXPECT_EQ(got_alerts[i].threshold, solo.alerts[i].threshold);
+    }
+    total_alerts += solo.alerts.size();
+  }
+  // The comparison must not be vacuous: the Mirai segment fires.
+  EXPECT_GT(total_alerts, 0u);
+}
+
 TEST(Runtime, RequestStopWindsDownGracefully) {
   Trace t = make_trace(5000);
   TraceReplaySource src(t);
   IngestRuntime::Options opts;
-  opts.consumers = 2;
+  opts.shards = 2;
   opts.queue_capacity = 8;
   IngestRuntime rt(opts, payload_scorer(), nullptr);
   std::thread stopper([&] {
@@ -406,49 +386,8 @@ TEST(Runtime, RequestStopWindsDownGracefully) {
   EXPECT_EQ(s.scored + s.parse_skipped, s.enqueued - s.dropped);
 }
 
-TEST(BoundedQueue, PopBatchDrainsUpToMax) {
-  BoundedPacketQueue q(8, OverflowPolicy::kBlock);
-  for (uint32_t i = 0; i < 5; ++i) ASSERT_TRUE(q.push(sp(i)));
-  std::vector<SourcePacket> batch;
-  EXPECT_EQ(q.pop_batch(batch, 3), 3u);
-  ASSERT_EQ(batch.size(), 3u);
-  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(batch[i].capture_index, i);
-  EXPECT_EQ(q.pop_batch(batch, 100), 2u);  // capped by queue content
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].capture_index, 3u);
-  EXPECT_EQ(batch[1].capture_index, 4u);
-  q.close();
-  EXPECT_EQ(q.pop_batch(batch, 4), 0u);  // closed and drained
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(BoundedQueue, PopBatchDrainsBufferedAfterClose) {
-  BoundedPacketQueue q(8, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-  q.close();
-  std::vector<SourcePacket> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8), 2u);  // buffered packets still poppable
-  EXPECT_EQ(q.pop_batch(batch, 8), 0u);
-}
-
-TEST(BoundedQueue, PopBatchFreesBlockedProducer) {
-  BoundedPacketQueue q(2, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.push(sp(2)));  // blocks until pop_batch frees slots
-    pushed.store(true);
-  });
-  std::vector<SourcePacket> batch;
-  EXPECT_EQ(q.pop_batch(batch, 2), 2u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
 // The exact alert set must not depend on the batching knob: batch size
-// only changes lock amortization, never which packets alert.
+// only changes hand-off amortization, never which packets alert.
 TEST(Runtime, BatchedAlertFlushPreservesAlertSet) {
   Trace t = make_trace(300);
 
@@ -461,7 +400,6 @@ TEST(Runtime, BatchedAlertFlushPreservesAlertSet) {
   for (size_t batch : {1u, 7u, 64u, 1024u}) {
     TraceReplaySource src(t);
     IngestRuntime::Options opts;
-    opts.consumers = 1;
     opts.consumer_batch = batch;
     CollectingSink sink;
     IngestRuntime rt(opts, payload_scorer(), &sink);
@@ -477,13 +415,13 @@ TEST(Runtime, BatchedAlertFlushPreservesAlertSet) {
 }
 
 TEST(Runtime, MultiConsumerBatchedFlushConservesAlerts) {
-  Trace t = make_trace(500);
+  Trace t = make_trace(500, 8);
   size_t expected_alerts = 0;
   for (const auto& v : t.view) expected_alerts += v.payload_len > 0 ? 1 : 0;
-  for (size_t consumers : {2u, 4u}) {
+  for (size_t shards : {2u, 4u}) {
     TraceReplaySource src(t);
     IngestRuntime::Options opts;
-    opts.consumers = consumers;
+    opts.shards = shards;
     opts.consumer_batch = 16;
     CollectingSink sink;
     IngestRuntime rt(opts, payload_scorer(), &sink);
@@ -495,59 +433,14 @@ TEST(Runtime, MultiConsumerBatchedFlushConservesAlerts) {
   }
 }
 
-// Stress the queue's telemetry mirrors: producers racing drop-oldest
-// eviction against batched consumers must never lose a drop or high-water
-// update, and the attached instruments must agree with the queue's own
-// accounting once everything drains. Run under tools/check_tsan.sh to get
-// the race coverage this test exists for.
-TEST(BoundedQueue, TelemetryMirrorsStayExactUnderStress) {
-  telemetry::Registry reg;
-  telemetry::Gauge& depth = reg.gauge("q.depth");
-  telemetry::Gauge& high_water = reg.gauge("q.high_water");
-  telemetry::Counter& dropped = reg.counter("q.dropped");
-  BoundedPacketQueue q(8, OverflowPolicy::kDropOldest);
-  q.attach_telemetry(&depth, &high_water, &dropped);
-
-  constexpr size_t kProducers = 3, kConsumers = 3;
-  constexpr uint32_t kPerProducer = 4000;
-  std::atomic<uint64_t> popped{0};
-  std::vector<std::thread> producers, consumers;
-  for (size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q] {
-      for (uint32_t i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(q.push(sp(i)));  // drop-oldest: push never fails
-      }
-    });
-  }
-  for (size_t c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&q, &popped] {
-      std::vector<SourcePacket> batch;
-      while (q.pop_batch(batch, 16) > 0) {
-        popped.fetch_add(batch.size(), std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  q.close();
-  for (std::thread& t : consumers) t.join();
-
-  const uint64_t pushed = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load() + q.dropped(), pushed);
-  EXPECT_EQ(dropped.value(), q.dropped());
-  EXPECT_DOUBLE_EQ(high_water.value(), static_cast<double>(q.high_water()));
-  EXPECT_LE(q.high_water(), 8u);
-  EXPECT_GE(q.high_water(), 1u);
-  EXPECT_DOUBLE_EQ(depth.value(), 0.0);  // fully drained
-}
-
 // The IngestStats façade must read back exactly what the registry holds:
 // same run, same numbers, whether consumed through stats() or a Snapshot.
 TEST(Runtime, StatsRoundTripThroughTelemetrySnapshot) {
-  Trace t = make_trace(210);
+  Trace t = make_trace(210, 8);
   TraceReplaySource src(t);
   telemetry::Registry reg;
   IngestRuntime::Options opts;
-  opts.consumers = 2;
+  opts.shards = 2;
   opts.consumer_batch = 16;
   opts.registry = &reg;
   opts.instrument_prefix = "t.";
@@ -595,39 +488,18 @@ TEST(Runtime, StatsAreDeltasPerRun) {
   EXPECT_EQ(reg.snapshot().counter_value("ingest.scored"), 280u);
 }
 
-// Options.registry == nullptr (the uninstrumented baseline) must still
-// produce full, correct stats through the runtime-local registry.
-TEST(Runtime, NullRegistryStillAccounts) {
-  Trace t = make_trace(63);
-  TraceReplaySource src(t);
-  IngestRuntime::Options opts;
-  opts.registry = nullptr;
-  opts.queue_capacity = 4;
-  opts.overflow = OverflowPolicy::kDropOldest;
-  IngestRuntime rt(opts, payload_scorer(), nullptr);
-  auto stats = rt.run(src);
-  ASSERT_TRUE(stats.ok());
-  const IngestStats& s = stats.value();
-  EXPECT_EQ(s.enqueued, 63u);
-  EXPECT_EQ(s.scored + s.parse_skipped, s.enqueued - s.dropped);
-  EXPECT_GE(s.queue_high_water, 1u);
-  // Extended instruments are skipped in this mode.
-  EXPECT_EQ(rt.registry().snapshot().find_histogram("ingest.stage.extract_ns"),
-            nullptr);
-}
-
 // Regression: back-to-back runs against one shared registry used to leak
 // the previous run's queue.high_water gauge (and with it the stats façade's
 // queue numbers) into the next run, because gauges — unlike counters — are
-// absolute and were never re-zeroed when a queue re-attached. Force drops
-// in every run and check each run's accounting closes on its own numbers.
+// absolute and were never re-zeroed between runs. Force drops in every run
+// (a slow consumer behind a tiny ring) and check each run's accounting
+// closes on its own numbers.
 TEST(Runtime, TwoRunsOneRegistryKeepDropAccountingExact) {
   Trace t = make_trace(160);
   telemetry::Registry reg;
   IngestRuntime::Options opts;
-  opts.consumers = 1;
   opts.queue_capacity = 4;
-  opts.overflow = OverflowPolicy::kDropOldest;
+  opts.overflow = OverflowPolicy::kDropNewest;
   opts.registry = &reg;
   opts.instrument_prefix = "shared.";
   auto slow = [](size_t) {
@@ -653,7 +525,7 @@ TEST(Runtime, TwoRunsOneRegistryKeepDropAccountingExact) {
     EXPECT_EQ(s.enqueued, 160u) << "run " << run;
     EXPECT_EQ(s.scored + s.parse_skipped + s.dropped, s.enqueued)
         << "run " << run;
-    EXPECT_GT(s.dropped, 0u) << "run " << run;  // the tiny queue overflowed
+    EXPECT_GT(s.dropped, 0u) << "run " << run;  // the tiny ring overflowed
     EXPECT_LE(s.queue_high_water, 4u) << "run " << run;
     total_enqueued += s.enqueued;
     total_dropped += s.dropped;
@@ -685,7 +557,6 @@ TEST(Runtime, TwoRunsOneRegistryKeepDropAccountingExact) {
   EXPECT_EQ(snap.counter_value("shared.parse_skipped"), total_skipped);
   EXPECT_EQ(static_cast<size_t>(snap.gauge_value("shared.queue.high_water")),
             last.queue_high_water);
-  EXPECT_DOUBLE_EQ(snap.gauge_value("shared.queue.depth"), 0.0);
 }
 
 TEST(Runtime, ConsumerExceptionPropagatesToCaller) {
@@ -698,7 +569,7 @@ TEST(Runtime, ConsumerExceptionPropagatesToCaller) {
         },
         1.0);
   };
-  IngestRuntime rt(one_consumer(), throwing, nullptr);
+  IngestRuntime rt(IngestRuntime::Options{}, throwing, nullptr);
   EXPECT_THROW((void)rt.run(src), std::runtime_error);
 }
 

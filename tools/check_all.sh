@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
 cmake -B "$BUILD" -S .
-cmake --build "$BUILD" -j
+cmake --build "$BUILD" -j "$(nproc)"
 (cd "$BUILD" && ctest --output-on-failure -j)
 
 tools/check_tsan.sh

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Throughput regression gates:
-#  * bench_ingest — fail if the 4-consumer configuration scores fewer
-#    packets per second than the 1-consumer one (the de-serialized ingest
-#    path must never make adding consumers a loss); fail if the
-#    micro-batched online scoring path is slower than the row-at-a-time
+#  * bench_ingest — fail if the 4-shard configuration scores fewer
+#    packets per second than the 1-shard one (adding shards must never be
+#    a loss; the JSON key is `consumers`, one consumer per shard); fail if
+#    the micro-batched online scoring path is slower than the row-at-a-time
 #    baseline, or if its alert set diverged from the row-at-a-time run;
-#    fail the shard-scaling gate if the sharded path regresses (multi-core
-#    hosts: 4-shard drain must reach 2x the 1-shard drain; single-core
-#    hosts: the 1-shard drain must stay within 10% of the single-queue
-#    drain), if the sharded record stream diverged from the single-queue
-#    one, or if the hot-swap run lost packets or never applied a swap;
+#    fail the shard-scaling gate if the 4-shard drain falls below 2x the
+#    1-shard drain (hosts with >= 4 hardware threads; skipped below that),
+#    if the 1-shard runtime's records diverged from sequential
+#    OnlineKitsune::score_packets over the same views, or if the hot-swap
+#    run lost packets or never applied a swap;
 #    fail the socket gate if the loopback TCP gateway drain falls below
 #    0.8x the in-process replay drain, if the socket-ingested record
 #    stream diverged from replay, or if per-connection accounting lost
@@ -140,7 +140,7 @@ selftest
 echo "check_bench: JSON parser self-test passed"
 
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j --target bench_ingest bench_ml bench_telemetry bench_stream
+cmake --build "$BUILD" -j "$(nproc)" --target bench_ingest bench_ml bench_telemetry bench_stream
 
 "$BUILD/bench/bench_ingest"
 
@@ -149,19 +149,20 @@ JSON="BENCH_ingest.json"
 [ -f "$JSON" ] || { echo "check_bench: $JSON not produced" >&2; exit 1; }
 
 rate_for() {
-  # Extract pkts_per_sec for a consumer count from the configs array.
+  # Extract pkts_per_sec for a shard count from the configs array (one
+  # consumer per shard, so the key is `consumers`).
   json_pair "$JSON" consumers "$1" pkts_per_sec
 }
 
 ONE="$(rate_for 1)"
 FOUR="$(rate_for 4)"
 [ -n "$ONE" ] && [ -n "$FOUR" ] || {
-  echo "check_bench: could not parse consumer rates from $JSON" >&2
+  echo "check_bench: could not parse shard rates from $JSON" >&2
   exit 1
 }
 
 if awk -v a="$FOUR" -v b="$ONE" 'BEGIN { exit !(a < b) }'; then
-  echo "check_bench: FAIL — 4-consumer ($FOUR pkts/s) below 1-consumer ($ONE pkts/s)" >&2
+  echo "check_bench: FAIL — 4 shards ($FOUR pkts/s) below 1 shard ($ONE pkts/s)" >&2
   exit 1
 fi
 
@@ -170,7 +171,7 @@ if [ "$(json_num "$JSON" paced_deterministic)" != "true" ]; then
   exit 1
 fi
 
-echo "check_bench: 4-consumer $FOUR pkts/s >= 1-consumer $ONE pkts/s"
+echo "check_bench: 4 shards $FOUR pkts/s >= 1 shard $ONE pkts/s"
 
 # --- online path: micro-batched scoring must beat row-at-a-time ----------
 ROW_NS="$(json_num "$JSON" row_score_ns_per_pkt)"
@@ -254,10 +255,9 @@ done < <(json_named_nums "$JSON" model compiled_vs_reference)
 echo "check_bench: all compiled model plans at or above reference throughput"
 
 # --- sharded ingestion: scaling, equivalence, hot swap -------------------
-SHARD_VS_SQ="$(json_num "$JSON" sharded_vs_single_queue)"
 SCALING="$(json_num "$JSON" scaling_4shard_vs_1shard)"
 MULTI_CORE="$(json_num "$JSON" multi_core)"
-[ -n "$SHARD_VS_SQ" ] && [ -n "$SCALING" ] && [ -n "$MULTI_CORE" ] || {
+[ -n "$SCALING" ] && [ -n "$MULTI_CORE" ] || {
   echo "check_bench: could not parse sharded section from $JSON" >&2
   exit 1
 }
@@ -271,18 +271,12 @@ if [ "$MULTI_CORE" = "true" ]; then
   fi
   echo "check_bench: 4-shard drain ${SCALING}x the 1-shard drain (multi-core host)"
 else
-  # One core time-slices the shard threads, so scaling is meaningless;
-  # instead the routing layer itself must stay cheap: the 1-shard drain
-  # must hold at least 0.9x the single-queue drain.
-  if awk -v r="$SHARD_VS_SQ" 'BEGIN { exit !(r < 0.9) }'; then
-    echo "check_bench: FAIL — sharded drain at ${SHARD_VS_SQ}x of single-queue (need >= 0.9x on a single-core host)" >&2
-    exit 1
-  fi
-  echo "check_bench: sharded drain ${SHARD_VS_SQ}x of single-queue (single-core host)"
+  # Fewer cores time-slice the shard threads, so scaling says nothing.
+  echo "check_bench: shard-scaling gate skipped (fewer than 4 hardware threads; 4-shard drain ${SCALING}x the 1-shard drain)"
 fi
 
 if [ "$(json_num "$JSON" sharded_alerts_identical)" != "true" ]; then
-  echo "check_bench: FAIL — sharded record stream diverged from the single-queue run" >&2
+  echo "check_bench: FAIL — 1-shard runtime records diverged from sequential OnlineKitsune::score_packets" >&2
   exit 1
 fi
 
@@ -296,7 +290,7 @@ if awk -v s="${SWAPS:-0}" 'BEGIN { exit !(s < 1) }'; then
   exit 1
 fi
 
-echo "check_bench: sharded records identical, hot swap applied ${SWAPS}x and accounted"
+echo "check_bench: 1-shard records match sequential scoring, hot swap applied ${SWAPS}x and accounted"
 
 # --- socket front-end: gateway drain, alert identity, accounting ---------
 SOCK_VS_REPLAY="$(json_num "$JSON" socket_vs_replay)"

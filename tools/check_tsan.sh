@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-tsan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j --target parallel_test sweep_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test flat_map_test dense_test compiled_model_test telemetry_test
+cmake --build "$BUILD" -j "$(nproc)" --target parallel_test sweep_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test flat_map_test dense_test compiled_model_test telemetry_test
 
 # Oversubscribe the pool past hardware_concurrency to shake out races;
 # LUMEN_THREADS_FORCE bypasses the default clamp to the core count.
