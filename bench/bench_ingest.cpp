@@ -23,11 +23,7 @@
 #include "core/stream.h"
 #include "features/table.h"
 #include "ml/compiled.h"
-#include "ml/forest.h"
-#include "ml/gmm.h"
-#include "ml/kernel.h"
-#include "ml/knn.h"
-#include "ml/linear.h"
+#include "ml/mlp.h"
 #include "netio/frontend.h"
 #include "netio/parse.h"
 #include "netio/source.h"
@@ -336,18 +332,18 @@ int main() {
   // math only (no extraction in any number). KitNET and AutoEncoder time
   // the per-row reference as `row`, their f64 plan — the models' own
   // scoring path — as `batched` at the default micro-batch, and the f32
-  // plan as `compiled`. The table models time Model::score against their
-  // wrapped f64 plan, which is exact by construction.
+  // plan as `compiled`. The table models have no plan; bench_ml times each
+  // one's batched score() against its per-row oracle.
   struct ModelOnline {
     const char* name = nullptr;
-    double row_ns = 0.0;       // per-row reference (0 = no row path)
-    double batched_ns = 0.0;   // f64 plan micro-batches (0 = table model)
+    double row_ns = 0.0;       // per-row reference
+    double batched_ns = 0.0;   // f64 plan micro-batches
     double reference_ns = 0.0; // the model's own path, the compiled baseline
-    double compiled_ns = 0.0;  // compiled plan, same batching as reference
+    double compiled_ns = 0.0;  // f32 plan, same batching as reference
     const char* precision = "f64";
   };
   std::vector<ModelOnline> online_models;
-  bool table_compile_ok = true;
+  bool f32_compile_ok = true;
   {
     core::KitsuneExtractor ex;
     const size_t fdim = ex.dim();
@@ -394,7 +390,7 @@ int main() {
           if (f32.ok()) {
             f32_ns = time_plan(f32.value());
           } else {
-            table_compile_ok = false;
+            f32_compile_ok = false;
           }
           online_models.push_back(ModelOnline{mname, row_s / n * 1e9, f64_ns,
                                               f64_ns, f32_ns, "f32"});
@@ -436,87 +432,11 @@ int main() {
               ae, {ml::compiled::Precision::kF32}));
     }
 
-    // Table-model scorers, trained on a labeled subsample of the streamed
-    // features and timed over a fixed eval slice through Model::score vs
-    // the wrapped compiled plan (both paths chunk internally). Labels map
-    // each sweep-stream row back to its original capture packet.
-    {
-      const size_t tail = ds.trace.raw.size() - grace;
-      auto label_of = [&](size_t view_i) -> int {
-        const size_t raw_j = big.view[view_i].index;
-        const size_t ci = grace + (raw_j % tail);
-        return ci < ds.pkt_label.size() ? ds.pkt_label[ci] : 0;
-      };
-      const size_t eval_rows = std::min<size_t>(sweep_packets, 4096);
-      const size_t train_rows = std::min<size_t>(sweep_packets, 2048);
-      features::FeatureTable Xe =
-          features::FeatureTable::make(eval_rows, ex.feature_names());
-      for (size_t i = 0; i < eval_rows; ++i) {
-        std::copy(feats.begin() + static_cast<std::ptrdiff_t>(i * fdim),
-                  feats.begin() + static_cast<std::ptrdiff_t>((i + 1) * fdim),
-                  Xe.row_mut(i).begin());
-        Xe.labels[i] = label_of(i);
-      }
-      features::FeatureTable Xt =
-          features::FeatureTable::make(train_rows, ex.feature_names());
-      const size_t stride = std::max<size_t>(1, sweep_packets / train_rows);
-      for (size_t i = 0; i < train_rows; ++i) {
-        const size_t src = std::min(i * stride, sweep_packets - 1);
-        std::copy(
-            feats.begin() + static_cast<std::ptrdiff_t>(src * fdim),
-            feats.begin() + static_cast<std::ptrdiff_t>((src + 1) * fdim),
-            Xt.row_mut(i).begin());
-        Xt.labels[i] = label_of(src);
-      }
-
-      constexpr int kTableReps = 3;
-      const auto add_table_model = [&](const char* mname, ml::Model& mdl) {
-        mdl.fit(Xt);
-        ml::ModelPtr compiled;
-        if (auto plan = ml::compiled::compile(mdl); plan.ok()) {
-          compiled = ml::compiled::wrap(std::move(plan).value(), mname);
-        } else {
-          std::fprintf(stderr, "compile(%s): %s\n", mname,
-                       plan.error().message.c_str());
-          table_compile_ok = false;
-          return;
-        }
-        double ref_s = 1e30, comp_s = 1e30;
-        for (int rep = 0; rep < kTableReps; ++rep) {
-          const Clock::time_point t0 = Clock::now();
-          (void)mdl.score(Xe);
-          ref_s = std::min(ref_s, seconds_since(t0));
-        }
-        for (int rep = 0; rep < kTableReps; ++rep) {
-          const Clock::time_point t0 = Clock::now();
-          (void)compiled->score(Xe);
-          comp_s = std::min(comp_s, seconds_since(t0));
-        }
-        const double ne = static_cast<double>(eval_rows);
-        online_models.push_back(ModelOnline{mname, 0.0, 0.0, ref_s / ne * 1e9,
-                                            comp_s / ne * 1e9, "f64"});
-      };
-
-      ml::RandomForest forest;
-      add_table_model("RandomForest", forest);
-      ml::Gmm::Config gc;
-      gc.components = 4;
-      ml::Gmm gmm(gc);
-      add_table_model("GMM", gmm);
-      ml::OneClassSvm ocsvm;
-      add_table_model("OCSVM", ocsvm);
-      ml::LinearSvm lsvm;
-      add_table_model("LinearSVM", lsvm);
-      ml::Knn knn;
-      add_table_model("KNN", knn);
-    }
-
     for (const ModelOnline& m : online_models) {
       std::printf("online model %s: reference %.0f ns/row, compiled(%s) "
-                  "%.0f ns/row (%.2fx)%s\n",
+                  "%.0f ns/row (%.2fx)\n",
                   m.name, m.reference_ns, m.precision, m.compiled_ns,
-                  m.compiled_ns > 0.0 ? m.reference_ns / m.compiled_ns : 0.0,
-                  m.batched_ns > 0.0 ? "" : " [table path]");
+                  m.compiled_ns > 0.0 ? m.reference_ns / m.compiled_ns : 0.0);
     }
     std::printf("\n");
   }
@@ -1131,7 +1051,7 @@ int main() {
   }
   return (deterministic && fault_accounted && alerts_identical &&
           sharded_alerts_identical && hot_swap_accounted &&
-          compiled_f64_identical && table_compile_ok &&
+          compiled_f64_identical && f32_compile_ok &&
           socket_alerts_identical && socket_accounted)
              ? 0
              : 1;

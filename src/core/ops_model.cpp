@@ -5,7 +5,6 @@
 #include "core/ops_common.h"
 #include "ml/automl.h"
 #include "ml/bayes.h"
-#include "ml/compiled.h"
 #include "ml/ensemble.h"
 #include "ml/forest.h"
 #include "ml/gmm.h"
@@ -201,14 +200,7 @@ Result<Value> run_predict(const OpSpec& spec,
 
   Predictions p;
   p.y_true = X.labels;
-  // Score through a compiled f64 plan when the model has one — bit-identical
-  // to the reference score() (the plan replays the same kernels in the same
-  // order), one weight-marshalling pass cheaper. Fall back otherwise.
-  ml::ModelPtr scorer = mv.model;
-  if (auto plan = ml::compiled::compile(*mv.model); plan.ok()) {
-    scorer = ml::compiled::wrap(std::move(plan).value(), mv.model->name());
-  }
-  p.scores = scorer->score(X);
+  p.scores = mv.model->score(X);
   if (const auto* kit = dynamic_cast<const ml::KitNet*>(mv.model.get())) {
     // KitNet::predict == threshold_predict(score(X), threshold()); reuse
     // the scores instead of paying a second full scoring pass.

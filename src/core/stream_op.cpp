@@ -10,7 +10,6 @@
 #include "core/ops_common.h"
 #include "features/stats.h"
 #include "features/transform.h"
-#include "ml/compiled.h"
 #include "ml/kitnet.h"
 
 namespace lumen::core {
@@ -587,25 +586,12 @@ class NormalizeOp final : public StreamOp {
 
 /// "predict": score each epoch's rows with the seeded batch-trained model,
 /// replicating run_predict (impute -> corr-filter -> normalizer -> model)
-/// on a copy, so the emitted aggregates stay raw. Per-row scores are
-/// independent of batch composition (the score_rows contract), so scoring
+/// on a copy, so the emitted aggregates stay raw. Model::score keeps row
+/// i's score independent of which rows share the table, so scoring
 /// epoch-by-epoch equals the batch engine's whole-table pass row for row.
 class ScoreOp final : public StreamOp {
  public:
-  explicit ScoreOp(ModelValue mv) : mv_(std::move(mv)) {
-    // Best-effort lowering into a compiled f64 plan (ml/compiled.h): the
-    // plan replays the reference kernels in the reference order, so scores
-    // are bit-identical and the epoch/batch equivalence guarantee is
-    // untouched; it only drops the per-epoch weight-marshalling overhead.
-    // Models without a compiled form keep scoring through the Model.
-    if (mv_.model != nullptr) {
-      auto plan = ml::compiled::compile(*mv_.model);
-      if (plan.ok()) {
-        compiled_ = ml::compiled::wrap(std::move(plan).value(),
-                                       mv_.model->name());
-      }
-    }
-  }
+  explicit ScoreOp(ModelValue mv) : mv_(std::move(mv)) {}
   const char* name() const override { return "predict"; }
 
   void push_rows(EpochBatch&& b) override {
@@ -615,7 +601,7 @@ class ScoreOp final : public StreamOp {
       features::impute_non_finite(X);
       if (mv_.corr_filter) X = mv_.corr_filter->apply(X);
       if (mv_.normalizer) mv_.normalizer->apply(X);
-      b.scores = compiled_ ? compiled_->score(X) : mv_.model->score(X);
+      b.scores = mv_.model->score(X);
       if (const auto* kit = dynamic_cast<const ml::KitNet*>(mv_.model.get())) {
         // KitNet::predict == threshold_predict(score(X), threshold()), and
         // score is deterministic — reuse the scores instead of paying a
@@ -632,7 +618,6 @@ class ScoreOp final : public StreamOp {
 
  private:
   ModelValue mv_;
-  ml::ModelPtr compiled_;  // null when the model has no compiled form
 };
 
 /// Terminal: hand the finished epoch to the embedder and keep the chain's

@@ -5,19 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
 
 #include "common/parallel.h"
 #include "ml/dense.h"
-#include "ml/forest.h"
-#include "ml/gmm.h"
-#include "ml/kernel.h"
 #include "ml/kitnet.h"
-#include "ml/knn.h"
-#include "ml/linear.h"
 #include "ml/mlp.h"
-#include "ml/tree.h"
 
 namespace lumen::ml::compiled {
 
@@ -369,330 +361,6 @@ class KitnetPlanF32 final : public NeuralPlan<float> {
   }
 };
 
-// ------------------------------------------------------------ Forest / Tree
-//
-// Flattened SoA node tables: feature / threshold / child-offset / leaf-value
-// parallel arrays for every tree in one block. Leaves carry feature -1, so
-// traversal descends until the loaded feature goes negative — it stops at
-// the leaf's actual depth like the reference walk (a fixed max-depth bound
-// pays the tree's worst case on every row) and takes the same
-// `x[feat] <= thr` branches to the same leaf, bit-identical to predict_row.
-class ForestPlan final : public Plan {
- public:
-  ForestPlan(const std::vector<const DecisionTree*>& trees, bool single_tree,
-             size_t dim) {
-    single_tree_ = single_tree;
-    dim_ = dim;
-    threshold_ = 0.5;
-    supervised_ = true;
-    inv_ = trees.empty() ? 0.0 : 1.0 / static_cast<double>(trees.size());
-    for (const DecisionTree* t : trees) {
-      const int32_t base = static_cast<int32_t>(feat_.size());
-      root_.push_back(base);
-      const auto& nodes = t->nodes();
-      if (nodes.empty()) {
-        // An empty tree scores 0; represent it as a single zero leaf.
-        feat_.push_back(-1);
-        thr_.push_back(0.0);
-        left_.push_back(base);
-        right_.push_back(base);
-        value_.push_back(0.0);
-        continue;
-      }
-      for (const auto& nd : nodes) {
-        if (nd.feature >= 0) {
-          feat_.push_back(nd.feature);
-          thr_.push_back(nd.threshold);
-          left_.push_back(base + nd.left);
-          right_.push_back(base + nd.right);
-        } else {
-          feat_.push_back(-1);
-          thr_.push_back(0.0);
-          left_.push_back(base);
-          right_.push_back(base);
-        }
-        value_.push_back(nd.p_malicious);
-      }
-    }
-    weight_bytes_ = feat_.size() * (sizeof(int32_t) * 3 + sizeof(double) * 2) +
-                    root_.size() * sizeof(int32_t);
-  }
-
-  const char* kind() const override { return single_tree_ ? "tree" : "forest"; }
-
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  Scratch&) const override {
-    const int32_t* feat = feat_.data();
-    const double* thr = thr_.data();
-    const int32_t* left = left_.data();
-    const int32_t* right = right_.data();
-    const size_t n_trees = root_.size();
-    for (size_t i = 0; i < m; ++i) {
-      const double* xi = x + i * ldx;
-      double acc = 0.0;
-      for (size_t t = 0; t < n_trees; ++t) {
-        int32_t id = root_[t];
-        for (int32_t f = feat[id]; f >= 0; f = feat[id]) {
-          id = xi[f] <= thr[id] ? left[id] : right[id];
-        }
-        acc += value_[static_cast<size_t>(id)];
-      }
-      out[i] = single_tree_ ? acc : acc * inv_;
-    }
-  }
-
- private:
-  std::vector<int32_t> feat_, left_, right_, root_;
-  std::vector<double> thr_, value_;
-  double inv_ = 0.0;
-  bool single_tree_ = false;
-};
-
-// ------------------------------------------------------------------- GMM
-//
-// The folded quadratic form copied into one arena; scoring replicates
-// Gmm::score_block (two GEMMs + per-row logsumexp) in kScoreBlock chunks.
-class GmmPlan final : public Plan {
- public:
-  GmmPlan(const Gmm::FoldedView& v, double threshold) {
-    dim_ = v.dim;
-    k_ = v.k;
-    threshold_ = threshold;
-    w1_ = arena_alloc(arena_, v.k * v.dim);
-    std::copy(v.w1, v.w1 + v.k * v.dim, arena_.begin() + w1_);
-    w2_ = arena_alloc(arena_, v.k * v.dim);
-    std::copy(v.w2, v.w2 + v.k * v.dim, arena_.begin() + w2_);
-    cst_ = arena_alloc(arena_, v.k);
-    std::copy(v.cst, v.cst + v.k, arena_.begin() + cst_);
-    weight_bytes_ = arena_.size() * sizeof(double);
-  }
-
-  const char* kind() const override { return "gmm"; }
-
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  Scratch& s) const override {
-    for (size_t lo = 0; lo < m; lo += dense::kScoreBlock) {
-      const size_t mb = std::min(dense::kScoreBlock, m - lo);
-      block(x + lo * ldx, mb, ldx, out + lo, s);
-    }
-  }
-
- private:
-  void block(const double* x, size_t m, size_t ldx, double* out,
-             Scratch& s) const {
-    s.a.resize(m * dim_);
-    for (size_t i = 0; i < m; ++i) {
-      const double* xi = x + i * ldx;
-      double* qi = s.a.data() + i * dim_;
-      for (size_t d = 0; d < dim_; ++d) qi[d] = xi[d] * xi[d];
-    }
-    s.b.resize(m * k_);
-    dense::gemm_nt(m, k_, dim_, s.a.data(), dim_, arena_.data() + w1_, dim_,
-                   arena_.data() + cst_, 0.0, s.b.data(), k_);
-    dense::gemm_nt(m, k_, dim_, x, ldx, arena_.data() + w2_, dim_, nullptr,
-                   1.0, s.b.data(), k_);
-    for (size_t i = 0; i < m; ++i) {
-      const double* li = s.b.data() + i * k_;
-      double maxl = -std::numeric_limits<double>::max();
-      for (size_t c = 0; c < k_; ++c) maxl = std::max(maxl, li[c]);
-      double denom = 0.0;
-      for (size_t c = 0; c < k_; ++c) denom += std::exp(li[c] - maxl);
-      out[i] = -(maxl + std::log(denom));
-    }
-  }
-
-  std::vector<double> arena_;
-  size_t k_ = 0;
-  size_t w1_ = 0, w2_ = 0, cst_ = 0;
-};
-
-// ------------------------------------------------------------------ OCSVM
-//
-// Compact support panel (vectors, alphas, norms) in one arena; scoring
-// replicates OneClassSvm::score's blocked sq_dist_batch + exp + GEMV.
-class OcsvmPlan final : public Plan {
- public:
-  OcsvmPlan(const OneClassSvm::SupportView& v, double threshold) {
-    dim_ = v.dim;
-    n_sv_ = v.n_sv;
-    gamma_ = v.gamma;
-    rho_ = v.rho;
-    threshold_ = threshold;
-    svx_ = arena_alloc(arena_, v.n_sv * v.dim);
-    std::copy(v.sv_x, v.sv_x + v.n_sv * v.dim, arena_.begin() + svx_);
-    alpha_ = arena_alloc(arena_, v.n_sv);
-    std::copy(v.sv_alpha, v.sv_alpha + v.n_sv, arena_.begin() + alpha_);
-    norms_ = arena_alloc(arena_, v.n_sv);
-    std::copy(v.sv_norms, v.sv_norms + v.n_sv, arena_.begin() + norms_);
-    weight_bytes_ = arena_.size() * sizeof(double);
-  }
-
-  const char* kind() const override { return "ocsvm"; }
-
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  Scratch& s) const override {
-    for (size_t lo = 0; lo < m; lo += dense::kScoreBlock) {
-      const size_t mb = std::min(dense::kScoreBlock, m - lo);
-      block(x + lo * ldx, mb, ldx, out + lo, s);
-    }
-  }
-
- private:
-  void block(const double* x, size_t m, size_t ldx, double* out,
-             Scratch& s) const {
-    s.a.resize(m * n_sv_);
-    dense::sq_dist_batch(m, n_sv_, dim_, x, ldx, arena_.data() + svx_, dim_,
-                         /*xn=*/nullptr, arena_.data() + norms_, s.a.data(),
-                         n_sv_);
-    double* kmat = s.a.data();
-    for (size_t i = 0; i < m * n_sv_; ++i) kmat[i] *= -gamma_;
-    dense::exp_sweep(m * n_sv_, kmat);
-    dense::gemv(m, n_sv_, kmat, n_sv_, arena_.data() + alpha_, nullptr, out);
-    for (size_t i = 0; i < m; ++i) out[i] = rho_ - out[i];
-  }
-
-  std::vector<double> arena_;
-  size_t n_sv_ = 0;
-  size_t svx_ = 0, alpha_ = 0, norms_ = 0;
-  double gamma_ = 0.0, rho_ = 0.0;
-};
-
-// ------------------------------------------------------------- linear family
-//
-// The standardizer folded into an effective hyperplane at compile time
-// (exactly the per-call fold the batched reference does), one GEMV at score
-// time plus the family's margin squash.
-class LinearPlan final : public Plan {
- public:
-  enum class Squash { kNone, kSigmoid, kSigmoid2x };
-
-  /// Standardized family (LinearSvm / LogisticRegression).
-  LinearPlan(const LinearModel::WeightsView& v, Squash squash) {
-    dim_ = v.dim;
-    squash_ = squash;
-    threshold_ = 0.5;
-    supervised_ = true;
-    w_ = arena_alloc(arena_, v.dim);
-    for (size_t c = 0; c < v.dim; ++c) {
-      arena_[w_ + c] = v.w[c] * v.inv_sd[c];
-    }
-    b_ = v.b - dense::dot(v.dim, arena_.data() + w_, v.mean);
-    weight_bytes_ = arena_.size() * sizeof(double);
-  }
-
-  /// Linear one-class SVM: out = rho - w.x, no squash, no standardizer.
-  LinearPlan(const LinearOneClassSvm::PlaneView& v, double threshold) {
-    dim_ = v.dim;
-    squash_ = Squash::kNone;
-    negate_ = true;
-    threshold_ = threshold;
-    w_ = arena_alloc(arena_, v.dim);
-    std::copy(v.w, v.w + v.dim, arena_.begin() + w_);
-    b_ = v.rho;
-    weight_bytes_ = arena_.size() * sizeof(double);
-  }
-
-  const char* kind() const override {
-    return negate_ ? "linear_ocsvm" : "linear";
-  }
-
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  Scratch&) const override {
-    dense::gemv(m, dim_, x, ldx, arena_.data() + w_, nullptr, out);
-    if (negate_) {
-      for (size_t i = 0; i < m; ++i) out[i] = b_ - out[i];
-      return;
-    }
-    switch (squash_) {
-      case Squash::kNone:
-        for (size_t i = 0; i < m; ++i) out[i] += b_;
-        break;
-      case Squash::kSigmoid:
-        for (size_t i = 0; i < m; ++i) {
-          out[i] = 1.0 / (1.0 + std::exp(-(out[i] + b_)));
-        }
-        break;
-      case Squash::kSigmoid2x:
-        for (size_t i = 0; i < m; ++i) {
-          out[i] = 1.0 / (1.0 + std::exp(-2.0 * (out[i] + b_)));
-        }
-        break;
-    }
-  }
-
- private:
-  std::vector<double> arena_;
-  size_t w_ = 0;
-  double b_ = 0.0;
-  Squash squash_ = Squash::kNone;
-  bool negate_ = false;
-};
-
-// -------------------------------------------------------------------- kNN
-//
-// Compacted training matrix + labels + the fit-time squared row norms;
-// scoring is the shared GEMM-expansion scan (the norms are copied from the
-// model, so results are bit-identical to Knn::score).
-class KnnPlan final : public Plan {
- public:
-  KnnPlan(const FeatureTable& train, const std::vector<double>& sqnorm,
-          size_t k) {
-    dim_ = train.cols;
-    n_train_ = train.rows;
-    k_ = std::min(k, train.rows);
-    threshold_ = 0.5;
-    supervised_ = true;
-    data_ = train.data;
-    labels_ = train.labels;
-    sqnorm_ = sqnorm;
-    weight_bytes_ = (data_.size() + sqnorm_.size()) * sizeof(double) +
-                    labels_.size() * sizeof(int);
-  }
-
-  const char* kind() const override { return "knn"; }
-
-  void score_rows(const double* x, size_t m, size_t ldx, double* out,
-                  Scratch& s) const override {
-    knn_score_rows_batched(x, m, ldx, data_.data(), n_train_, dim_,
-                           labels_.data(), sqnorm_.data(), k_, out, s.a,
-                           s.nn);
-  }
-
- private:
-  std::vector<double> data_;
-  std::vector<double> sqnorm_;  // ||t||^2 per training row
-  std::vector<int> labels_;
-  size_t n_train_ = 0, k_ = 0;
-};
-
-// ---------------------------------------------------------------- adapter
-
-class PlanModel final : public Model {
- public:
-  PlanModel(PlanPtr plan, std::string name)
-      : plan_(std::move(plan)), name_(std::move(name)) {}
-
-  void fit(const FeatureTable&) override {
-    // Compiled plans are immutable artifacts; refit the source model and
-    // recompile instead.
-  }
-
-  std::vector<double> score(const FeatureTable& X) const override {
-    return score_table(*plan_, X);
-  }
-
-  std::vector<int> predict(const FeatureTable& X) const override {
-    return threshold_predict(score(X), plan_->threshold());
-  }
-
-  std::string name() const override { return name_; }
-  bool is_supervised() const override { return plan_->supervised(); }
-
- private:
-  PlanPtr plan_;
-  std::string name_;
-};
-
 Error err(const std::string& what) { return Error::make("compile", what); }
 
 }  // namespace
@@ -701,9 +369,8 @@ Error err(const std::string& what) { return Error::make("compile", what); }
 
 std::vector<double> score_table(const Plan& plan, const FeatureTable& X) {
   std::vector<double> out(X.rows, 0.0);
-  // dim() is the minimum row width the plan reads (for tree plans it is
-  // the highest feature any split references + 1, which can be narrower
-  // than the training table); wider rows are fine — ldx carries X.cols.
+  // dim() is the minimum row width the plan reads; wider rows are fine —
+  // ldx carries X.cols.
   if (X.cols < plan.dim()) return out;
   const size_t nblocks =
       (X.rows + dense::kScoreBlock - 1) / dense::kScoreBlock;
@@ -751,75 +418,6 @@ Result<PlanPtr> compile_autoencoder(const AutoEncoderDetector& ae,
     return PlanPtr(std::make_shared<KitnetPlanF32>(*ae.core(), ae.threshold()));
   }
   return ae.plan();
-}
-
-Result<PlanPtr> compile(const Model& model, const Options& opts) {
-  if (const auto* kit = dynamic_cast<const KitNet*>(&model)) {
-    return compile_kitnet(*kit, opts);
-  }
-  if (const auto* aed = dynamic_cast<const AutoEncoderDetector*>(&model)) {
-    return compile_autoencoder(*aed, opts);
-  }
-  if (const auto* rf = dynamic_cast<const RandomForest*>(&model)) {
-    if (rf->trees().empty()) return err("RandomForest is not fitted");
-    std::vector<const DecisionTree*> trees;
-    size_t dim = 1;
-    for (const auto& t : rf->trees()) {
-      trees.push_back(&t);
-      for (const auto& nd : t.nodes()) {
-        if (nd.feature >= 0) {
-          dim = std::max(dim, static_cast<size_t>(nd.feature) + 1);
-        }
-      }
-    }
-    return PlanPtr(std::make_shared<ForestPlan>(trees, false, dim));
-  }
-  if (const auto* dt = dynamic_cast<const DecisionTree*>(&model)) {
-    if (dt->nodes().empty()) return err("DecisionTree is not fitted");
-    std::vector<const DecisionTree*> trees = {dt};
-    size_t dim = 1;
-    for (const auto& nd : dt->nodes()) {
-      if (nd.feature >= 0) {
-        dim = std::max(dim, static_cast<size_t>(nd.feature) + 1);
-      }
-    }
-    return PlanPtr(std::make_shared<ForestPlan>(trees, true, dim));
-  }
-  if (const auto* gmm = dynamic_cast<const Gmm*>(&model)) {
-    const Gmm::FoldedView v = gmm->folded_view();
-    if (v.w1 == nullptr) return err("GMM is not fitted");
-    return PlanPtr(std::make_shared<GmmPlan>(v, gmm->threshold()));
-  }
-  if (const auto* svm = dynamic_cast<const OneClassSvm*>(&model)) {
-    const OneClassSvm::SupportView v = svm->support_view();
-    if (v.sv_x == nullptr) return err("OneClassSVM is not fitted");
-    return PlanPtr(std::make_shared<OcsvmPlan>(v, svm->threshold()));
-  }
-  if (const auto* losvm = dynamic_cast<const LinearOneClassSvm*>(&model)) {
-    const LinearOneClassSvm::PlaneView v = losvm->plane_view();
-    if (v.w == nullptr) return err("LinearOCSVM is not fitted");
-    return PlanPtr(std::make_shared<LinearPlan>(v, losvm->threshold()));
-  }
-  if (const auto* lin = dynamic_cast<const LinearModel*>(&model)) {
-    const LinearModel::WeightsView v = lin->weights_view();
-    if (v.w == nullptr) return err("linear model is not fitted");
-    const bool logistic =
-        dynamic_cast<const LogisticRegression*>(&model) != nullptr;
-    return PlanPtr(std::make_shared<LinearPlan>(
-        v, logistic ? LinearPlan::Squash::kSigmoid
-                    : LinearPlan::Squash::kSigmoid2x));
-  }
-  if (const auto* knn = dynamic_cast<const Knn*>(&model)) {
-    const Knn::TrainView v = knn->train_view();
-    if (v.train == nullptr) return err("kNN is not fitted");
-    return PlanPtr(std::make_shared<KnnPlan>(*v.train, *v.sqnorm, v.k));
-  }
-  return err("no compiled form for model '" + model.name() + "'");
-}
-
-ModelPtr wrap(PlanPtr plan, std::string display_name) {
-  return std::make_shared<PlanModel>(std::move(plan),
-                                     std::move(display_name));
 }
 
 }  // namespace lumen::ml::compiled

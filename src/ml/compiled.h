@@ -1,39 +1,31 @@
-// Compiled inference: lower a fitted model into an immutable, cache-optimized
-// scoring plan — the deployable artifact the live path scores through.
+// Compiled inference: lower a fitted neural detector (KitNET or the
+// autoencoder) into an immutable, cache-optimized scoring plan — the
+// detector's one inference path and the deployable artifact the live path
+// scores through.
 //
-// compile() walks the fitted model's parameters once and emits a Plan whose
-// weights live in a single contiguous arena laid out in scoring order:
-//  * KitNET / AutoEncoder — fused single-pass encode→decode→RMSE over packed
-//    panels, with the per-cluster gather and the min-max normalization folded
-//    into the panel staging (gather indices + precomputed reciprocal ranges
-//    sit next to the weights they feed). The f64 plan is these models' only
-//    inference path: their fit() lowers the trained cores into it and
-//    calibrates the threshold on its scores, and their score() runs it.
-//    f32 is the one opt-in alternative: float panels driven by 8-lane AVX2
-//    kernels, ~2x the f64 throughput, score divergence bounded and gated
-//    (see docs).
-//  * Forest / Tree — flattened SoA node tables (feature / threshold / child
-//    offsets / leaf value in parallel arrays, leaves flagged by feature -1)
-//    walked leaf-terminated; results bit-identical to predict_row.
-//  * GMM / OCSVM / LinearSVM / LogReg / LinearOCSVM — the already-folded
-//    scoring forms (log-density panels, compact support vectors, the
-//    standardizer folded into the weight vector) copied into the arena and
-//    driven by the same dense kernels, bit-identical to the batched score().
-//  * kNN — compacted training matrix + squared row norms scored with the
-//    blocked GEMM-expansion scan (identical results to Knn::score).
+// The plan's weights live in a single contiguous arena laid out in scoring
+// order: a fused single-pass encode→decode→RMSE over packed panels, with
+// the per-cluster gather and the min-max normalization folded into the
+// panel staging (gather indices + precomputed reciprocal ranges sit next to
+// the weights they feed). The f64 plan is these models' only inference
+// path: their fit() lowers the trained cores into it and calibrates the
+// threshold on its scores, and their score() runs it. f32 is the one opt-in
+// alternative: float panels driven by 8-lane AVX2 kernels, ~2x the f64
+// throughput, score divergence bounded and gated (see docs).
 //
-// Plans are immutable after compile() and safe to share across consumer
-// threads: score_rows is const and all mutable state lives in the caller's
-// Scratch. Deployment: wrap() adapts a Plan to the Model interface, and
-// OnlineKitsune scores the packet hot path through its detector's plan —
-// IngestRuntime::deploy() then hot-swaps it like any other scorer.
+// The table models (forest, tree, GMM, SVMs, kNN) have no plan: each scores
+// only through its own batched score().
+//
+// Plans are immutable after they are built and safe to share across
+// consumer threads: score_rows is const and all mutable state lives in the
+// caller's Scratch. OnlineKitsune scores the packet hot path through its
+// detector's plan — IngestRuntime::deploy() then hot-swaps it like any
+// other scorer.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -51,9 +43,7 @@ enum class Precision : uint8_t { kF64, kF32 };
 const char* precision_name(Precision p);
 
 struct Options {
-  /// Requested arithmetic for the neural plans (KitNET / AutoEncoder).
-  /// Models whose compiled form is exact by construction (forest, tree,
-  /// GMM, SVMs, kNN) ignore this and always report kF64.
+  /// Requested plan arithmetic.
   Precision precision = Precision::kF64;
 };
 
@@ -63,7 +53,6 @@ struct Options {
 struct Scratch {
   std::vector<double> a, b, c, d;
   std::vector<float> fa, fb, fc, fd, fx;
-  std::vector<std::pair<double, int>> nn;
 };
 
 /// An immutable compiled scoring plan. score_rows follows the micro-batch
@@ -79,23 +68,17 @@ class Plan {
   virtual void score_rows(const double* x, size_t m, size_t ldx, double* out,
                           Scratch& scratch) const = 0;
 
-  /// Source model family: "kitnet", "autoencoder", "forest", "tree", "gmm",
-  /// "ocsvm", "linear_ocsvm", "linear", "knn".
+  /// Source model family: "kitnet" or "autoencoder".
   virtual const char* kind() const = 0;
 
-  /// Minimum row width score_rows reads. For most plans this is the source
-  /// model's training dimensionality; for tree/forest plans it is the
-  /// highest feature index any split references + 1, which can be narrower
-  /// than the training table. Rows may be wider (ldx carries the stride).
+  /// Minimum row width score_rows reads. Rows may be wider (ldx carries
+  /// the stride).
   size_t dim() const { return dim_; }
   Precision precision() const { return precision_; }
-  /// Alert threshold carried over from the source model (0 when the source
-  /// had none — supervised models alert at 0.5 like their predict()).
+  /// Alert threshold carried over from the source model.
   double threshold() const { return threshold_; }
   /// Size of the compiled weight arena — what deploying this plan ships.
   size_t weight_bytes() const { return weight_bytes_; }
-  /// Whether the source model was supervised (steers wrap()'s adapter).
-  bool supervised() const { return supervised_; }
 
  protected:
   Plan() = default;
@@ -103,19 +86,13 @@ class Plan {
   Precision precision_ = Precision::kF64;
   double threshold_ = 0.0;
   size_t weight_bytes_ = 0;
-  bool supervised_ = false;
 };
 
 using PlanPtr = std::shared_ptr<const Plan>;
 
-/// Lower a fitted model into a plan. Errors on model types without a
-/// compiled form and on unfitted models.
-Result<PlanPtr> compile(const Model& model, const Options& opts = {});
-
-/// Typed entry points for callers that hold the concrete detector rather
-/// than a Model (OnlineKitsune holds a KitNet directly). kF64 returns the
-/// plan the model's fit() built; kF32 lowers the same cores in float.
-/// Both carry the model's threshold. Error on an unfitted model.
+/// The detector's plan at the requested precision. kF64 returns the plan
+/// the model's fit() built; kF32 lowers the same cores in float. Both carry
+/// the model's threshold. Error on an unfitted model.
 Result<PlanPtr> compile_kitnet(const KitNet& net, const Options& opts = {});
 Result<PlanPtr> compile_autoencoder(const AutoEncoderDetector& ae,
                                     const Options& opts = {});
@@ -134,14 +111,8 @@ PlanPtr calibrate_autoencoder(const AutoEncoderCore& ae,
 /// Score every row of X through the plan in dense::kScoreBlock blocks
 /// under parallel_for. A table narrower than plan.dim() scores zeros (the
 /// plan would read past its rows); wider tables are fine — X.cols is the
-/// row stride. Shared by wrap()'s adapter and the neural models' score().
+/// row stride. The neural models' score() is this over their f64 plan.
 std::vector<double> score_table(const Plan& plan, const FeatureTable& X);
-
-/// Adapt a plan back to the Model interface so the batch framework and the
-/// streaming predict operator can deploy compiled plans anywhere a model
-/// goes. score() is score_table(); predict() thresholds at the plan's
-/// carried threshold.
-ModelPtr wrap(PlanPtr plan, std::string display_name);
 
 // ------------------------------------------------------- float32 kernels
 //

@@ -1,5 +1,7 @@
 #include "ml/forest.h"
 
+#include <algorithm>
+
 #include "common/parallel.h"
 
 namespace lumen::ml {
@@ -38,7 +40,11 @@ void RandomForest::fit(const FeatureTable& X) {
 
 std::vector<double> RandomForest::score(const FeatureTable& X) const {
   std::vector<double> out(X.rows, 0.0);
-  if (trees_.empty()) return out;
+  // A table narrower than the highest split feature scores zeros; a wider
+  // one is fine (trees index rows by feature).
+  size_t width = 0;
+  for (const DecisionTree& t : trees_) width = std::max(width, t.input_width());
+  if (trees_.empty() || X.cols < width) return out;
   const double inv = 1.0 / static_cast<double>(trees_.size());
   parallel_for(
       0, X.rows,

@@ -289,7 +289,9 @@ double Gmm::log_density(std::span<const double> x) const {
 
 std::vector<double> Gmm::score(const FeatureTable& X) const {
   std::vector<double> out(X.rows, 0.0);
-  if (w1_.size() != k_ * dim_ || X.cols != dim_) return score_perrow(X);
+  // A table narrower than the fit width scores zeros; a wider one is read
+  // through its row stride.
+  if (X.cols < dim_) return out;
   const size_t nblocks =
       (X.rows + dense::kScoreBlock - 1) / dense::kScoreBlock;
   parallel_for(

@@ -61,19 +61,6 @@ class Gmm : public Model {
 
   double threshold() const { return threshold_; }
 
-  /// The folded quadratic scoring form for the model compiler
-  /// (ml/compiled.*); pointers are null before fit.
-  struct FoldedView {
-    size_t k = 0, dim = 0;
-    const double* w1 = nullptr;   // k x dim: -0.5 / var
-    const double* w2 = nullptr;   // k x dim: mean / var
-    const double* cst = nullptr;  // k
-  };
-  FoldedView folded_view() const {
-    if (w1_.size() != k_ * dim_) return {};
-    return {k_, dim_, w1_.data(), w2_.data(), const_.data()};
-  }
-
  private:
   double log_density(std::span<const double> x) const;
 

@@ -287,6 +287,9 @@ double OneClassSvm::decision(std::span<const double> x) const {
 
 std::vector<double> OneClassSvm::score(const FeatureTable& X) const {
   std::vector<double> out(X.rows, 0.0);
+  // A table narrower than the support vectors scores zeros; a wider one is
+  // read through its row stride.
+  if (X.cols < support_.cols) return out;
   if (n_sv_ == 0) {
     for (size_t r = 0; r < X.rows; ++r) out[r] = rho_;
     return out;
@@ -365,14 +368,14 @@ void LinearOneClassSvm::fit(const FeatureTable& X) {
 
 std::vector<double> LinearOneClassSvm::score(const FeatureTable& X) const {
   std::vector<double> out(X.rows, 0.0);
-  if (w_.size() == X.cols && X.rows > 0) {
-    // One GEMV over the whole table: out = rho - X w.
-    dense::gemv(X.rows, X.cols, X.data.data(), X.cols, w_.data(), nullptr,
-                out.data());
-    for (size_t r = 0; r < X.rows; ++r) out[r] = rho_ - out[r];
-    return out;
-  }
-  return score_perrow(X);
+  // A table narrower than the hyperplane scores zeros; a wider one is read
+  // through its row stride.
+  if (X.cols < w_.size()) return out;
+  // One GEMV over the whole table: out = rho - X w.
+  dense::gemv(X.rows, w_.size(), X.data.data(), X.cols, w_.data(), nullptr,
+              out.data());
+  for (size_t r = 0; r < X.rows; ++r) out[r] = rho_ - out[r];
+  return out;
 }
 
 std::vector<double> LinearOneClassSvm::score_perrow(

@@ -85,21 +85,6 @@ class OneClassSvm : public Model {
   /// rows. Kept for the batched-vs-per-row equivalence tests and bench.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
-  /// Compact support set for the model compiler (ml/compiled.*);
-  /// pointers are null before fit.
-  struct SupportView {
-    size_t n_sv = 0, dim = 0;
-    const double* sv_x = nullptr;      // n_sv x dim
-    const double* sv_alpha = nullptr;  // n_sv
-    const double* sv_norms = nullptr;  // n_sv
-    double gamma = 0.0, rho = 0.0;
-  };
-  SupportView support_view() const {
-    if (n_sv_ == 0) return {};
-    return {n_sv_,           support_.cols,    sv_x_.data(),
-            sv_alpha_.data(), sv_norms_.data(), gamma_,      rho_};
-  }
-
  private:
   double decision(std::span<const double> x) const;
 
@@ -143,17 +128,6 @@ class LinearOneClassSvm : public Model {
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
   double threshold() const { return threshold_; }
-
-  /// Fitted hyperplane for the model compiler (ml/compiled.*).
-  struct PlaneView {
-    const double* w = nullptr;  // dim (null before fit)
-    size_t dim = 0;
-    double rho = 0.0;
-  };
-  PlaneView plane_view() const {
-    if (w_.empty()) return {};
-    return {w_.data(), w_.size(), rho_};
-  }
 
  private:
   Config cfg_;

@@ -31,46 +31,55 @@ void Knn::fit(const FeatureTable& X) {
                       train_.cols, train_sqnorm_.data());
 }
 
+namespace {
+
+/// The batched k-nearest scan over one block of m <= dense::kScoreBlock
+/// query rows (stride ldx): select the k smallest (squared distance, label)
+/// pairs over the training matrix and write the mean selected label to
+/// out[i]. Distances come from dense::sq_dist_batch — `train_sqnorm`
+/// passes the fit-time ||t||^2 vector straight through as its yn — and
+/// selection uses the same pair comparison as score_perrow, so the chosen
+/// neighbour multiset (hence the score) matches the reference scan's.
+/// `dist` and `heap` are caller-owned scratch (the block distance matrix
+/// and the current k best).
 void knn_score_rows_batched(const double* x, size_t m, size_t ldx,
                             const double* train, size_t n_train, size_t cols,
                             const int* labels, const double* train_sqnorm,
                             size_t k, double* out, std::vector<double>& dist,
                             std::vector<std::pair<double, int>>& heap) {
-  // Sub-block the queries so the distance matrix stays kScoreBlock x
-  // n_train regardless of m — callers already chunk at kScoreBlock, but the
-  // compiled plan may see larger micro-batches.
-  for (size_t lo = 0; lo < m; lo += dense::kScoreBlock) {
-    const size_t mb = std::min(dense::kScoreBlock, m - lo);
-    dist.resize(mb * n_train);
-    dense::sq_dist_batch(mb, n_train, cols, x + lo * ldx, ldx, train, cols,
-                         /*xn=*/nullptr, train_sqnorm, dist.data(), n_train);
-    for (size_t i = 0; i < mb; ++i) {
-      const double* di = dist.data() + i * n_train;
-      // Max-heap of the k best (distance, label) pairs — the same pair
-      // ordering score_perrow's partial_sort uses, label tie-breaks
-      // included, so the selected multiset matches the reference scan.
-      heap.clear();
-      for (size_t t = 0; t < n_train; ++t) {
-        const std::pair<double, int> p{di[t], labels[t]};
-        if (heap.size() < k) {
-          heap.push_back(p);
-          std::push_heap(heap.begin(), heap.end());
-        } else if (p < heap.front()) {
-          std::pop_heap(heap.begin(), heap.end());
-          heap.back() = p;
-          std::push_heap(heap.begin(), heap.end());
-        }
+  dist.resize(m * n_train);
+  dense::sq_dist_batch(m, n_train, cols, x, ldx, train, cols,
+                       /*xn=*/nullptr, train_sqnorm, dist.data(), n_train);
+  for (size_t i = 0; i < m; ++i) {
+    const double* di = dist.data() + i * n_train;
+    // Max-heap of the k best (distance, label) pairs — the same pair
+    // ordering score_perrow's partial_sort uses, label tie-breaks included,
+    // so the selected multiset matches the reference scan.
+    heap.clear();
+    for (size_t t = 0; t < n_train; ++t) {
+      const std::pair<double, int> p{di[t], labels[t]};
+      if (heap.size() < k) {
+        heap.push_back(p);
+        std::push_heap(heap.begin(), heap.end());
+      } else if (p < heap.front()) {
+        std::pop_heap(heap.begin(), heap.end());
+        heap.back() = p;
+        std::push_heap(heap.begin(), heap.end());
       }
-      double pos = 0.0;
-      for (const auto& p : heap) pos += p.second;
-      out[lo + i] = pos / static_cast<double>(k);
     }
+    double pos = 0.0;
+    for (const auto& p : heap) pos += p.second;
+    out[i] = pos / static_cast<double>(k);
   }
 }
 
+}  // namespace
+
 std::vector<double> Knn::score(const FeatureTable& X) const {
   std::vector<double> out(X.rows, 0.0);
-  if (train_.rows == 0) return out;
+  // An unfitted model, or a table narrower than the training rows, scores
+  // zeros; a wider table is read through its row stride.
+  if (train_.rows == 0 || X.cols < train_.cols) return out;
   const size_t k = std::min(cfg_.k, train_.rows);
   const size_t nblocks =
       (X.rows + dense::kScoreBlock - 1) / dense::kScoreBlock;

@@ -13,7 +13,6 @@
 // runnable backend.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "ml/model.h"
@@ -40,39 +39,10 @@ class Knn : public Model {
   /// batched-vs-per-row equivalence tests and the BENCH_ml baseline.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
-  /// Retained training set for the model compiler (ml/compiled.*).
-  /// `sqnorm` shares the exact per-row squared norms fit() computed, so a
-  /// compiled plan scores through bit-identical inputs to Knn::score.
-  struct TrainView {
-    const FeatureTable* train = nullptr;  // null before fit
-    const std::vector<double>* sqnorm = nullptr;
-    size_t k = 0;
-  };
-  TrainView train_view() const {
-    return {train_.rows ? &train_ : nullptr,
-            train_.rows ? &train_sqnorm_ : nullptr, cfg_.k};
-  }
-
  private:
   KnnConfig cfg_;
   FeatureTable train_;
   std::vector<double> train_sqnorm_;  // ||t||^2 per row (sq_dist_batch's yn)
 };
-
-/// The batched k-nearest scan shared by Knn::score and the compiled kNN
-/// plan: for each of the m query rows (stride ldx), select the k smallest
-/// (squared distance, label) pairs over the training matrix and write the
-/// mean selected label to out[i]. Distances for each dense::kScoreBlock
-/// sub-block come from dense::sq_dist_batch — `train_sqnorm` (may be null)
-/// passes the precomputed ||t||^2 vector straight through as its yn — and
-/// selection uses the same pair comparison as score_perrow, so the chosen
-/// neighbour multiset (hence the score) matches the reference scan's.
-/// `dist` and `heap` are caller-owned scratch (the block distance matrix
-/// and the current k best).
-void knn_score_rows_batched(const double* x, size_t m, size_t ldx,
-                            const double* train, size_t n_train, size_t cols,
-                            const int* labels, const double* train_sqnorm,
-                            size_t k, double* out, std::vector<double>& dist,
-                            std::vector<std::pair<double, int>>& heap);
 
 }  // namespace lumen::ml

@@ -70,15 +70,18 @@ void LinearModel::fit(const FeatureTable& X) {
 
 std::vector<double> LinearModel::score(const FeatureTable& X) const {
   std::vector<double> out(X.rows, 0.0);
-  if (w_.size() != X.cols || X.rows == 0) return score_perrow(X);
+  // An unfitted model, or a table narrower than the weights, scores zeros;
+  // a wider table is read through its row stride.
+  const size_t dim = w_.size();
+  if (dim == 0 || X.cols < dim) return out;
   // Fold the standardizer into the weights:
   //   b + sum_c w_c (x_c - mean_c) inv_sd_c
   //     = (b - w_eff . mean) + w_eff . x   with w_eff = w * inv_sd,
   // so the whole table scores as one GEMV plus the score squash.
-  std::vector<double> w_eff(X.cols);
-  for (size_t c = 0; c < X.cols; ++c) w_eff[c] = w_[c] * inv_sd_[c];
-  const double b_eff = b_ - dense::dot(X.cols, w_eff.data(), mean_.data());
-  dense::gemv(X.rows, X.cols, X.data.data(), X.cols, w_eff.data(), nullptr,
+  std::vector<double> w_eff(dim);
+  for (size_t c = 0; c < dim; ++c) w_eff[c] = w_[c] * inv_sd_[c];
+  const double b_eff = b_ - dense::dot(dim, w_eff.data(), mean_.data());
+  dense::gemv(X.rows, dim, X.data.data(), X.cols, w_eff.data(), nullptr,
               out.data());
   for (size_t r = 0; r < X.rows; ++r) out[r] = to_score(out[r] + b_eff);
   return out;

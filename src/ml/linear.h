@@ -29,21 +29,6 @@ class LinearModel : public Model {
   /// batched-vs-per-row equivalence tests.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
-  /// Fitted weights + standardizer for the model compiler (ml/compiled.*),
-  /// which folds them into an effective hyperplane at compile time exactly
-  /// as the batched score() does per call.
-  struct WeightsView {
-    size_t dim = 0;
-    const double* w = nullptr;       // dim (null before fit)
-    const double* mean = nullptr;    // dim
-    const double* inv_sd = nullptr;  // dim
-    double b = 0.0;
-  };
-  WeightsView weights_view() const {
-    if (w_.empty()) return {};
-    return {w_.size(), w_.data(), mean_.data(), inv_sd_.data(), b_};
-  }
-
  protected:
   /// Raw decision value w.x + b for a standardized row.
   double margin(std::span<const double> x) const;

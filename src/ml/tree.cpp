@@ -131,17 +131,27 @@ double DecisionTree::predict_row(std::span<const double> x) const {
   return nodes_[id].p_malicious;
 }
 
+size_t DecisionTree::input_width() const {
+  size_t width = 0;
+  for (const Node& nd : nodes_) {
+    if (nd.feature >= 0) {
+      width = std::max(width, static_cast<size_t>(nd.feature) + 1);
+    }
+  }
+  return width;
+}
+
 std::vector<double> DecisionTree::score(const FeatureTable& X) const {
-  std::vector<double> out(X.rows);
+  std::vector<double> out(X.rows, 0.0);
+  if (X.cols < input_width()) return out;
   for (size_t r = 0; r < X.rows; ++r) out[r] = predict_row(X.row(r));
   return out;
 }
 
 std::vector<int> DecisionTree::predict(const FeatureTable& X) const {
+  const std::vector<double> s = score(X);
   std::vector<int> out(X.rows);
-  for (size_t r = 0; r < X.rows; ++r) {
-    out[r] = predict_row(X.row(r)) >= 0.5 ? 1 : 0;
-  }
+  for (size_t r = 0; r < X.rows; ++r) out[r] = s[r] >= 0.5 ? 1 : 0;
   return out;
 }
 

@@ -37,6 +37,10 @@ class DecisionTree : public Model {
   /// P(malicious) for one row.
   double predict_row(std::span<const double> x) const;
 
+  /// Columns predict_row reads: the highest split feature + 1 (0 for a
+  /// tree without splits). score() returns zeros for a narrower table.
+  size_t input_width() const;
+
   size_t node_count() const { return nodes_.size(); }
   int depth() const { return depth_; }
 

@@ -3,13 +3,14 @@
 //    it matches the per-row reference to 1e-9 with identical alert sets on
 //    the P1-P4 golden captures, and the threshold is the quantile of its
 //    own scores over the benign training rows;
-//  * table-model f64 plans are BIT-identical to the models' score() — same
-//    kernels, same accumulation order;
 //  * the f32 KitNET plan stays within a measured divergence bound and
 //    reproduces the f64 alert set exactly on P1-P4 (the deployment
 //    contract docs/framework.md states);
 //  * plans honor the micro-batch contract (batch-size invariance) and score
 //    tables narrower than their input as zeros;
+//  * the table models, which have no plan, keep the same two contracts in
+//    their own score(): a forest reads only its split columns, and row i's
+//    score does not depend on which rows share the table;
 //  * a compiled plan hot-swaps through IngestRuntime::deploy mid-run.
 #include <gtest/gtest.h>
 
@@ -218,64 +219,43 @@ TEST(CompiledKitnet, F32BoundedDivergenceAndAlertIdentityOnGoldens) {
 }
 
 // ------------------------------------------------------------ table models
+//
+// The table models have no compiled plan: each scores only through its own
+// batched score(), and dense_test pins that path against the per-row
+// oracle. These cases pin the two properties the live and epoch paths rely
+// on: the width contract and batch-composition invariance.
 
-struct CompileCase {
-  std::string name;
-  ml::ModelPtr model;
-  const char* kind;
-  bool predict_identical;  // plan predict == model predict (same tie rule)
-};
-
-std::vector<CompileCase> table_cases() {
-  std::vector<CompileCase> cases;
-  cases.push_back({"forest", std::make_shared<ml::RandomForest>(), "forest",
-                   /*predict_identical=*/false});
-  cases.push_back({"tree", std::make_shared<ml::DecisionTree>(), "tree",
-                   /*predict_identical=*/false});
-  cases.push_back({"gmm", std::make_shared<ml::Gmm>(), "gmm",
-                   /*predict_identical=*/true});
-  cases.push_back({"ocsvm", std::make_shared<ml::OneClassSvm>(), "ocsvm",
-                   /*predict_identical=*/true});
-  cases.push_back({"linear_ocsvm", std::make_shared<ml::LinearOneClassSvm>(),
-                   "linear_ocsvm", /*predict_identical=*/true});
-  cases.push_back({"linear_svm", std::make_shared<ml::LinearSvm>(), "linear",
-                   /*predict_identical=*/false});
-  cases.push_back({"logreg", std::make_shared<ml::LogisticRegression>(),
-                   "linear", /*predict_identical=*/false});
-  cases.push_back({"knn", std::make_shared<ml::Knn>(), "knn",
-                   /*predict_identical=*/false});
-  return cases;
+std::vector<std::pair<std::string, ml::ModelPtr>> table_models() {
+  return {{"forest", std::make_shared<ml::RandomForest>()},
+          {"tree", std::make_shared<ml::DecisionTree>()},
+          {"gmm", std::make_shared<ml::Gmm>()},
+          {"ocsvm", std::make_shared<ml::OneClassSvm>()},
+          {"linear_ocsvm", std::make_shared<ml::LinearOneClassSvm>()},
+          {"linear_svm", std::make_shared<ml::LinearSvm>()},
+          {"logreg", std::make_shared<ml::LogisticRegression>()},
+          {"knn", std::make_shared<ml::Knn>()}};
 }
 
-TEST(CompiledTableModels, ScoresBitIdenticalToReference) {
-  const FeatureTable train = blobs(150, 6, 3.0, 915);
-  const FeatureTable test = blobs(90, 6, 3.0, 916);
-  for (auto& c : table_cases()) {
-    c.model->fit(train);
-    auto plan = ml::compiled::compile(*c.model);
-    ASSERT_TRUE(plan.ok()) << c.name << ": " << plan.error().message;
-    EXPECT_STREQ(plan.value()->kind(), c.kind) << c.name;
-    EXPECT_EQ(plan.value()->precision(), Precision::kF64) << c.name;
-    EXPECT_EQ(plan.value()->supervised(), c.model->is_supervised()) << c.name;
-
-    const ml::ModelPtr wrapped = ml::compiled::wrap(plan.value(), c.name);
-    const std::vector<double> ref = c.model->score(test);
-    const std::vector<double> got = wrapped->score(test);
-    ASSERT_EQ(ref.size(), got.size()) << c.name;
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(ref[i], got[i]) << c.name << " row " << i;  // bitwise
-    }
-    if (c.predict_identical) {
-      EXPECT_EQ(c.model->predict(test), wrapped->predict(test)) << c.name;
-    }
-  }
+/// The first `cols` columns of t.
+FeatureTable first_cols(const FeatureTable& t, size_t cols) {
+  std::vector<uint8_t> keep(t.cols, 0);
+  std::fill_n(keep.begin(), cols, 1);
+  return t.select_cols(keep);
 }
 
-// A tree plan's dim() is the highest split feature + 1, which can be
+size_t split_width(const ml::RandomForest& forest) {
+  size_t width = 0;
+  for (const auto& t : forest.trees()) width = std::max(width, t.input_width());
+  return width;
+}
+
+// A forest reads only the columns its splits reference, which can be
 // narrower than the training table (here: trailing constant columns no
-// split can use). wrap() must treat dim() as a minimum row width and score
-// the wider table through ldx, not silently reject it.
-TEST(CompiledTableModels, ForestScoresTableWiderThanPlanDim) {
+// split can use). RandomForest::score treats the highest split feature + 1
+// as the minimum row width: a table that drops the unused columns scores
+// exactly like the full one, a table narrower than the splits scores
+// zeros, and a forest restored from the trees keeps both rules.
+TEST(TableModels, ForestScoresTableAsWideAsItsSplits) {
   FeatureTable train = blobs(150, 4, 3.0, 917);
   FeatureTable test = blobs(90, 4, 3.0, 918);
   for (FeatureTable* t : {&train, &test}) {
@@ -291,55 +271,88 @@ TEST(CompiledTableModels, ForestScoresTableWiderThanPlanDim) {
   }
   ml::RandomForest forest;
   forest.fit(train);
-  auto plan = ml::compiled::compile(forest);
-  ASSERT_TRUE(plan.ok()) << plan.error().message;
-  ASSERT_LE(plan.value()->dim(), size_t{4});
-  const ml::ModelPtr wrapped = ml::compiled::wrap(plan.value(), "forest");
-  const std::vector<double> ref = forest.score(test);
-  const std::vector<double> got = wrapped->score(test);
-  ASSERT_EQ(ref.size(), got.size());
+  const size_t width = split_width(forest);
+  ASSERT_GT(width, size_t{1});
+  ASSERT_LE(width, size_t{4});
+
+  const std::vector<double> full = forest.score(test);
   bool any_nonzero = false;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(ref[i], got[i]) << "row " << i;
-    any_nonzero = any_nonzero || got[i] != 0.0;
+  for (const double s : full) any_nonzero = any_nonzero || s != 0.0;
+  EXPECT_TRUE(any_nonzero);
+
+  ml::RandomForest restored;
+  restored.restore(forest.trees());
+  EXPECT_EQ(split_width(restored), width);
+  for (const ml::RandomForest* f : {&forest, &restored}) {
+    EXPECT_EQ(f->score(test), full);
+    EXPECT_EQ(f->score(first_cols(test, width)), full);  // bitwise
+    const FeatureTable narrow = first_cols(test, width - 1);
+    EXPECT_EQ(f->score(narrow), std::vector<double>(test.rows, 0.0));
+    EXPECT_EQ(f->predict(narrow), std::vector<int>(test.rows, 0));
   }
-  EXPECT_TRUE(any_nonzero);  // zeros would mean the plan rejected the table
 }
 
-TEST(CompiledTableModels, PlanScoreRowsIsBatchSizeInvariant) {
+// Row i's score must not depend on which rows share the table: the
+// streaming predict operator scores epoch by epoch, the batch engine
+// scores the whole table at once.
+TEST(TableModels, ScoreIsBatchCompositionInvariant) {
   const FeatureTable train = blobs(120, 5, 3.0, 412);
   const FeatureTable test = blobs(70, 5, 3.0, 413);
-  std::vector<std::pair<std::string, ml::compiled::PlanPtr>> plans;
-  for (auto& c : table_cases()) {
-    c.model->fit(train);
-    auto plan = ml::compiled::compile(*c.model);
-    ASSERT_TRUE(plan.ok()) << c.name;
-    plans.emplace_back(c.name, plan.value());
+  for (auto& [name, model] : table_models()) {
+    model->fit(train);
+    // OneClassSvm::score inherits sq_dist_batch's crossover: the kernel
+    // switches between the direct per-row path and the GEMM expansion at
+    // kSqDistBatchCrossover rows, so results across chunkings agree to
+    // tight tolerance, not bitwise (dense_test pins the same bound for the
+    // kernel itself). Every other model is bitwise invariant.
+    const bool bitwise = name != "ocsvm";
+    const std::vector<double> whole = model->score(test);
+    ASSERT_EQ(whole.size(), test.rows) << name;
+    for (const size_t chunk : {size_t{1}, size_t{7}, size_t{64}}) {
+      for (size_t lo = 0; lo < test.rows; lo += chunk) {
+        std::vector<size_t> rows;
+        for (size_t i = lo; i < std::min(lo + chunk, test.rows); ++i) {
+          rows.push_back(i);
+        }
+        const std::vector<double> part = model->score(test.select_rows(rows));
+        ASSERT_EQ(part.size(), rows.size()) << name;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          if (bitwise) {
+            ASSERT_EQ(whole[lo + i], part[i])
+                << name << " chunk " << chunk << " row " << lo + i;
+          } else {
+            ASSERT_NEAR(whole[lo + i], part[i], 1e-9)
+                << name << " chunk " << chunk << " row " << lo + i;
+          }
+        }
+      }
+    }
   }
-  // The neural plans, at both precisions.
+}
+
+// ------------------------------------------------------------ neural plans
+
+TEST(CompiledPlan, PlanScoreRowsIsBatchSizeInvariant) {
+  const FeatureTable train = blobs(120, 5, 3.0, 412);
+  const FeatureTable test = blobs(70, 5, 3.0, 413);
   ml::KitNet::Config kcfg;
   kcfg.fm_grace = 100;
   kcfg.max_cluster_size = 3;  // several clusters over 5 columns
   ml::KitNet kitnet(kcfg);
   ml::AutoEncoderDetector autoencoder;
-  for (ml::Model* m : {static_cast<ml::Model*>(&kitnet),
-                       static_cast<ml::Model*>(&autoencoder)}) {
-    m->fit(train);
-    for (const Precision p : {Precision::kF64, Precision::kF32}) {
-      auto plan = ml::compiled::compile(*m, {p});
-      ASSERT_TRUE(plan.ok()) << m->name();
-      plans.emplace_back(m->name() + "/" + ml::compiled::precision_name(p),
-                         plan.value());
-    }
+  kitnet.fit(train);
+  autoencoder.fit(train);
+  // The neural plans, at both precisions.
+  std::vector<std::pair<std::string, ml::compiled::PlanPtr>> plans;
+  for (const Precision p : {Precision::kF64, Precision::kF32}) {
+    auto kp = ml::compiled::compile_kitnet(kitnet, {p});
+    auto ap = ml::compiled::compile_autoencoder(autoencoder, {p});
+    ASSERT_TRUE(kp.ok() && ap.ok()) << ml::compiled::precision_name(p);
+    const std::string suffix = std::string("/") + ml::compiled::precision_name(p);
+    plans.emplace_back(kitnet.name() + suffix, kp.value());
+    plans.emplace_back(autoencoder.name() + suffix, ap.value());
   }
   for (const auto& [name, plan] : plans) {
-    // The ocsvm plan inherits the reference's sq_dist_batch semantics: the
-    // kernel switches between the direct per-row path and the GEMM
-    // expansion at kSqDistBatchCrossover rows, so — exactly like the
-    // reference OneClassSvm::score — results across different chunkings
-    // agree to tight tolerance, not bitwise (dense_test pins the same
-    // bound for the kernel itself). Every other plan is bitwise invariant.
-    const bool bitwise = name != "ocsvm";
     ml::compiled::Scratch scratch;
     std::vector<double> whole(test.rows, 0.0);
     plan->score_rows(test.data.data(), test.rows, test.cols, whole.data(),
@@ -352,20 +365,15 @@ TEST(CompiledTableModels, PlanScoreRowsIsBatchSizeInvariant) {
                          chunked.data() + lo, scratch);
       }
       for (size_t i = 0; i < whole.size(); ++i) {
-        if (bitwise) {
-          ASSERT_EQ(whole[i], chunked[i])
-              << name << " chunk " << chunk << " row " << i;
-        } else {
-          ASSERT_NEAR(whole[i], chunked[i], 1e-9)
-              << name << " chunk " << chunk << " row " << i;
-        }
+        ASSERT_EQ(whole[i], chunked[i])
+            << name << " chunk " << chunk << " row " << i;
       }
     }
   }
 }
 
 // Scoring a table narrower than the fit width must not read past its rows:
-// the neural models score it as zeros, exactly as wrap() does.
+// the neural models score it as zeros.
 TEST(CompiledPlan, NeuralModelsScoreNarrowTableAsZeros) {
   const FeatureTable train = blobs(150, 6, 3.0, 919);
   const FeatureTable narrow = blobs(40, 4, 3.0, 920);
@@ -373,15 +381,14 @@ TEST(CompiledPlan, NeuralModelsScoreNarrowTableAsZeros) {
   kcfg.fm_grace = 100;
   ml::KitNet kitnet(kcfg);
   ml::AutoEncoderDetector autoencoder;
-  for (ml::Model* m : {static_cast<ml::Model*>(&kitnet),
-                       static_cast<ml::Model*>(&autoencoder)}) {
-    m->fit(train);
-    auto plan = ml::compiled::compile(*m);
-    ASSERT_TRUE(plan.ok()) << m->name();
-    ASSERT_GT(plan.value()->dim(), narrow.cols) << m->name();
-    const std::vector<double> got = m->score(narrow);
-    EXPECT_EQ(got, std::vector<double>(narrow.rows, 0.0)) << m->name();
-    EXPECT_EQ(got, ml::compiled::wrap(plan.value(), m->name())->score(narrow))
+  kitnet.fit(train);
+  autoencoder.fit(train);
+  const std::pair<const ml::Model*, ml::compiled::PlanPtr> cases[] = {
+      {&kitnet, kitnet.plan()}, {&autoencoder, autoencoder.plan()}};
+  for (const auto& [m, plan] : cases) {
+    ASSERT_NE(plan, nullptr) << m->name();
+    ASSERT_GT(plan->dim(), narrow.cols) << m->name();
+    EXPECT_EQ(m->score(narrow), std::vector<double>(narrow.rows, 0.0))
         << m->name();
   }
 }
@@ -394,8 +401,8 @@ TEST(CompiledPlan, AutoEncoderThresholdIsPlanQuantileOverBenignRows) {
   ml::AutoEncoderConfig cfg;
   ml::AutoEncoderDetector autoencoder(cfg);
   autoencoder.fit(train);
-  auto plan = ml::compiled::compile(autoencoder);
-  ASSERT_TRUE(plan.ok()) << plan.error().message;
+  const ml::compiled::PlanPtr& plan = autoencoder.plan();
+  ASSERT_NE(plan, nullptr);
 
   std::vector<size_t> benign;
   for (size_t i = 0; i < train.rows; ++i) {
@@ -404,19 +411,13 @@ TEST(CompiledPlan, AutoEncoderThresholdIsPlanQuantileOverBenignRows) {
   const FeatureTable b = train.select_rows(benign);
   std::vector<double> scores(b.rows, 0.0);
   ml::compiled::Scratch scratch;
-  plan.value()->score_rows(b.data.data(), b.rows, b.cols, scores.data(),
-                           scratch);
+  plan->score_rows(b.data.data(), b.rows, b.cols, scores.data(), scratch);
   EXPECT_EQ(autoencoder.threshold(),
             ml::quantile_threshold(scores, cfg.quantile));
-  EXPECT_EQ(plan.value()->threshold(), autoencoder.threshold());
+  EXPECT_EQ(plan->threshold(), autoencoder.threshold());
 }
 
 TEST(CompiledPlan, UnfittedModelsRefuseToCompile) {
-  EXPECT_FALSE(ml::compiled::compile(ml::RandomForest()).ok());
-  EXPECT_FALSE(ml::compiled::compile(ml::Gmm()).ok());
-  EXPECT_FALSE(ml::compiled::compile(ml::OneClassSvm()).ok());
-  EXPECT_FALSE(ml::compiled::compile(ml::LinearSvm()).ok());
-  EXPECT_FALSE(ml::compiled::compile(ml::Knn()).ok());
   OnlineKitsune untrained;
   EXPECT_FALSE(untrained.compile().ok());
 }

@@ -390,6 +390,87 @@ TEST(Ops, ModelTrainPredictEvaluateChain) {
   EXPECT_GT(m.get("auc"), 0.9);
 }
 
+/// packet_features over the whole tiny dataset.
+Value packet_features(const char* params) {
+  const Value src = source_packets();
+  auto v = run_op("packet_features", parse(params), {&src});
+  EXPECT_TRUE(v.ok()) << v.error().message;
+  return v.ok() ? std::move(v).value() : Value();
+}
+
+// model -> predict with no train in between: every model_type scores zeros
+// (or its untrained default) instead of reading unfitted state.
+TEST(Ops, UntrainedModelPredictsOneScorePerRow) {
+  const Value feats = packet_features(R"({"param": ["len", "iat", "dport"]})");
+  const size_t rows = std::get<FeatureTable>(feats).rows;
+  for (const char* model : {
+           R"({"model_type": "RandomForest"})",
+           R"({"model_type": "DecisionTree"})",
+           R"({"model_type": "GaussianNB"})",
+           R"({"model_type": "KNN"})",
+           R"({"model_type": "LinearSVM"})",
+           R"({"model_type": "LogisticRegression"})",
+           R"({"model_type": "MLP"})",
+           R"({"model_type": "AutoML"})",
+           R"({"model_type": "OCSVM"})",
+           R"({"model_type": "LinearOCSVM"})",
+           R"({"model_type": "NystromGMM"})",
+           R"({"model_type": "NystromOCSVM"})",
+           R"({"model_type": "GMM"})",
+           R"({"model_type": "AutoEncoder"})",
+           R"({"model_type": "KitNET"})",
+           R"({"model_type": "Ensemble",
+               "members": ["RandomForest", "LinearSVM", "KNN"]})",
+       }) {
+    auto mv = run_op("model", parse(model), {});
+    ASSERT_TRUE(mv.ok()) << model << ": " << mv.error().message;
+    auto preds = run_op("predict", parse("{}"), {&mv.value(), &feats});
+    ASSERT_TRUE(preds.ok()) << model << ": " << preds.error().message;
+    const auto& p = std::get<Predictions>(preds.value());
+    EXPECT_EQ(p.scores.size(), rows) << model;
+    EXPECT_EQ(p.y_pred.size(), rows) << model;
+  }
+}
+
+// The engine-level width contract for the table models: predicting on a
+// table narrower than the one the model was trained on scores zeros, and a
+// wider table (extra trailing columns) predicts exactly like the training
+// width. The informative SYN-flood features sit in the last two training
+// columns so every tree splits on a column the narrow table lacks.
+TEST(Ops, PredictHonorsTrainingWidth) {
+  const Value narrow = packet_features(R"({"param": ["iat", "dport"]})");
+  const Value same =
+      packet_features(R"({"param": ["iat", "dport", "len", "is_syn"]})");
+  const Value wide = packet_features(
+      R"({"param": ["iat", "dport", "len", "is_syn", "is_tcp", "is_ack"]})");
+  const size_t rows = std::get<FeatureTable>(same).rows;
+  for (const char* type :
+       {"RandomForest", "DecisionTree", "GMM", "OCSVM", "LinearSVM",
+        "LogisticRegression", "LinearOCSVM", "KNN"}) {
+    const std::string params =
+        std::string(R"({"model_type": ")") + type + R"("})";
+    auto mv = run_op("model", parse(params.c_str()), {});
+    ASSERT_TRUE(mv.ok()) << type;
+    auto trained = run_op("train", parse("{}"), {&mv.value(), &same});
+    ASSERT_TRUE(trained.ok()) << type << ": " << trained.error().message;
+    const auto predict = [&](const Value& t) {
+      auto r = run_op("predict", parse("{}"), {&trained.value(), &t});
+      EXPECT_TRUE(r.ok()) << type << ": " << r.error().message;
+      return r.ok() ? std::get<Predictions>(r.value()) : Predictions{};
+    };
+    const Predictions base = predict(same);
+    ASSERT_EQ(base.scores.size(), rows) << type;
+
+    const Predictions n = predict(narrow);
+    EXPECT_EQ(n.scores, std::vector<double>(rows, 0.0)) << type;
+    EXPECT_EQ(n.y_pred.size(), rows) << type;
+
+    const Predictions w = predict(wide);
+    EXPECT_EQ(w.scores, base.scores) << type;  // bitwise
+    EXPECT_EQ(w.y_pred, base.y_pred) << type;
+  }
+}
+
 TEST(Ops, ModelRejectsUnknownType) {
   EXPECT_FALSE(run_op("model", parse(R"({"model_type": "Quantum"})"), {}).ok());
   EXPECT_FALSE(run_op("model", parse(R"({})"), {}).ok());

@@ -2,7 +2,9 @@
 # Memory-check the capture and ingestion path: build the netio/pcap/ingest
 # tests with AddressSanitizer and run them (the malformed-packet corpus and
 # the fault-injecting source are designed to catch out-of-bounds parser
-# reads here), plus the extractor's chunked context tables and eviction.
+# reads here), plus the extractor's chunked context tables and eviction,
+# and the model width contract (ops_test drives predict on tables narrower
+# and wider than the training table, and on untrained models).
 # Usage:
 #   tools/check_asan.sh [build-dir]
 set -euo pipefail
@@ -11,7 +13,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test telemetry_test extractor_golden_test flat_map_test
+cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test flat_map_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 
@@ -25,8 +27,9 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 "$BUILD/tests/stream_engine_test"
 "$BUILD/tests/dense_test"
 "$BUILD/tests/compiled_model_test"
+"$BUILD/tests/ops_test"
 "$BUILD/tests/telemetry_test"
 "$BUILD/tests/extractor_golden_test"
 "$BUILD/tests/flat_map_test"
 
-echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + telemetry_test + extractor_golden_test + flat_map_test clean"
+echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + flat_map_test clean"

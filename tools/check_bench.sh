@@ -231,11 +231,11 @@ if awk -v d="$F32_DIV" 'BEGIN { exit !(d > 0.001) }' ||
 fi
 echo "check_bench: compiled f64 bit-identical; f32 $F32_NS ns/pkt (${F32_SPD}x, divergence $F32_DIV) within bounds"
 
-# Every deployable scorer: the compiled plan must not lose to the model's
-# own scoring path (for KitNET / AutoEncoder: the f32 plan against the f64
-# plan). compiled_vs_reference is reference_ns / compiled_ns; several plans
-# replay identical arithmetic, so the ratio sits at 1.0 +- timer noise on a
-# shared host — gate at 0.85 to reject real regressions, not jitter.
+# The opt-in f32 plan must not lose to the f64 plan it replaces (KitNET and
+# AutoEncoder, the only models with compiled plans). compiled_vs_reference
+# is reference_ns / compiled_ns. No row replays identical arithmetic: f32
+# runs 8-lane float panels, measured well above 1x, so the 0.85 floor
+# rejects a broken f32 kernel path, not timer jitter.
 FAILED=0
 FOUND=0
 while read -r name ratio; do
@@ -252,7 +252,7 @@ done < <(json_named_nums "$JSON" model compiled_vs_reference)
 }
 [ "$FAILED" -eq 0 ] || exit 1
 
-echo "check_bench: all compiled model plans at or above reference throughput"
+echo "check_bench: every f32 plan at or above 0.85x of its f64 plan"
 
 # --- sharded ingestion: scaling, equivalence, hot swap -------------------
 SCALING="$(json_num "$JSON" scaling_4shard_vs_1shard)"
