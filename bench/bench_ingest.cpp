@@ -187,8 +187,10 @@ int main() {
   // fixed-size micro-batches. Each point is the score-only marginal ns/pkt
   // (the extract-only pass above subtracted out); batch 1 is the plan
   // driven row-at-a-time, the apples-to-apples baseline the check_bench
-  // gate compares against.
-  const size_t default_score_batch = core::IngestRuntime::Options{}.score_batch;
+  // gate compares against. The default point is Options::consumer_batch:
+  // the consumer hands each claimed batch to score_batch in one call.
+  const size_t default_score_batch =
+      core::IngestRuntime::Options{}.consumer_batch;
   struct OnlinePoint {
     size_t batch = 0;
     double ns = 0.0;
@@ -442,9 +444,9 @@ int main() {
   }
 
   // Alert-set identity: a 1-shard run must emit bit-identical per-packet
-  // scores and alert flags whether it scores row-at-a-time (score_batch=1)
-  // or in default micro-batches (the acceptance check for the
-  // micro-batched consumer), and the default run must match the
+  // scores and alert flags whether it scores row-at-a-time
+  // (consumer_batch=1) or in default micro-batches (the acceptance check
+  // for the micro-batched consumer), and the default run must match the
   // sequential reference record for record (ring hand-off, claim batching
   // and sink flush add zero divergence).
   struct ScoreRecord {
@@ -464,10 +466,11 @@ int main() {
   bool alerts_identical = false;
   bool sharded_alerts_identical = false;
   {
-    auto record_run = [&](size_t score_batch, std::vector<ScoreRecord>& out) {
+    auto record_run = [&](size_t consumer_batch,
+                          std::vector<ScoreRecord>& out) {
       netio::TraceReplaySource src(big, netio::ReplayOptions{});
       core::IngestRuntime::Options o;
-      o.score_batch = score_batch;
+      o.consumer_batch = consumer_batch;
       ScoreRecorder sink;
       core::IngestRuntime rt(o, kitsune_factory, &sink);
       auto st = rt.run(src);

@@ -137,11 +137,11 @@ int main() {
   // Sanity-scrape the instrumented registry: every scored packet must have
   // passed through the stage histograms' batches.
   const telemetry::Snapshot snap = ingest_reg.snapshot();
-  const auto* extract = snap.find_histogram("ingest.stage.extract_ns");
+  const auto* parse = snap.find_histogram("ingest.stage.parse_ns");
   const uint64_t scored = snap.counter_value("ingest.scored");
-  std::printf("instrumented registry: %llu scored, %llu extract samples\n",
+  std::printf("instrumented registry: %llu scored, %llu parse samples\n",
               static_cast<unsigned long long>(scored),
-              static_cast<unsigned long long>(extract ? extract->count : 0));
+              static_cast<unsigned long long>(parse ? parse->count : 0));
 
   telemetry::json::Writer w;
   w.kv_str("benchmark", "telemetry_overhead");
@@ -159,7 +159,7 @@ int main() {
   w.kv_f("instrumented_pkts_per_sec", on_rate, 1);
   w.kv_f("overhead_pct", overhead_pct, 3);
   w.kv_u64("instrumented_scored", scored);
-  w.kv_u64("instrumented_extract_samples", extract ? extract->count : 0);
+  w.kv_u64("instrumented_parse_samples", parse ? parse->count : 0);
   if (std::FILE* f = std::fopen("BENCH_telemetry.json", "w")) {
     const std::string doc = w.str();
     std::fwrite(doc.data(), 1, doc.size(), f);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -63,7 +64,6 @@ IngestRuntime::Options IngestRuntime::Options::normalized(
              "queue_capacity");
   norm.clamp(opts.shards, size_t{1}, size_t{256}, "shards");
   norm.clamp(opts.consumer_batch, size_t{1}, size_t{65536}, "consumer_batch");
-  norm.clamp(opts.score_batch, size_t{1}, size_t{65536}, "score_batch");
   norm.emit(diagnostic);
   return opts;
 }
@@ -149,6 +149,28 @@ class ShardFrameFeed : public netio::FrameFeed {
   uint64_t since_flush_ = 0;
 };
 
+/// A compiled operator chain as a consumer's scorer: each view scored is
+/// pushed into the chain and scores 0 under a +inf threshold, so no
+/// packet alerts — the chain's alerts are the rows of the epochs it emits
+/// through its callback. finish() flushes the chain's open windows.
+class ChainScorer final : public PacketScorer {
+ public:
+  explicit ChainScorer(std::unique_ptr<StreamPipeline> chain)
+      : chain_(std::move(chain)) {}
+
+  double score(const netio::PacketView& view) override {
+    chain_->push(view);
+    return 0.0;
+  }
+  double threshold() const override {
+    return std::numeric_limits<double>::infinity();
+  }
+  void finish() override { chain_->finish(); }
+
+ private:
+  std::unique_ptr<StreamPipeline> chain_;
+};
+
 }  // namespace
 
 IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
@@ -174,7 +196,7 @@ IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
   swaps_applied_ = &reg_->counter(p + "swaps_applied");
   if (extended_) {
     queue_high_water_ = &reg_->gauge(p + "queue.high_water");
-    extract_ns_ = &reg_->histogram(p + "stage.extract_ns");
+    parse_ns_ = &reg_->histogram(p + "stage.parse_ns");
     score_ns_ = &reg_->histogram(p + "stage.score_ns");
     flush_ns_ = &reg_->histogram(p + "stage.flush_ns");
     score_batch_rows_ = &reg_->histogram(p + "score.batch_rows");
@@ -198,10 +220,33 @@ IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
 
 IngestRuntime::IngestRuntime(Options opts, StreamPipelineFactory factory,
                              EpochSink* sink)
-    : IngestRuntime(std::move(opts), ScorerFactory{}, nullptr) {
-  pipeline_factory_ = std::move(factory);
-  epoch_sink_ = sink;
-}
+    : IngestRuntime(
+          std::move(opts),
+          [this, factory = std::move(factory),
+           sink](size_t c) -> std::unique_ptr<PacketScorer> {
+            std::unique_ptr<StreamPipeline> chain = factory(c);
+            if (chain == nullptr) return nullptr;
+            // Epochs are emitted on consumer c's thread, from inside
+            // score_batch or finish(): count their alerted rows, then hand
+            // them to the sink serialized like AlertSink calls.
+            chain->set_callback([this, c, sink](EpochBatch&& b) {
+              const auto alerts = static_cast<uint64_t>(std::count_if(
+                  b.predictions.begin(), b.predictions.end(),
+                  [](int p) { return p != 0; }));
+              if (alerts != 0) {
+                alerted_->add(alerts);
+                if (c < shard_instruments_.size()) {
+                  shard_instruments_[c].alerted->add(alerts);
+                }
+              }
+              if (sink != nullptr) {
+                std::lock_guard<std::mutex> lock(sink_mu_);
+                sink->on_epoch(b, c);
+              }
+            });
+            return std::make_unique<ChainScorer>(std::move(chain));
+          },
+          nullptr) {}
 
 void IngestRuntime::deploy(ScorerFactory factory) {
   scorer_slot_->publish(std::make_unique<ScorerFactory>(std::move(factory)));
@@ -255,11 +300,11 @@ void IngestRuntime::consume(size_t id, Ring& ring,
     bool alerted = false;
     uint32_t tenant = 0;
   };
-  /// A consumer's scoring state for one tenant: its own scorer instance
-  /// (isolated streaming state) tracking its own hot-swap slot. Tenant 0
-  /// seeds from the scorer run() built; other tenants build lazily on
-  /// first packet — from their registered slot, or from the default slot
-  /// for unregistered ids (isolated instance, shared factory).
+  /// A consumer's scoring state for one context: its own scorer instance
+  /// (isolated streaming state) tracking its own hot-swap slot. Context 0
+  /// is the default tenant's, seeded from the scorer run() built, and also
+  /// scores every unregistered tenant id; a registered tenant's context is
+  /// built lazily on its first packet, from its own slot.
   struct TenantCtx {
     std::unique_ptr<PacketScorer> scorer;
     uint64_t version = 0;
@@ -267,53 +312,34 @@ void IngestRuntime::consume(size_t id, Ring& ring,
     TenantState* state = nullptr;  // registered tenants only
   };
   std::unordered_map<uint32_t, TenantCtx> ctxs;
-  {
-    TenantCtx c0;
-    c0.scorer = std::move(scorer);
-    c0.version = scorer_version;
-    c0.slot = scorer_slot_.get();
-    ctxs.emplace(0, std::move(c0));
-  }
-  // Hot-swap check at the batch boundary, per tenant seen in the batch: a
-  // ModelSlot pin is two atomic loads plus one store — the cost of
+  ctxs.emplace(0, TenantCtx{std::move(scorer), scorer_version,
+                            scorer_slot_.get(), nullptr});
+  // Hot-swap check at the batch boundary, per context scored in the batch:
+  // a ModelSlot pin is two atomic loads plus one store — the cost of
   // noticing a deploy() — and the rebuild only runs when the observed
-  // epoch moved, so swapping tenant A never rebuilds tenant B.
-  const auto pin_ctx = [&](uint32_t t) -> TenantCtx& {
-    auto it = ctxs.find(t);
-    if (it == ctxs.end()) {
-      TenantCtx c;
-      c.slot = scorer_slot_.get();
-      auto reg = tenants_.find(t);
-      if (reg != tenants_.end()) {
-        c.slot = reg->second.slot.get();
-        c.state = &reg->second;
-      }
-      const auto pinned = c.slot->pin(id);
-      c.scorer = (*pinned.value)(id);
-      if (!c.scorer) {
-        throw std::runtime_error("ingest: scorer factory returned null for "
-                                 "tenant " +
-                                 std::to_string(t) + ", consumer " +
-                                 std::to_string(id));
-      }
-      c.version = pinned.version;
-      it = ctxs.emplace(t, std::move(c)).first;
-      return it->second;
-    }
+  // epoch moved, so swapping tenant A never rebuilds tenant B. The
+  // outgoing scorer is finish()ed before its replacement scores.
+  const auto pin_ctx = [&](uint32_t key) -> TenantCtx& {
+    auto [it, fresh] = ctxs.try_emplace(key);
     TenantCtx& c = it->second;
+    if (fresh) {
+      TenantState& ts = tenants_.at(key);
+      c.slot = ts.slot.get();
+      c.state = &ts;
+    }
     const auto pinned = c.slot->pin(id);
-    if (pinned.version != c.version) {
-      auto next = (*pinned.value)(id);
-      if (!next) {
-        throw std::runtime_error(
-            "ingest: hot-swapped scorer factory returned null for "
-            "consumer " +
-            std::to_string(id));
-      }
-      c.scorer = std::move(next);
-      c.version = pinned.version;
+    if (pinned.version == c.version) return c;
+    if (c.scorer != nullptr) {
+      c.scorer->finish();
       swaps_applied_->add(1);
       if (c.state != nullptr) c.state->swaps_applied->add(1);
+    }
+    c.scorer = (*pinned.value)(id);
+    c.version = pinned.version;
+    if (c.scorer == nullptr) {
+      throw std::runtime_error("ingest: scorer factory returned null for "
+                               "tenant " + std::to_string(key) +
+                               ", consumer " + std::to_string(id));
     }
     return c;
   };
@@ -321,8 +347,9 @@ void IngestRuntime::consume(size_t id, Ring& ring,
       id < shard_instruments_.size() ? &shard_instruments_[id] : nullptr;
   std::vector<netio::SourcePacket> batch;
   std::vector<netio::PacketView> parsed;
-  std::vector<uint32_t> tenant_of;      // aligned with parsed
-  std::vector<uint32_t> batch_tenants;  // distinct, first-appearance order
+  std::vector<uint32_t> tenant_of;   // aligned with parsed: the packet's id
+  std::vector<uint32_t> key_of;      // aligned with parsed: its context
+  std::vector<uint32_t> batch_keys;  // distinct, first-appearance order
   std::vector<double> scores;      // aligned with parsed
   std::vector<double> thresholds;  // aligned with parsed
   std::vector<netio::PacketView> scratch_views;
@@ -332,21 +359,15 @@ void IngestRuntime::consume(size_t id, Ring& ring,
   batch.reserve(opts_.consumer_batch);
   parsed.reserve(opts_.consumer_batch);
   tenant_of.reserve(opts_.consumer_batch);
+  key_of.reserve(opts_.consumer_batch);
   scores.reserve(opts_.consumer_batch);
   thresholds.reserve(opts_.consumer_batch);
   pending.reserve(opts_.consumer_batch);
   while (claim(ring, batch, opts_.consumer_batch) > 0) {
-    batch_tenants.clear();
-    for (const netio::SourcePacket& sp : batch) {
-      if (std::find(batch_tenants.begin(), batch_tenants.end(), sp.tenant) ==
-          batch_tenants.end())
-        batch_tenants.push_back(sp.tenant);
-    }
-    for (uint32_t t : batch_tenants) pin_ctx(t);
     uint64_t skipped = 0, alerted = 0;
     Clock::time_point t0, t1, t2;
-    // Stage 1 — extract: parse the whole batch (views borrow the packet
-    // bytes in `batch`, which outlives the flush below).
+    // Stage 1 — parse the whole batch (views borrow the packet bytes in
+    // `batch`, which outlives the flush below).
     if (extended_) t0 = Clock::now();
     parsed.clear();
     tenant_of.clear();
@@ -360,33 +381,36 @@ void IngestRuntime::consume(size_t id, Ring& ring,
       tenant_of.push_back(sp.tenant);
     }
     if (extended_) t1 = Clock::now();
-    // Stage 2 — score. Each tenant's packets form one partition in arrival
-    // order, scored contiguously through that tenant's scorer (its state
-    // is per-shard per-tenant) in score_batch-row micro-batches through
-    // the fused PacketScorer::score_batch path, with results scattered
-    // back positionally — equivalent to having claimed each tenant's
-    // packets in separate batches. A one-tenant batch is a single
-    // partition. A tail chunk is just a smaller micro-batch; the
-    // batch-invariance contract makes its scores identical either way.
+    // Stage 2 — score. Each context's packets form one partition in
+    // arrival order, scored contiguously through that context's scorer
+    // (its state is per-shard per-context) in one PacketScorer::score_batch
+    // call, with results scattered back positionally — equivalent to
+    // having claimed each context's packets in separate batches. A
+    // one-context batch is a single partition.
+    key_of.clear();
+    batch_keys.clear();
+    for (const uint32_t t : tenant_of) {
+      const uint32_t key = tenants_.contains(t) ? t : 0;
+      key_of.push_back(key);
+      if (std::find(batch_keys.begin(), batch_keys.end(), key) ==
+          batch_keys.end())
+        batch_keys.push_back(key);
+    }
     scores.resize(parsed.size());
     thresholds.resize(parsed.size());
-    for (uint32_t t : batch_tenants) {
+    for (const uint32_t key : batch_keys) {
+      TenantCtx& ctx = pin_ctx(key);
       scratch_idx.clear();
       scratch_views.clear();
       for (size_t i = 0; i < parsed.size(); ++i) {
-        if (tenant_of[i] != t) continue;
+        if (key_of[i] != key) continue;
         scratch_idx.push_back(i);
         scratch_views.push_back(parsed[i]);
       }
-      if (scratch_idx.empty()) continue;  // all of t's packets skipped
-      TenantCtx& ctx = ctxs.at(t);
       scratch_scores.resize(scratch_views.size());
-      for (size_t lo = 0; lo < scratch_views.size(); lo += opts_.score_batch) {
-        const size_t n = std::min(opts_.score_batch, scratch_views.size() - lo);
-        ctx.scorer->score_batch(
-            std::span<const netio::PacketView>(scratch_views.data() + lo, n),
-            scratch_scores.data() + lo);
-        if (extended_) score_batch_rows_->record(static_cast<double>(n));
+      ctx.scorer->score_batch(scratch_views, scratch_scores.data());
+      if (extended_) {
+        score_batch_rows_->record(static_cast<double>(scratch_views.size()));
       }
       const double thr = ctx.scorer->threshold();
       uint64_t t_alerted = 0;
@@ -431,11 +455,11 @@ void IngestRuntime::consume(size_t id, Ring& ring,
     pending.clear();
     if (extended_) {
       const Clock::time_point t3 = Clock::now();
-      // extract/score samples are the batch's mean per-packet cost; flush
+      // parse/score samples are the batch's mean per-packet cost; flush
       // is the whole batch's sink hand-off (it is per-batch by design).
       if (!batch.empty()) {
-        extract_ns_->record(ns_between(t0, t1) /
-                            static_cast<double>(batch.size()));
+        parse_ns_->record(ns_between(t0, t1) /
+                          static_cast<double>(batch.size()));
       }
       if (!parsed.empty()) {
         score_ns_->record(ns_between(t1, t2) /
@@ -444,65 +468,35 @@ void IngestRuntime::consume(size_t id, Ring& ring,
       flush_ns_->record(ns_between(t2, t3));
     }
   }
+  // End of stream: retire every scorer this consumer holds (a chain
+  // emits its open windows here).
+  for (auto& [key, c] : ctxs) c.scorer->finish();
 }
 
-void IngestRuntime::consume_pipeline(size_t id, Ring& ring,
-                                     StreamPipeline& pipe,
-                                     netio::LinkType link) {
-  // Same staged batch loop as consume(), but the scoring stage feeds the
-  // compiled operator chain: the chain's own state machinery (group
-  // directories, window clocks, accumulators) replaces the PacketScorer.
-  // Epoch emission happens synchronously inside pipe.push/finish via the
-  // callback installed in run(); everything else is consumer-local.
-  using Clock = std::chrono::steady_clock;
-  const auto ns_between = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::nano>(b - a).count();
-  };
-  ShardInstruments* si =
-      id < shard_instruments_.size() ? &shard_instruments_[id] : nullptr;
-  std::vector<netio::SourcePacket> batch;
-  std::vector<netio::PacketView> parsed;
-  batch.reserve(opts_.consumer_batch);
-  parsed.reserve(opts_.consumer_batch);
-  while (claim(ring, batch, opts_.consumer_batch) > 0) {
-    uint64_t skipped = 0;
-    Clock::time_point t0, t1, t2;
-    if (extended_) t0 = Clock::now();
-    parsed.clear();
-    for (netio::SourcePacket& sp : batch) {
-      auto p = netio::parse_packet(sp.pkt, link, sp.capture_index);
-      if (!p.ok()) {
-        ++skipped;
-        continue;
-      }
-      parsed.push_back(p.value());
-    }
-    if (extended_) t1 = Clock::now();
-    for (const netio::PacketView& view : parsed) pipe.push(view);
-    if (extended_) t2 = Clock::now();
-    if (skipped != 0) parse_skipped_->add(skipped);
-    if (!parsed.empty()) scored_->add(parsed.size());
-    if (si != nullptr) {
-      if (skipped != 0) si->parse_skipped->add(skipped);
-      if (!parsed.empty()) si->scored->add(parsed.size());
-    }
-    if (extended_) {
-      if (!batch.empty()) {
-        extract_ns_->record(ns_between(t0, t1) /
-                            static_cast<double>(batch.size()));
-      }
-      if (!parsed.empty()) {
-        score_ns_->record(ns_between(t1, t2) /
-                          static_cast<double>(parsed.size()));
-      }
+Result<IngestStats> IngestRuntime::run(netio::PacketSource& source) {
+  netio::ReplayDriver driver(source);
+  return run(driver);
+}
+
+Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
+  const size_t n_shards = opts_.shards;
+  // Build each consumer's initial scorer from the currently-deployed
+  // factory, announcing the build epoch so consume() only rebuilds when
+  // deploy() publishes something newer.
+  std::vector<std::unique_ptr<PacketScorer>> scorers;
+  std::vector<uint64_t> versions;
+  scorers.reserve(n_shards);
+  versions.reserve(n_shards);
+  for (size_t c = 0; c < n_shards; ++c) {
+    const auto pinned = scorer_slot_->pin(c);
+    scorers.push_back((*pinned.value)(c));
+    versions.push_back(pinned.version);
+    if (!scorers.back()) {
+      return Error::make("ingest", "factory returned null for consumer " +
+                                       std::to_string(c));
     }
   }
-  // End of stream: flush the chain's open windows/micro-batches.
-  pipe.finish();
-}
 
-Result<IngestStats> IngestRuntime::drive(netio::SourceDriver& driver,
-                                         const ConsumerBody& consumer_body) {
   // Per-run façade semantics over cumulative instruments: re-baseline now.
   base_ = Baseline{enqueued_->value(), dropped_->value(),
                    parse_skipped_->value(), scored_->value(),
@@ -511,7 +505,6 @@ Result<IngestStats> IngestRuntime::drive(netio::SourceDriver& driver,
   stop_.store(false);
   running_.store(true, std::memory_order_release);
 
-  const size_t n_shards = opts_.shards;
   const netio::LinkType link = driver.link();
   FlowShardRouter router(n_shards, link);
   std::vector<std::unique_ptr<Ring>> rings;
@@ -537,9 +530,10 @@ Result<IngestStats> IngestRuntime::drive(netio::SourceDriver& driver,
   std::vector<std::thread> threads;
   threads.reserve(n_shards);
   for (size_t c = 0; c < n_shards; ++c) {
-    threads.emplace_back([c, &rings, &errors, link, &consumer_body] {
+    threads.emplace_back([this, c, &rings, &errors, &scorers, &versions,
+                          link] {
       try {
-        consumer_body(c, *rings[c], link);
+        consume(c, *rings[c], std::move(scorers[c]), versions[c], link);
       } catch (...) {
         errors[c] = std::current_exception();
         // Close every ring: siblings drain and exit, and the producer
@@ -583,67 +577,6 @@ Result<IngestStats> IngestRuntime::drive(netio::SourceDriver& driver,
   }
   if (!driven.ok()) return driven.error();
   return stats();
-}
-
-Result<IngestStats> IngestRuntime::run(netio::PacketSource& source) {
-  netio::ReplayDriver driver(source);
-  return run(driver);
-}
-
-Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
-  const size_t n_shards = opts_.shards;
-  if (pipeline_factory_) {
-    std::vector<std::unique_ptr<StreamPipeline>> pipes;
-    pipes.reserve(n_shards);
-    for (size_t c = 0; c < n_shards; ++c) {
-      pipes.push_back(pipeline_factory_(c));
-      if (!pipes.back()) {
-        return Error::make(
-            "ingest",
-            "pipeline factory returned null for consumer " + std::to_string(c));
-      }
-      pipes.back()->set_callback([this, c](EpochBatch&& b) {
-        uint64_t alerts = 0;
-        for (const int p : b.predictions) alerts += p != 0 ? 1 : 0;
-        if (alerts != 0) {
-          alerted_->add(alerts);
-          if (c < shard_instruments_.size()) {
-            shard_instruments_[c].alerted->add(alerts);
-          }
-        }
-        if (epoch_sink_ != nullptr) {
-          std::lock_guard<std::mutex> lock(sink_mu_);
-          epoch_sink_->on_epoch(b, c);
-        }
-      });
-    }
-    return drive(driver,
-                 [this, &pipes](size_t id, Ring& ring, netio::LinkType link) {
-                   consume_pipeline(id, ring, *pipes[id], link);
-                 });
-  }
-
-  // Build each consumer's initial scorer from the currently-deployed
-  // factory, announcing the build epoch so consume() only rebuilds when
-  // deploy() publishes something newer.
-  std::vector<std::unique_ptr<PacketScorer>> scorers;
-  std::vector<uint64_t> versions;
-  scorers.reserve(n_shards);
-  versions.reserve(n_shards);
-  for (size_t c = 0; c < n_shards; ++c) {
-    const auto pinned = scorer_slot_->pin(c);
-    scorers.push_back((*pinned.value)(c));
-    versions.push_back(pinned.version);
-    if (!scorers.back()) {
-      return Error::make("ingest", "scorer factory returned null for consumer " +
-                                       std::to_string(c));
-    }
-  }
-  return drive(driver,
-               [this, &scorers, &versions](size_t id, Ring& ring,
-                                           netio::LinkType link) {
-                 consume(id, ring, std::move(scorers[id]), versions[id], link);
-               });
 }
 
 IngestStats IngestRuntime::stats() const {

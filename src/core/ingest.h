@@ -14,15 +14,16 @@
 // groups by, falling back to the source MAC for non-IPv4 frames) and routes
 // it to one of Options::shards single-producer/single-consumer rings with
 // an explicit overflow policy. Each shard consumer parses, scores with its
-// own PacketScorer (OnlineKitsune or any callable — e.g. a scorer assembled
-// from core::Op pipelines) or operator chain, and emits alerts through a
-// pluggable sink. A device's conversations stay on one shard, so its
-// detector state is touched by exactly one thread, in arrival order, and
-// the hot path crosses no mutex at all. A live ModelSlot lets deploy()
-// hot-swap a retrained scorer into running shards without draining
-// traffic. Shutdown is graceful: the producer closes the rings at end of
-// stream, consumers drain what is left and join. See docs/framework.md
-// "Ingestion runtime" for the memory-order and equivalence arguments.
+// own PacketScorer (OnlineKitsune, any callable, or a compiled operator
+// chain wrapped as a scorer — there is one consumer loop for all three),
+// and emits alerts through a pluggable sink. A device's conversations stay
+// on one shard, so its detector state is touched by exactly one thread, in
+// arrival order, and the hot path crosses no mutex at all. A live
+// ModelSlot lets deploy() hot-swap a retrained scorer into running shards
+// without draining traffic. Shutdown is graceful: the producer closes the
+// rings at end of stream, consumers drain what is left, finish() every
+// scorer they hold and join. See docs/framework.md "Ingestion runtime" for
+// the memory-order and equivalence arguments.
 //
 // Threading follows common/parallel.h conventions: consumers are dedicated
 // threads (they are long-running, so they must not occupy the shared
@@ -162,15 +163,22 @@ class PacketScorer {
 
   /// Score a micro-batch in capture order: out[i] = score of views[i], as
   /// if score() had been called on each view in sequence. The consumer
-  /// loop always scores through this entry point (in Options::score_batch
-  /// chunks); scorers with a fused batch path override it. Contract for
-  /// overrides: results must not depend on how a fixed view sequence is
-  /// chopped into batches, so alert sets are invariant under score_batch
-  /// tuning. Default: a score() loop (trivially batch-invariant).
+  /// loop always scores through this entry point, one call per tenant
+  /// partition of a claimed batch (at most Options::consumer_batch rows);
+  /// scorers with a fused batch path override it. Contract for overrides:
+  /// results must not depend on how a fixed view sequence is chopped into
+  /// batches, so alert sets are invariant under consumer_batch tuning.
+  /// Default: a score() loop (trivially batch-invariant).
   virtual void score_batch(std::span<const netio::PacketView> views,
                            double* out) {
     for (size_t i = 0; i < views.size(); ++i) out[i] = score(views[i]);
   }
+
+  /// Called exactly once when the consumer retires this scorer: at end of
+  /// stream, or before a hot swap's replacement scores its first packet.
+  /// A scorer that buffers (an operator chain's open windows) flushes
+  /// here. Default: nothing to flush.
+  virtual void finish() {}
 };
 
 /// OnlineKitsune as a PacketScorer. Copies the (typically pre-trained)
@@ -257,22 +265,19 @@ class IngestRuntime {
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     /// Shard count, one consumer thread each. The producer routes every
     /// frame through a FlowShardRouter into its shard's private SPSC ring,
-    /// drained by that shard's consumer with its own scorer/chain. Because
+    /// drained by that shard's consumer with its own scorer. Because
     /// the partition is by flow hash, a device's conversations stay on one
     /// shard and each shard's detector state is single-threaded by
     /// construction, so alerts never depend on thread scheduling.
     size_t shards = 1;
-    /// Packets a consumer claims per ring pop, and the flush threshold for
-    /// its locally-buffered sink records. 1 reproduces the historic
-    /// packet-at-a-time behaviour (same alerts either way; only hand-off
-    /// amortization and sink-delivery latency change).
+    /// Packets a consumer claims per ring pop: the flush threshold for its
+    /// locally-buffered sink records and the bound on each
+    /// PacketScorer::score_batch call (one call per tenant partition of
+    /// the claim). Scores and alert sets are invariant under this knob (the
+    /// score_batch contract); it only tunes hand-off amortization, SIMD
+    /// micro-batch width and sink-delivery latency. 1 scores row-at-a-time
+    /// through the same entry point.
     size_t consumer_batch = 64;
-    /// Rows per PacketScorer::score_batch call inside a claimed batch: the
-    /// micro-batch size of the fused SIMD scoring path. Scores and alert
-    /// sets are invariant under this knob (the score_batch contract); it
-    /// only tunes throughput. 1 scores row-at-a-time through the same
-    /// entry point — the baseline the bench/CI gate compares against.
-    size_t score_batch = 64;
     /// Where this runtime's instruments live. Default: the process-wide
     /// registry, so a live gateway can be scraped mid-run. nullptr keeps
     /// the core accounting counters in a runtime-local registry (stats()
@@ -290,8 +295,8 @@ class IngestRuntime {
     /// when nothing was clamped). The runtime normalizes exactly once at
     /// construction and emits the diagnostic to stderr — there are no
     /// scattered silent per-field clamps. Ranges: shards in [1, 256]
-    /// (threads, not pool workers), consumer_batch/score_batch in
-    /// [1, 65536], queue_capacity in [1, 1 << 24].
+    /// (threads, not pool workers), consumer_batch in [1, 65536],
+    /// queue_capacity in [1, 1 << 24].
     ///
     /// LUMEN_THREADS interaction: that variable sizes the shared
     /// common/parallel.h ThreadPool used INSIDE scorers (e.g. parallel
@@ -304,18 +309,22 @@ class IngestRuntime {
   IngestRuntime(Options opts, ScorerFactory factory, AlertSink* sink);
 
   /// Pipeline sink mode: consumers feed parsed packets through compiled
-  /// streaming operator chains (core/stream_op.h) instead of a bare
-  /// PacketScorer — the full spec (grouping, windows, aggregates,
-  /// normalization, model scoring) runs continuously on the live path.
-  /// Each consumer owns one chain; completed epochs are handed to `sink`
-  /// serialized under the runtime's mutex. In this mode `scored` counts
+  /// streaming operator chains (core/stream_op.h) — the full spec
+  /// (grouping, windows, aggregates, normalization, model scoring) runs
+  /// continuously on the live path. Each chain the factory builds is
+  /// wrapped as the consumer's PacketScorer (its scores never alert), so
+  /// chains run through the same consumer loop as bare scorers; completed
+  /// epochs are handed to `sink` serialized under the runtime's mutex, and
+  /// finish() flushes a chain's open windows. In this mode `scored` counts
   /// packets fed to the chains and `alerted` counts alerted rows.
   IngestRuntime(Options opts, StreamPipelineFactory factory, EpochSink* sink);
 
   /// Drain `source` through the shard rings and consumers. Blocks
   /// until the stream ends (or request_stop()) and every consumer has
-  /// joined. Returns the run's statistics; an Error if a scorer could not
-  /// be built. The first exception thrown by a consumer is rethrown here.
+  /// joined. Returns the run's statistics; an Error naming the consumer if
+  /// its initial scorer (or chain) could not be built. The first exception
+  /// thrown by a consumer — including a hot-swapped factory returning
+  /// null — is rethrown here.
   /// Thin wrapper: adapts the source with a netio::ReplayDriver and calls
   /// the driver overload below — packet-for-packet identical semantics.
   Result<IngestStats> run(netio::PacketSource& source);
@@ -338,9 +347,10 @@ class IngestRuntime {
   /// wait-free — detecting a deploy costs two atomic loads per batch (a
   /// ModelSlot epoch pin); the swap itself never blocks the producer or
   /// sibling consumers. Counted under `<prefix>swaps_applied` (one per
-  /// consumer that rebuilt). Scorer mode only: pipeline-mode chains carry
-  /// irreplaceable window state mid-stream, so there deploys only take
-  /// effect for the next run().
+  /// consumer that rebuilt). The outgoing scorer is finish()ed before its
+  /// replacement scores, so on a pipeline runtime a deploy first flushes
+  /// the chain's open windows; the replacement starts from the state its
+  /// factory builds.
   void deploy(ScorerFactory factory);
 
   /// Register a tenant with its own scorer factory BEFORE run(): packets
@@ -350,17 +360,18 @@ class IngestRuntime {
   /// (`<prefix>tenant<t>.scored/alerted/swaps_applied`) are created here.
   /// Returns false for tenant 0 (the default slot), a duplicate
   /// registration, a null factory, or a call while run() is in flight.
-  /// Unregistered tenant ids still work: they score through per-tenant
-  /// scorer instances built from the DEFAULT factory (isolated state, no
-  /// dedicated slot or counters).
+  /// Unregistered tenant ids share the default tenant's scorer on each
+  /// consumer (no isolated state, slot or counters; Alert::tenant still
+  /// carries the packet's own id), so ids read off the wire cannot make a
+  /// consumer build scorers without bound.
   bool register_tenant(uint32_t tenant, ScorerFactory factory);
 
   /// Hot-swap exactly one tenant's scorer (callable from any thread while
   /// run() is in flight): publishes into that tenant's ModelSlot, so
-  /// consumers rebuild only that tenant's scorer at their next batch
-  /// boundary — no other tenant's scorer or state is touched. tenant 0
-  /// forwards to deploy(factory) (the default slot). Returns false if the
-  /// tenant was never registered.
+  /// consumers finish() and rebuild only that tenant's scorer at their
+  /// next batch boundary — no other tenant's scorer or state is touched.
+  /// tenant 0 forwards to deploy(factory) (the default slot). Returns
+  /// false if the tenant was never registered.
   bool deploy(uint32_t tenant, ScorerFactory factory);
 
   /// Statistics of the current (or last finished) run, read back from the
@@ -394,23 +405,15 @@ class IngestRuntime {
   };
 
   using Ring = SpscRing<netio::SourcePacket>;
-  using ConsumerBody = std::function<void(size_t, Ring&, netio::LinkType)>;
 
+  /// The one consumer loop: claims batches from `ring`, parses, scores each
+  /// tenant partition, flushes sink records, and finish()es every scorer
+  /// it retires.
   void consume(size_t id, Ring& ring, std::unique_ptr<PacketScorer> scorer,
                uint64_t scorer_version, netio::LinkType link);
-  void consume_pipeline(size_t id, Ring& ring, StreamPipeline& pipe,
-                        netio::LinkType link);
-  /// Shared run skeleton: router + rings + driver on the calling thread +
-  /// one consumer thread per shard running `consumer_body(id, ring, link)`
-  /// + graceful drain/join/rethrow. Scorer and pipeline runs only differ in
-  /// what the body does per batch.
-  Result<IngestStats> drive(netio::SourceDriver& driver,
-                            const ConsumerBody& consumer_body);
 
   Options opts_;
   AlertSink* sink_;
-  StreamPipelineFactory pipeline_factory_;  // pipeline mode (else empty)
-  EpochSink* epoch_sink_ = nullptr;
   /// The scorer factory lives behind a hot-swap slot so deploy() can
   /// replace it while consumers run (see deploy()). One reader per shard;
   /// consumers pin it once per batch.
@@ -434,7 +437,7 @@ class IngestRuntime {
   telemetry::Counter* swaps_applied_ = nullptr;
   telemetry::Gauge* queue_high_water_ = nullptr;  // max over shard rings
   std::vector<ShardInstruments> shard_instruments_;  // extended_ only
-  telemetry::Histogram* extract_ns_ = nullptr;
+  telemetry::Histogram* parse_ns_ = nullptr;
   telemetry::Histogram* score_ns_ = nullptr;
   telemetry::Histogram* flush_ns_ = nullptr;
   telemetry::Histogram* score_batch_rows_ = nullptr;

@@ -1,9 +1,10 @@
 // Golden equivalence for the micro-batched online scoring path: across the
-// P1-P4 captures, fault-injected replays, and every score_batch size, the
-// micro-batched consumer must produce bit-identical scores and alert sets
-// to the row-at-a-time baseline (consumer_batch = 1, score_batch = 1).
-// This is the contract that makes Options::score_batch a pure throughput
-// knob — see OnlineKitsune::score_packets and compiled::Plan::score_rows.
+// P1-P4 captures, fault-injected replays, and every consumer_batch size
+// (which bounds each PacketScorer::score_batch call), the micro-batched
+// consumer must produce bit-identical scores and alert sets to the
+// row-at-a-time baseline (consumer_batch = 1). This is the contract that
+// makes Options::consumer_batch a pure throughput knob — see
+// OnlineKitsune::score_packets and compiled::Plan::score_rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,12 +54,11 @@ struct RunResult {
 };
 
 /// One single-consumer run over `source`, scoring with a fresh copy of the
-/// pre-trained detector, with the given batching knobs.
+/// pre-trained detector, with the given claim (and micro-batch) size.
 RunResult run_once(const OnlineKitsune& proto, netio::PacketSource& source,
-                   size_t consumer_batch, size_t score_batch) {
+                   size_t consumer_batch) {
   IngestRuntime::Options opts;
   opts.consumer_batch = consumer_batch;
-  opts.score_batch = score_batch;
   RecordingSink sink;
   IngestRuntime rt(
       opts,
@@ -86,7 +86,7 @@ void expect_bit_identical(const RunResult& got, const RunResult& baseline,
   EXPECT_EQ(got.alerts, baseline.alerts) << what;
 }
 
-const size_t kScoreBatches[] = {1, 8, 16, 32, 64};
+const size_t kConsumerBatches[] = {1, 8, 16, 32, 64};
 
 TEST(MicroBatchEquivalence, BitIdenticalAcrossCaptures) {
   size_t total_alerts = 0;
@@ -101,16 +101,16 @@ TEST(MicroBatchEquivalence, BitIdenticalAcrossCaptures) {
     replay.begin = grace;
     // Row-at-a-time baseline: one-packet claims, one-row score batches.
     TraceReplaySource base_src(ds.trace, replay);
-    const RunResult baseline = run_once(proto, base_src, 1, 1);
+    const RunResult baseline = run_once(proto, base_src, 1);
     ASSERT_FALSE(baseline.packets.empty()) << id;
     total_alerts += baseline.alerts.size();
 
-    for (size_t sb : kScoreBatches) {
+    for (size_t cb : kConsumerBatches) {
       TraceReplaySource src(ds.trace, replay);
-      const RunResult got = run_once(proto, src, /*consumer_batch=*/64, sb);
+      const RunResult got = run_once(proto, src, cb);
       expect_bit_identical(got, baseline,
-                           (std::string(id) + " score_batch=" +
-                            std::to_string(sb))
+                           (std::string(id) + " consumer_batch=" +
+                            std::to_string(cb))
                                .c_str());
     }
   }
@@ -134,18 +134,18 @@ TEST(MicroBatchEquivalence, BitIdenticalUnderFaultInjection) {
 
   // Fault injection is deterministic per seed, so rebuilding the source
   // replays the identical (mutated) packet sequence for every run.
-  auto run_faulty = [&](size_t consumer_batch, size_t score_batch) {
+  auto run_faulty = [&](size_t consumer_batch) {
     TraceReplaySource inner(ds.trace, replay);
     FaultInjectingSource src(inner, faults);
-    return run_once(proto, src, consumer_batch, score_batch);
+    return run_once(proto, src, consumer_batch);
   };
-  const RunResult baseline = run_faulty(1, 1);
+  const RunResult baseline = run_faulty(1);
   ASSERT_FALSE(baseline.packets.empty());
-  for (size_t sb : kScoreBatches) {
-    const RunResult got = run_faulty(64, sb);
+  for (size_t cb : kConsumerBatches) {
+    const RunResult got = run_faulty(cb);
     expect_bit_identical(
         got, baseline,
-        ("faulty score_batch=" + std::to_string(sb)).c_str());
+        ("faulty consumer_batch=" + std::to_string(cb)).c_str());
   }
 }
 

@@ -311,7 +311,7 @@ TEST(ShardedRuntime, DropNewestAccountingStaysExact) {
   EXPECT_LE(s.queue_high_water, 16u);
   // A null registry keeps the accounting above in a runtime-local registry
   // and skips the extended instruments.
-  EXPECT_EQ(rt.registry().snapshot().find_histogram("ingest.stage.extract_ns"),
+  EXPECT_EQ(rt.registry().snapshot().find_histogram("ingest.stage.parse_ns"),
             nullptr);
 }
 
@@ -419,18 +419,16 @@ TEST(OptionsValidation, NormalizedClampsEverythingInOnePass) {
   wild.queue_capacity = 0;
   wild.shards = 100000;
   wild.consumer_batch = 0;
-  wild.score_batch = size_t{1} << 40;
   std::string diag;
   const auto norm = IngestRuntime::Options::normalized(wild, &diag);
   EXPECT_EQ(norm.queue_capacity, 1u);
   EXPECT_EQ(norm.shards, 256u);
   EXPECT_EQ(norm.consumer_batch, 1u);
-  EXPECT_EQ(norm.score_batch, 65536u);
   // One diagnostic line naming every adjustment — not scattered clamps.
   ASSERT_FALSE(diag.empty());
   EXPECT_EQ(diag.find('\n'), std::string::npos);
   for (const char* field :
-       {"queue_capacity", "shards", "consumer_batch", "score_batch"}) {
+       {"queue_capacity", "shards", "consumer_batch"}) {
     EXPECT_NE(diag.find(field), std::string::npos) << field;
   }
 

@@ -6,11 +6,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry.h"
 #include "core/ingest.h"
+#include "core/stream_op.h"
 #include "netio/builder.h"
 #include "netio/frontend.h"
 #include "netio/parse.h"
@@ -254,25 +260,35 @@ TEST(Runtime, KitsuneScorerDetectsOnTheStream) {
   }
 }
 
-// Replays a trace's frames from `begin`, tagging each with tenant 1 or 2
-// by a fixed rule on its capture index. `only` != 0 keeps just that
-// tenant's sub-stream.
+// Replays a trace's frames from `begin`, tagging each with tag(capture
+// index) — by default tenant 1 or 2 by a fixed rule. `only` != 0 keeps
+// just that tenant's sub-stream. hold(at, resume) holds the frames from
+// position `at` on until `resume` turns true: a fixed mid-stream point
+// for a deploy.
 uint32_t tenant_of(uint32_t capture_index) {
   return capture_index % 3 == 0 ? 2 : 1;
 }
 
 class TenantTaggingDriver : public netio::SourceDriver {
  public:
-  TenantTaggingDriver(const Trace& t, size_t begin, uint32_t only)
-      : t_(t), begin_(begin), only_(only) {}
+  TenantTaggingDriver(const Trace& t, size_t begin, uint32_t only,
+                      std::function<uint32_t(uint32_t)> tag = tenant_of)
+      : t_(t), begin_(begin), only_(only), tag_(std::move(tag)) {}
+  void hold(size_t at, const std::atomic<bool>& resume) {
+    hold_at_ = at;
+    resume_ = &resume;
+  }
   netio::LinkType link() const override { return t_.link; }
   Result<void> drive(netio::FrameFeed& feed,
                      const std::atomic<bool>& stop) override {
     for (size_t i = begin_; i < t_.raw.size() && !stop.load(); ++i) {
+      while (i == hold_at_ && !resume_->load() && !stop.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       SourcePacket sp;
       sp.pkt = t_.raw[i];
       sp.capture_index = t_.view[i].index;
-      sp.tenant = tenant_of(sp.capture_index);
+      sp.tenant = tag_(sp.capture_index);
       if (only_ != 0 && sp.tenant != only_) continue;
       for (;;) {
         const netio::FeedStatus st = feed.offer(sp);
@@ -289,6 +305,9 @@ class TenantTaggingDriver : public netio::SourceDriver {
   const Trace& t_;
   size_t begin_;
   uint32_t only_;
+  std::function<uint32_t(uint32_t)> tag_;
+  size_t hold_at_ = SIZE_MAX;
+  const std::atomic<bool>* resume_ = nullptr;
 };
 
 struct TenantRecord {
@@ -365,6 +384,235 @@ TEST(Runtime, InterleavedTenantsMatchSoloRuns) {
   }
   // The comparison must not be vacuous: the Mirai segment fires.
   EXPECT_GT(total_alerts, 0u);
+}
+
+// Tenant ids come straight off the wire, so an unregistered id must not
+// cost a scorer: every unregistered id scores through the default
+// tenant's scorer on its shard, bit-identically to the same frames sent as
+// tenant 0, while each alert keeps the packet's own id.
+TEST(Runtime, UnregisteredTenantsShareTheDefaultScorer) {
+  const trace::Dataset ds = trace::make_dataset("P1", 0.1);
+  const size_t grace = ds.trace.view.size() * 45 / 100;
+  core::OnlineKitsune proto;
+  proto.train({ds.trace.view.data(), grace});
+  const auto spoofed = [](uint32_t i) { return 1000 + i % 50; };
+
+  const auto run = [&](std::function<uint32_t(uint32_t)> tag,
+                       size_t* built) {
+    IngestRuntime::Options opts;
+    opts.shards = 2;
+    opts.registry = nullptr;
+    TenantRecorder sink;
+    std::atomic<size_t> calls{0};
+    IngestRuntime rt(
+        opts,
+        [&](size_t) {
+          calls.fetch_add(1);
+          return std::make_unique<core::KitsuneScorer>(proto);
+        },
+        &sink);
+    TenantTaggingDriver driver(ds.trace, grace, 0, std::move(tag));
+    EXPECT_TRUE(rt.run(driver).ok());
+    *built = calls.load();
+    // Two shards interleave delivery; capture indices are unique.
+    const auto by_index = [](const auto& a, const auto& b) {
+      return a.index < b.index;
+    };
+    std::sort(sink.recs.begin(), sink.recs.end(), by_index);
+    std::sort(sink.alerts.begin(), sink.alerts.end(),
+              [](const core::Alert& a, const core::Alert& b) {
+                return a.capture_index < b.capture_index;
+              });
+    return sink;
+  };
+  size_t built_default = 0, built_spoofed = 0;
+  const TenantRecorder want = run([](uint32_t) { return 0u; }, &built_default);
+  const TenantRecorder got = run(spoofed, &built_spoofed);
+  EXPECT_EQ(built_default, 2u);
+  EXPECT_EQ(built_spoofed, 2u);  // once per shard, however many ids
+  ASSERT_EQ(got.recs.size(), ds.trace.view.size() - grace);
+  EXPECT_EQ(got.recs, want.recs);  // bit-identical scores and flags
+  ASSERT_GT(want.alerts.size(), 0u);
+  ASSERT_EQ(got.alerts.size(), want.alerts.size());
+  for (size_t i = 0; i < got.alerts.size(); ++i) {
+    EXPECT_EQ(got.alerts[i].capture_index, want.alerts[i].capture_index);
+    EXPECT_EQ(got.alerts[i].score, want.alerts[i].score);
+    EXPECT_EQ(got.alerts[i].tenant, spoofed(got.alerts[i].capture_index));
+  }
+}
+
+/// Polls `counter` in `reg` until it reaches `n` (false after 10 s).
+bool wait_for(telemetry::Registry& reg, const std::string& counter,
+              uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reg.counter(counter).value() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// A factory that returns null fails the run: before the stream starts as
+// an Error naming the consumer, for scorer and pipeline factories alike,
+// and after a mid-run deploy as an exception rethrown from run().
+TEST(Runtime, NullFactoryFailsTheRun) {
+  const Trace t = make_trace(200, 8);
+  IngestRuntime::Options opts;
+  opts.shards = 2;
+  opts.registry = nullptr;
+  {
+    IngestRuntime rt(
+        opts,
+        [](size_t c) -> std::unique_ptr<core::PacketScorer> {
+          return c == 1 ? nullptr : payload_scorer()(c);
+        },
+        nullptr);
+    TraceReplaySource src(t);
+    const auto r = rt.run(src);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("consumer 1"), std::string::npos)
+        << r.error().message;
+  }
+  {
+    IngestRuntime rt(
+        opts,
+        [](size_t) -> std::unique_ptr<core::StreamPipeline> { return nullptr; },
+        nullptr);
+    TraceReplaySource src(t);
+    const auto r = rt.run(src);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("consumer 0"), std::string::npos)
+        << r.error().message;
+  }
+  {
+    telemetry::Registry reg;
+    opts.registry = &reg;
+    IngestRuntime rt(opts, payload_scorer(), nullptr);
+    std::atomic<bool> resume{false};
+    TenantTaggingDriver driver(t, 0, 0, [](uint32_t) { return 0u; });
+    driver.hold(100, resume);
+    std::thread runner(
+        [&] { EXPECT_THROW((void)rt.run(driver), std::runtime_error); });
+    const bool half_scored = wait_for(reg, "ingest.scored", 100);
+    rt.deploy([](size_t) -> std::unique_ptr<core::PacketScorer> {
+      return nullptr;
+    });
+    resume = true;
+    runner.join();
+    EXPECT_TRUE(half_scored);
+  }
+}
+
+/// Every scorer instance a factory built (in build order) and its score
+/// and finish() calls, in one global order.
+class Lifelog {
+ public:
+  struct Owner {
+    size_t consumer = 0;
+    uint32_t tenant = 0;
+  };
+  size_t born(size_t consumer, uint32_t tenant) {
+    std::lock_guard<std::mutex> lock(mu_);
+    owners.push_back(Owner{consumer, tenant});
+    return owners.size() - 1;
+  }
+  void log(size_t instance, char what) {
+    std::lock_guard<std::mutex> lock(mu_);
+    events.emplace_back(instance, what);
+  }
+  core::ScorerFactory factory(uint32_t tenant);
+
+  std::vector<Owner> owners;                    // by instance id
+  std::vector<std::pair<size_t, char>> events;  // 's'core or 'f'inish
+
+ private:
+  std::mutex mu_;
+};
+
+class LoggingScorer : public core::PacketScorer {
+ public:
+  LoggingScorer(Lifelog& log, size_t consumer, uint32_t tenant)
+      : log_(log), id_(log.born(consumer, tenant)) {}
+  double score(const netio::PacketView&) override {
+    log_.log(id_, 's');
+    return 0.0;
+  }
+  double threshold() const override { return 1.0; }
+  void finish() override { log_.log(id_, 'f'); }
+
+ private:
+  Lifelog& log_;
+  size_t id_;
+};
+
+core::ScorerFactory Lifelog::factory(uint32_t tenant) {
+  return [this, tenant](size_t consumer) {
+    return std::make_unique<LoggingScorer>(*this, consumer, tenant);
+  };
+}
+
+// The finish() contract: the consumer finish()es every scorer it retires
+// exactly once — at end of stream, or on a hot swap before the
+// replacement scores its first packet — for the default tenant and for a
+// registered tenant swapped alone with deploy(tenant, ...).
+TEST(Runtime, RetiredScorersFinishOnceBeforeTheirReplacement) {
+  const Trace t = make_trace(400, 8);
+  telemetry::Registry reg;
+  IngestRuntime::Options opts;
+  opts.shards = 2;
+  opts.consumer_batch = 16;
+  opts.registry = &reg;
+  Lifelog life;
+  IngestRuntime rt(opts, life.factory(0), nullptr);
+  ASSERT_TRUE(rt.register_tenant(1, life.factory(1)));
+  ASSERT_TRUE(rt.register_tenant(2, life.factory(2)));
+  std::atomic<bool> resume{false};
+  TenantTaggingDriver driver(t, 0, 0, [](uint32_t i) { return i % 3; });
+  driver.hold(200, resume);
+  std::thread runner([&] { EXPECT_TRUE(rt.run(driver).ok()); });
+  const bool half_scored = wait_for(reg, "ingest.scored", 200);
+  EXPECT_TRUE(rt.deploy(1, life.factory(1)));
+  rt.deploy(life.factory(0));
+  resume = true;
+  runner.join();
+  ASSERT_TRUE(half_scored);
+
+  // Both deploys landed, and tenant 2 was never rebuilt.
+  EXPECT_GE(reg.counter("ingest.tenant1.swaps_applied").value(), 1u);
+  EXPECT_GT(reg.counter("ingest.swaps_applied").value(),
+            reg.counter("ingest.tenant1.swaps_applied").value());
+  EXPECT_EQ(reg.counter("ingest.tenant2.swaps_applied").value(), 0u);
+
+  const size_t n = life.owners.size();
+  std::vector<size_t> finishes(n, 0);
+  std::vector<size_t> first_score(n, SIZE_MAX), finish_at(n, SIZE_MAX);
+  for (size_t k = 0; k < life.events.size(); ++k) {
+    const auto [who, what] = life.events[k];
+    if (what == 'f') {
+      ++finishes[who];
+      finish_at[who] = k;
+    } else {
+      EXPECT_EQ(finishes[who], 0u) << "instance " << who << " scored after "
+                                   << "finish()";
+      first_score[who] = std::min(first_score[who], k);
+    }
+  }
+  // Instances of one (consumer, tenant) context, in build order.
+  std::map<std::pair<size_t, uint32_t>, std::vector<size_t>> lineage;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(finishes[i], 1u) << "instance " << i;
+    lineage[{life.owners[i].consumer, life.owners[i].tenant}].push_back(i);
+  }
+  size_t replacements = 0;
+  for (const auto& [ctx, line] : lineage) {
+    for (size_t j = 1; j < line.size(); ++j) {
+      EXPECT_LT(finish_at[line[j - 1]], first_score[line[j]])
+          << "consumer " << ctx.first << " tenant " << ctx.second;
+      ++replacements;
+    }
+  }
+  EXPECT_EQ(replacements, reg.counter("ingest.swaps_applied").value());
 }
 
 TEST(Runtime, RequestStopWindsDownGracefully) {
@@ -462,7 +710,7 @@ TEST(Runtime, StatsRoundTripThroughTelemetrySnapshot) {
             s.queue_high_water);
   // Per-stage latency histograms saw the run (one sample per batch).
   for (const char* name :
-       {"t.stage.extract_ns", "t.stage.score_ns", "t.stage.flush_ns"}) {
+       {"t.stage.parse_ns", "t.stage.score_ns", "t.stage.flush_ns"}) {
     const telemetry::HistogramSample* h = snap.find_histogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_GT(h->count, 0u) << name;

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,10 +112,10 @@ struct StreamRow {
   uint64_t epoch = 0;
 };
 
-/// Push every parsed packet of `ds` through `chain` and collect its rows
-/// keyed by the emitted unit key ("<srcip>#w<k>").
-std::map<std::string, StreamRow> run_chain(StreamPipeline& chain,
-                                           const trace::Dataset& ds) {
+/// Push `views` (parsed packets, in capture order) through `chain` and
+/// collect its rows keyed by the emitted unit key ("<srcip>#w<k>").
+std::map<std::string, StreamRow> run_chain(
+    StreamPipeline& chain, std::span<const netio::PacketView> views) {
   std::map<std::string, StreamRow> rows;
   chain.set_callback([&rows](EpochBatch&& b) {
     for (size_t r = 0; r < b.table.rows; ++r) {
@@ -129,7 +130,7 @@ std::map<std::string, StreamRow> run_chain(StreamPipeline& chain,
           << "duplicate key " << b.keys[r];
     }
   });
-  for (const auto& v : ds.trace.view) chain.push(v);
+  for (const auto& v : views) chain.push(v);
   chain.finish();
   return rows;
 }
@@ -181,7 +182,7 @@ TEST(StreamingGolden, MatchesBatchEngineBitForBitAcrossCaptures) {
     auto chain = compile_streaming(deploy, std::move(sopts));
     ASSERT_TRUE(chain.ok()) << chain.error().message;
     const std::map<std::string, StreamRow> srows =
-        run_chain(*chain.value(), dep);
+        run_chain(*chain.value(), dep.trace.view);
 
     // Same unit population, same values, same scores, same alerts — all
     // compared with EXPECT_EQ on doubles (bit-identical, not merely close).
@@ -401,14 +402,14 @@ TEST(StreamingPipeline, ResetReplaysIdentically) {
   auto chain = compile_streaming(parse_spec(windowed_prefix(window)));
   ASSERT_TRUE(chain.ok()) << chain.error().message;
 
-  const auto first = run_chain(*chain.value(), ds);
+  const auto first = run_chain(*chain.value(), ds.trace.view);
   const uint64_t first_epochs = chain.value()->epochs();
   ASSERT_FALSE(first.empty());
 
   chain.value()->reset();
   EXPECT_EQ(chain.value()->packets(), 0u);
   EXPECT_EQ(chain.value()->epochs(), 0u);
-  const auto second = run_chain(*chain.value(), ds);
+  const auto second = run_chain(*chain.value(), ds.trace.view);
   EXPECT_EQ(chain.value()->epochs(), first_epochs);
 
   ASSERT_EQ(second.size(), first.size());
@@ -428,21 +429,22 @@ class CollectingEpochSink : public EpochSink {
       keys.push_back(b.keys[r]);
       scores.push_back(b.scored ? b.scores[r] : 0.0);
       preds.push_back(b.scored ? b.predictions[r] : 0);
+      consumers.push_back(consumer);
     }
     ++epochs;
-    last_consumer = consumer;
   }
 
   std::vector<std::string> keys;
   std::vector<double> scores;
   std::vector<int> preds;
+  std::vector<size_t> consumers;  // the shard that emitted each row
   size_t epochs = 0;
-  size_t last_consumer = 0;
 };
 
 // The IngestRuntime pipeline sink mode must deliver through the live
-// queue/consumer machinery exactly what a direct chain push produces, with
-// the runtime stats and the chain's registry mirrors agreeing.
+// queue/consumer machinery exactly what direct chain pushes produce, with
+// the runtime stats and the chain's registry mirrors agreeing. With N
+// shards the reference is one chain per FlowShardRouter partition.
 TEST(StreamingRuntime, PipelineModeMatchesDirectPush) {
   const trace::Dataset ds = trace::make_dataset("P1", 0.1);
   const size_t grace = ds.trace.view.size() * 45 / 100;
@@ -456,66 +458,91 @@ TEST(StreamingRuntime, PipelineModeMatchesDirectPush) {
     {"func": "predict", "input": ["Model", "F"], "output": "Preds"},
   )");
 
-  // Reference: direct push through one chain.
-  StreamingOptions ref_opts;
-  ref_opts.bindings.emplace("Model", model);
-  auto ref = compile_streaming(deploy, std::move(ref_opts));
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
-  const auto expect = run_chain(*ref.value(), dep);
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(shards);
+    // Reference: each shard's partition pushed directly through its own
+    // chain.
+    const FlowShardRouter router(shards, dep.trace.link);
+    std::vector<std::map<std::string, StreamRow>> expect(shards);
+    size_t expect_rows = 0;
+    for (size_t s = 0; s < shards; ++s) {
+      std::vector<netio::PacketView> part;
+      for (size_t i = 0; i < dep.trace.view.size(); ++i) {
+        if (router.shard_of(dep.trace.raw[i]) == s) {
+          part.push_back(dep.trace.view[i]);
+        }
+      }
+      StreamingOptions ref_opts;
+      ref_opts.bindings.emplace("Model", model);
+      auto ref = compile_streaming(deploy, std::move(ref_opts));
+      ASSERT_TRUE(ref.ok()) << ref.error().message;
+      expect[s] = run_chain(*ref.value(), part);
+      EXPECT_FALSE(expect[s].empty()) << "shard " << s;
+      expect_rows += expect[s].size();
+    }
 
-  // Live path: replay the same capture through the ingestion runtime with
-  // an instrumented chain (per-operator spans + chain counters).
-  telemetry::Registry reg;
-  IngestRuntime::Options opts;
-  opts.registry = &reg;
-  CollectingEpochSink sink;
-  IngestRuntime rt(
-      opts,
-      [&](size_t) -> std::unique_ptr<StreamPipeline> {
-        StreamingOptions sopts;
-        sopts.bindings.emplace("Model", model);
-        sopts.registry = &reg;
-        auto chain = compile_streaming(deploy, std::move(sopts));
-        EXPECT_TRUE(chain.ok()) << chain.error().message;
-        return chain.ok() ? std::move(chain).value() : nullptr;
-      },
-      &sink);
-  netio::TraceReplaySource src(dep.trace);
-  auto stats = rt.run(src);
-  ASSERT_TRUE(stats.ok()) << stats.error().message;
+    // Live path: replay the same capture through the ingestion runtime
+    // with instrumented chains (per-operator spans + chain counters).
+    telemetry::Registry reg;
+    IngestRuntime::Options opts;
+    opts.shards = shards;
+    opts.registry = &reg;
+    CollectingEpochSink sink;
+    IngestRuntime rt(
+        opts,
+        [&](size_t) -> std::unique_ptr<StreamPipeline> {
+          StreamingOptions sopts;
+          sopts.bindings.emplace("Model", model);
+          sopts.registry = &reg;
+          auto chain = compile_streaming(deploy, std::move(sopts));
+          EXPECT_TRUE(chain.ok()) << chain.error().message;
+          return chain.ok() ? std::move(chain).value() : nullptr;
+        },
+        &sink);
+    netio::TraceReplaySource src(dep.trace);
+    auto stats = rt.run(src);
+    ASSERT_TRUE(stats.ok()) << stats.error().message;
 
-  // Same rows, same scores, same alert rows.
-  ASSERT_EQ(sink.keys.size(), expect.size());
-  size_t alerted_rows = 0;
-  for (size_t i = 0; i < sink.keys.size(); ++i) {
-    const auto it = expect.find(sink.keys[i]);
-    ASSERT_NE(it, expect.end()) << sink.keys[i];
-    EXPECT_EQ(sink.scores[i], it->second.score) << sink.keys[i];
-    EXPECT_EQ(sink.preds[i], it->second.pred) << sink.keys[i];
-    alerted_rows += sink.preds[i] != 0 ? 1 : 0;
+    // Same rows, same scores, same alert rows, from the shard that owns
+    // them.
+    ASSERT_EQ(sink.keys.size(), expect_rows);
+    size_t alerted_rows = 0;
+    for (size_t i = 0; i < sink.keys.size(); ++i) {
+      ASSERT_LT(sink.consumers[i], shards);
+      const auto& want = expect[sink.consumers[i]];
+      const auto it = want.find(sink.keys[i]);
+      ASSERT_NE(it, want.end()) << sink.keys[i];
+      EXPECT_EQ(sink.scores[i], it->second.score) << sink.keys[i];
+      EXPECT_EQ(sink.preds[i], it->second.pred) << sink.keys[i];
+      alerted_rows += sink.preds[i] != 0 ? 1 : 0;
+    }
+
+    // Runtime accounting: scored counts packets fed to the chains,
+    // alerted counts alerted rows.
+    EXPECT_EQ(stats.value().enqueued, dep.trace.view.size());
+    EXPECT_EQ(stats.value().scored, dep.trace.view.size());
+    EXPECT_EQ(stats.value().parse_skipped, 0u);
+    EXPECT_EQ(stats.value().alerted, alerted_rows);
+
+    // The chains mirrored their counters and per-operator flush spans into
+    // the shared registry, and the consumer loop recorded its micro-batches.
+    const telemetry::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter_value("stream.packets"), dep.trace.view.size());
+    EXPECT_EQ(snap.counter_value("stream.epochs"), sink.epochs);
+    EXPECT_EQ(snap.counter_value("stream.rows"), expect_rows);
+    EXPECT_EQ(snap.counter_value("stream.alerts"), alerted_rows);
+    size_t agg_spans = 0, score_spans = 0;
+    for (const telemetry::SpanRecord& s : snap.spans) {
+      agg_spans += s.name == "stream.op.apply_aggregates" ? 1 : 0;
+      score_spans += s.name == "stream.op.predict" ? 1 : 0;
+    }
+    EXPECT_EQ(agg_spans, sink.epochs);
+    EXPECT_EQ(score_spans, sink.epochs);
+    const telemetry::HistogramSample* rows =
+        snap.find_histogram("ingest.score.batch_rows");
+    ASSERT_NE(rows, nullptr);
+    EXPECT_EQ(rows->sum, static_cast<double>(dep.trace.view.size()));
   }
-
-  // Runtime accounting: scored counts packets fed to the chain, alerted
-  // counts alerted rows.
-  EXPECT_EQ(stats.value().enqueued, dep.trace.view.size());
-  EXPECT_EQ(stats.value().scored, dep.trace.view.size());
-  EXPECT_EQ(stats.value().parse_skipped, 0u);
-  EXPECT_EQ(stats.value().alerted, alerted_rows);
-
-  // The chain mirrored its counters and per-operator flush spans into the
-  // shared registry.
-  const telemetry::Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("stream.packets"), dep.trace.view.size());
-  EXPECT_EQ(snap.counter_value("stream.epochs"), sink.epochs);
-  EXPECT_EQ(snap.counter_value("stream.rows"), expect.size());
-  EXPECT_EQ(snap.counter_value("stream.alerts"), alerted_rows);
-  size_t agg_spans = 0, score_spans = 0;
-  for (const telemetry::SpanRecord& s : snap.spans) {
-    agg_spans += s.name == "stream.op.apply_aggregates" ? 1 : 0;
-    score_spans += s.name == "stream.op.predict" ? 1 : 0;
-  }
-  EXPECT_EQ(agg_spans, sink.epochs);
-  EXPECT_EQ(score_spans, sink.epochs);
 }
 
 // Soak: looping the capture must not grow the group directory — the chain's

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Single entry point for the verify recipe: the tier-1 build-and-test pass,
-# then the ThreadSanitizer, AddressSanitizer, and UBSanitizer checks,
-# and finally the throughput regression gates. Usage:
+# then the ThreadSanitizer, AddressSanitizer, and UBSanitizer checks, the
+# end-to-end benchmark's correctness checks (every workload, traced and
+# untraced, at smoke size), and finally the throughput regression gates.
+# Usage:
 #   tools/check_all.sh [build-dir]
 set -euo pipefail
 
@@ -15,6 +17,7 @@ cmake --build "$BUILD" -j "$(nproc)"
 tools/check_tsan.sh
 tools/check_asan.sh
 tools/check_ubsan.sh
+python3 bench/e2e/run.py --workload all --smoke
 tools/check_bench.sh "$BUILD"
 
-echo "check_all: tier-1 tests + TSan + ASan + UBSan + bench gate clean"
+echo "check_all: tier-1 tests + TSan + ASan + UBSan + e2e smoke + bench gate clean"
