@@ -3,17 +3,18 @@
 // capped-eviction run showing the bounded-memory mode. A spoofed-source SYN
 // flood, where nearly every frame opens new contexts, times the context
 // tables' growth path (uncapped, and capped across many storage chunks).
-// Emits BENCH_extractor.json with per-implementation throughput and
-// tracked context counts.
+// Ungated; the last stdout line is the result record (gate_record.h) with
+// per-implementation throughput and tracked context counts, one of which
+// is kept in bench/baseline.jsonl.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/telemetry.h"
 #include "core/kitsune_extractor.h"
 #include "core/kitsune_extractor_ref.h"
+#include "gate_record.h"
 #include "trace/attacks.h"
 #include "trace/registry.h"
 
@@ -112,45 +113,28 @@ int main() {
   print_row("packed-key", flood_packed);
   print_row("packed-key (cap 5000)", flood_capped);
 
-  if (packed.tracked != ref.tracked) {
-    std::fprintf(stderr,
-                 "tracked_contexts mismatch: packed %zu vs ref %zu\n",
-                 packed.tracked, ref.tracked);
-    return 1;
-  }
-
-  // JSON artifact via the unified telemetry serializer.
-  telemetry::json::Writer w;
-  w.kv_str("benchmark", "kitsune_extractor");
-  w.kv_str("capture", "P1");
-  w.kv_u64("packets", ds.trace.view.size());
-  w.kv_u64("threads", ThreadPool::global().size());
-  w.kv_u64("hardware_threads", ThreadPool::hardware_threads());
-  w.kv_i64("reps", kReps);
-  const auto impl = [&w](const char* key, const RunResult& r,
-                         size_t max_contexts = 0) {
-    w.begin_inline_object(key);
-    if (max_contexts > 0) w.kv_u64("max_contexts", max_contexts);
-    w.kv_f("seconds", r.seconds, 4);
-    w.kv_f("pkts_per_sec", r.pkts_per_sec, 1);
-    w.kv_u64("tracked_contexts", r.tracked);
-    w.end();
-  };
-  impl("string_keyed", ref);
-  impl("packed_key", packed);
-  impl("packed_key_capped", capped, kCap);
-  w.kv_f("speedup", speedup, 3);
-  w.begin_object("flood");
-  w.kv_str("capture", "spoofed SYN flood");
-  w.kv_u64("packets", flood.trace.view.size());
-  impl("packed_key", flood_packed);
-  impl("packed_key_capped", flood_capped, kFloodCap);
-  w.end();
-  if (std::FILE* f = std::fopen("BENCH_extractor.json", "w")) {
-    const std::string doc = w.str();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("[artifact] BENCH_extractor.json\n");
-  }
-  return 0;
+  e2e::Outcome o;
+  o.attempted = 5 * kReps;
+  o.check(packed.tracked == ref.tracked,
+          "tracked_contexts differ between packed and string-keyed");
+  o.add("extractor.ref_pps", ref.pkts_per_sec, "1/s");
+  o.add("extractor.packed_pps", packed.pkts_per_sec, "1/s");
+  o.add("extractor.capped_pps", capped.pkts_per_sec, "1/s");
+  o.add("extractor.speedup", speedup, "ratio");
+  o.add("extractor.flood_pps", flood_packed.pkts_per_sec, "1/s");
+  o.add("extractor.flood_capped_pps", flood_capped.pkts_per_sec, "1/s");
+  o.note("extractor.packets", static_cast<double>(ds.trace.view.size()),
+         "count");
+  o.note("extractor.tracked", static_cast<double>(packed.tracked), "count");
+  o.note("extractor.capped_tracked", static_cast<double>(capped.tracked),
+         "count");
+  o.note("extractor.flood_packets",
+         static_cast<double>(flood.trace.view.size()), "count");
+  o.note("extractor.flood_tracked", static_cast<double>(flood_packed.tracked),
+         "count");
+  o.note("extractor.flood_capped_tracked",
+         static_cast<double>(flood_capped.tracked), "count");
+  std::printf("\n");
+  bench::print_record("bench_extractor", o);
+  return o.correct ? 0 : 1;
 }

@@ -1,7 +1,9 @@
-// Model-zoo scoring benchmark: batched (dense-kernel) scoring vs the pre-PR
-// per-row scalar path for every reworked model, plus raw kernel throughput
-// for the dense library itself. Emits BENCH_ml.json with per-model rows/s,
-// the batched-vs-per-row speedup, and kernel GFLOP/s per backend.
+// Model-zoo scoring benchmark: batched (dense-kernel) scoring vs the per-row
+// scalar path it replaced, for every reworked model. Each model's gate,
+// ml.<model>.batched_vs_perrow, is the per-row time over the batched time
+// for the same rows, timed in interleaved pairs (gate_record.h); raw kernel
+// throughput per backend is informational. The last stdout line is the
+// result record.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -12,7 +14,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/telemetry.h"
+#include "gate_record.h"
 #include "ml/dense.h"
 #include "ml/gmm.h"
 #include "ml/kernel.h"
@@ -25,10 +27,13 @@ namespace {
 
 using namespace lumen;
 using ml::FeatureTable;
-using Clock = std::chrono::steady_clock;
+using e2e::Clock;
+using e2e::seconds_since;
 
-constexpr int kReps = 5;          // best-of repetitions per timed config
+constexpr int kReps = 5;     // best-of repetitions per kernel
+constexpr int kPasses = 4;   // passes over the chunks per model
 constexpr size_t kScoreRows = 4000;
+constexpr size_t kChunkRows = 250;  // rows scored per timed call
 constexpr size_t kCols = 20;
 
 FeatureTable ids_shaped_table(size_t rows, size_t cols) {
@@ -52,37 +57,36 @@ double best_seconds(const std::function<void()>& fn) {
   for (int rep = 0; rep < kReps; ++rep) {
     const Clock::time_point t0 = Clock::now();
     fn();
-    best = std::min(best,
-                    std::chrono::duration<double>(Clock::now() - t0).count());
+    best = std::min(best, seconds_since(t0));
   }
   return best;
 }
 
-struct ModelResult {
-  std::string name;
-  double perrow_rows_per_sec = 0.0;   // pre-PR path, forced-scalar kernels
-  double batched_rows_per_sec = 0.0;  // blocked path, active backend
-  double speedup = 0.0;
-};
-
-/// Time `perrow` under forced-scalar kernels (the honest pre-PR baseline)
-/// and `batched` under the active backend.
-ModelResult bench_model(const std::string& name, size_t rows,
-                        const std::function<void()>& perrow,
-                        const std::function<void()>& batched) {
-  ModelResult r;
-  r.name = name;
-  {
-    ml::dense::ScopedBackend guard(ml::dense::Backend::kScalar);
-    r.perrow_rows_per_sec = static_cast<double>(rows) / best_seconds(perrow);
-  }
-  r.batched_rows_per_sec = static_cast<double>(rows) / best_seconds(batched);
-  r.speedup = r.perrow_rows_per_sec > 0.0
-                  ? r.batched_rows_per_sec / r.perrow_rows_per_sec
-                  : 0.0;
-  std::printf("%-14s %12.0f %14.0f %8.2fx\n", name.c_str(),
-              r.perrow_rows_per_sec, r.batched_rows_per_sec, r.speedup);
-  return r;
+/// Gate of one model: `perrow` under forced-scalar kernels (the honest
+/// pre-batching baseline) over `batched` under the active backend, both on
+/// this thread (the gate is the kernels' gain, not the pool's). Each pair
+/// scores one chunk of the rows both ways.
+void bench_model(e2e::Outcome& o, const std::string& name,
+                 const std::vector<FeatureTable>& chunks,
+                 const std::function<void(const FeatureTable&)>& perrow,
+                 const std::function<void(const FeatureTable&)>& batched) {
+  SerialGuard serial;
+  const auto timed = [](const std::function<void(const FeatureTable&)>& fn,
+                        const FeatureTable& t) {
+    const Clock::time_point t0 = Clock::now();
+    fn(t);
+    return seconds_since(t0);
+  };
+  size_t a = 0, b = 0;
+  const double ratio = bench::paired_ratio(
+      o, kPasses * static_cast<int>(chunks.size()),
+      [&] {
+        ml::dense::ScopedBackend scalar(ml::dense::Backend::kScalar);
+        return timed(perrow, chunks[a++ % chunks.size()]);
+      },
+      [&] { return timed(batched, chunks[b++ % chunks.size()]); });
+  o.add("ml." + name + ".batched_vs_perrow", ratio, "ratio");
+  std::printf("%-14s %8.2fx\n", name.c_str(), ratio);
 }
 
 struct KernelResult {
@@ -159,61 +163,71 @@ int main() {
   std::printf("active kernel backend: %s (LUMEN_SIMD to override)\n", backend);
   std::printf("threads: %zu (pool), %zu (hardware)\n\n",
               ThreadPool::global().size(), ThreadPool::hardware_threads());
+  e2e::Outcome o;
 
   const FeatureTable t = ids_shaped_table(kScoreRows, kCols);
   const FeatureTable train = ids_shaped_table(1500, kCols);
+  std::vector<FeatureTable> chunks;
+  for (size_t lo = 0; lo < kScoreRows; lo += kChunkRows) {
+    FeatureTable c = FeatureTable::make(kChunkRows, t.col_names);
+    std::copy(t.data.begin() + lo * kCols,
+              t.data.begin() + (lo + kChunkRows) * kCols, c.data.begin());
+    chunks.push_back(std::move(c));
+  }
 
-  std::printf("%-14s %12s %14s %9s\n", "model", "perrow r/s", "batched r/s",
-              "speedup");
-
-  std::vector<ModelResult> models;
+  std::printf("%-14s %9s  (per-row time / batched time, median of %zu "
+              "pairs of %zu rows)\n",
+              "model", "gate", kPasses * chunks.size(), kChunkRows);
   {
     ml::MlpConfig cfg;
     cfg.epochs = 10;
     ml::Mlp m(cfg);
     m.fit(train);
-    models.push_back(bench_model(
-        "MLP", kScoreRows, [&] { m.score_perrow(t); }, [&] { m.score(t); }));
+    bench_model(o, "mlp", chunks,
+                [&](const FeatureTable& x) { m.score_perrow(x); },
+                [&](const FeatureTable& x) { m.score(x); });
   }
   {
     ml::KitNet m;
     m.fit(train);
-    models.push_back(bench_model(
-        "KitNET", kScoreRows, [&] { m.score_perrow(t); },
-        [&] { m.score(t); }));
+    bench_model(o, "kitnet", chunks,
+                [&](const FeatureTable& x) { m.score_perrow(x); },
+                [&](const FeatureTable& x) { m.score(x); });
   }
   {
     ml::AutoEncoderDetector m;
     m.fit(train);
-    models.push_back(bench_model(
-        "AutoEncoder", kScoreRows, [&] { m.score_perrow(t); },
-        [&] { m.score(t); }));
+    bench_model(o, "autoencoder", chunks,
+                [&](const FeatureTable& x) { m.score_perrow(x); },
+                [&](const FeatureTable& x) { m.score(x); });
   }
   {
     ml::Knn m;
     m.fit(train);
-    models.push_back(bench_model(
-        "kNN", kScoreRows, [&] { m.score_perrow(t); }, [&] { m.score(t); }));
+    bench_model(o, "knn", chunks,
+                [&](const FeatureTable& x) { m.score_perrow(x); },
+                [&](const FeatureTable& x) { m.score(x); });
   }
   {
     ml::OneClassSvm m;
     m.fit(train);
-    models.push_back(bench_model(
-        "OCSVM", kScoreRows, [&] { m.score_perrow(t); },
-        [&] { m.score(t); }));
+    bench_model(o, "ocsvm", chunks,
+                [&](const FeatureTable& x) { m.score_perrow(x); },
+                [&](const FeatureTable& x) { m.score(x); });
   }
   {
     ml::Gmm m;
     m.fit(train);
-    models.push_back(bench_model(
-        "GMM", kScoreRows, [&] { m.score_perrow(t); }, [&] { m.score(t); }));
+    bench_model(o, "gmm", chunks,
+                [&](const FeatureTable& x) { m.score_perrow(x); },
+                [&](const FeatureTable& x) { m.score(x); });
   }
   {
     ml::LinearSvm m;
     m.fit(train);
-    models.push_back(bench_model(
-        "LinearSVM", kScoreRows, [&] { m.score_perrow(t); },
-        [&] { m.score(t); }));
+    bench_model(o, "linear_svm", chunks,
+                [&](const FeatureTable& x) { m.score_perrow(x); },
+                [&](const FeatureTable& x) { m.score(x); });
   }
 
   std::printf("\nkernel throughput (best of %d):\n", kReps);
@@ -226,39 +240,11 @@ int main() {
     kernels.push_back(bench_sq_dist(ml::dense::Backend::kAvx2, "avx2"));
     kernels.push_back(bench_sigmoid(ml::dense::Backend::kAvx2, "avx2"));
   }
-
-  // JSON artifact via the unified telemetry serializer.
-  telemetry::json::Writer w;
-  w.kv_str("benchmark", "ml_scoring");
-  w.kv_str("backend", backend);
-  w.kv_u64("rows", kScoreRows);
-  w.kv_u64("cols", kCols);
-  w.kv_i64("reps", kReps);
-  w.kv_u64("threads", ThreadPool::global().size());
-  w.begin_array("models");
-  for (const ModelResult& m : models) {
-    w.begin_inline_object();
-    w.kv_str("name", m.name);
-    w.kv_f("perrow_rows_per_sec", m.perrow_rows_per_sec, 1);
-    w.kv_f("batched_rows_per_sec", m.batched_rows_per_sec, 1);
-    w.kv_f("speedup", m.speedup, 3);
-    w.end();
-  }
-  w.end();
-  w.begin_array("kernels");
   for (const KernelResult& k : kernels) {
-    w.begin_inline_object();
-    w.kv_str("name", k.name);
-    w.kv_str("backend", k.backend);
-    w.kv_f("gflops", k.gflops, 3);
-    w.end();
+    o.note("ml.kernel." + k.name + "_" + k.backend, k.gflops,
+           k.name == "sigmoid_sweep" ? "Gelem/s" : "GFLOP/s");
   }
-  w.end();
-  if (std::FILE* f = std::fopen("BENCH_ml.json", "w")) {
-    const std::string doc = w.str();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("\n[artifact] BENCH_ml.json\n");
-  }
+  std::printf("\n");
+  bench::print_record("bench_ml", o);
   return 0;
 }

@@ -1,41 +1,40 @@
 // Streaming operator engine benchmark: per-operator cost of a compiled
-// chain (marginal ns/pkt via prefix-chain subtraction), plus the headline
-// comparison the check_bench gate enforces — a compiled per-packet chain
-// (field_extract -> damped_stats -> predict) must stay within 1.3x of the
-// bare KitsuneScorer path (OnlineKitsune::score_packets) on the same
-// stream. The chain does the same extraction and model math through the
-// generic operator plumbing (tuples, FeatureTable staging, epoch batches),
-// so the ratio is the abstraction tax of running compiled specs live.
-// Emits BENCH_stream.json.
+// chain (marginal ns/pkt via prefix-chain subtraction; informational), and
+// the gate, stream.chain_vs_scorer: a compiled per-packet chain
+// (field_extract -> damped_stats -> predict) against the bare KitsuneScorer
+// path (OnlineKitsune::score_packets) on the same stream, timed in
+// interleaved pairs (gate_record.h). The chain does the same extraction and
+// model math through the generic operator plumbing (tuples, FeatureTable
+// staging, epoch batches), so the ratio is the abstraction tax of running
+// compiled specs live. The last stdout line is the result record.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "core/engine.h"
 #include "core/stream.h"
 #include "core/stream_op.h"
+#include "gate_record.h"
 #include "netio/parse.h"
 #include "trace/registry.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using e2e::Clock;
+using e2e::seconds_since;
 using lumen::core::compile_streaming;
 using lumen::core::PipelineSpec;
 using lumen::core::StreamingOptions;
 using lumen::core::StreamPipeline;
 
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-constexpr int kReps = 5;           // best-of repetitions per timed section
+constexpr int kReps = 5;           // best-of repetitions per ladder rung
+constexpr int kPairs = 11;         // interleaved chain/scorer pairs
 constexpr int kStreamRepeats = 4;  // stream = streamed region x repeats
 
 PipelineSpec parse_spec(const std::string& body) {
@@ -62,18 +61,14 @@ lumen::trace::Dataset slice_prefix(const lumen::trace::Dataset& ds,
   return out;
 }
 
-/// Best-of-kReps wall time for pushing the whole stream through `chain`.
-double time_chain(StreamPipeline& chain,
-                  const std::vector<lumen::netio::PacketView>& views) {
-  double best = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    chain.reset();
-    const Clock::time_point t0 = Clock::now();
-    for (const auto& v : views) chain.push(v);
-    chain.finish();
-    best = std::min(best, seconds_since(t0));
-  }
-  return best;
+/// Wall time of one pass of the whole stream through `chain`.
+double chain_seconds(StreamPipeline& chain,
+                     const std::vector<lumen::netio::PacketView>& views) {
+  chain.reset();
+  const Clock::time_point t0 = Clock::now();
+  for (const auto& v : views) chain.push(v);
+  chain.finish();
+  return seconds_since(t0);
 }
 
 }  // namespace
@@ -85,20 +80,8 @@ int main() {
   const trace::Dataset ds = trace::make_dataset("P1", 1.0);
   const size_t grace = ds.trace.view.size() * 45 / 100;
   const trace::Dataset train = slice_prefix(ds, grace);
-
-  // Steady-state stream: the streamed region repeated with shifted
-  // timestamps (one pass is ~10 ms of work; fixed costs would drown it).
-  netio::Trace big;
-  big.link = ds.trace.link;
+  const netio::Trace big = bench::repeated_stream(ds, grace, kStreamRepeats);
   const double span = ds.trace.raw.back().ts - ds.trace.raw[grace].ts + 0.001;
-  for (int rep = 0; rep < kStreamRepeats; ++rep) {
-    for (size_t i = grace; i < ds.trace.raw.size(); ++i) {
-      netio::RawPacket p = ds.trace.raw[i];
-      p.ts += rep * span;
-      big.raw.push_back(std::move(p));
-    }
-  }
-  netio::parse_trace(big);
   const double npkt = static_cast<double>(big.view.size());
   std::printf("stream: streamed region x%d = %zu packets\n\n", kStreamRepeats,
               big.view.size());
@@ -167,11 +150,7 @@ int main() {
     windowed_model = *report.value().get<core::ModelValue>("Model");
   }
 
-  struct OpCost {
-    const char* op = nullptr;
-    double ns = 0.0;
-  };
-  std::vector<OpCost> op_costs;
+  e2e::Outcome o;
   double windowed_chain_ns = 0.0;
   {
     std::printf("per-operator marginal cost (ladder subtraction):\n");
@@ -186,16 +165,20 @@ int main() {
                      chain.error().message.c_str());
         return 1;
       }
-      const double s = time_chain(*chain.value(), big.view);
+      double s = 1e30;
+      for (int rep = 0; rep < kReps; ++rep) {
+        s = std::min(s, chain_seconds(*chain.value(), big.view));
+      }
       // Rung 0 is a floor, not a marginal: report its full cost.
       const double marginal_ns =
           i == 0 ? s / npkt * 1e9 : std::max(0.0, (s - prev_s) / npkt * 1e9);
-      op_costs.push_back(OpCost{op, marginal_ns});
+      o.note(std::string("stream.op.") + op + "_ns", marginal_ns, "ns");
       std::printf("  %-26s %8.1f ns/pkt\n", op, marginal_ns);
       prev_s = s;
       windowed_chain_ns = s / npkt * 1e9;
     }
     std::printf("  full windowed chain: %.1f ns/pkt\n\n", windowed_chain_ns);
+    o.note("stream.windowed_chain_ns", windowed_chain_ns, "ns");
   }
 
   // ---- chain vs bare scorer (the gate) ----------------------------------
@@ -203,90 +186,57 @@ int main() {
   // the fused micro-batch entry point in batches of 64.
   core::OnlineKitsune proto;
   proto.train({ds.trace.view.data(), grace});
-  double scorer_ns = 0.0;
-  {
-    double best = 1e30;
+  const auto scorer_seconds = [&] {
+    core::OnlineKitsune det = proto;
     std::vector<double> scores(64, 0.0);
-    for (int rep = 0; rep < kReps; ++rep) {
-      core::OnlineKitsune det = proto;
-      const Clock::time_point t0 = Clock::now();
-      for (size_t lo = 0; lo < big.view.size(); lo += 64) {
-        const size_t n = std::min<size_t>(64, big.view.size() - lo);
-        det.score_packets({big.view.data() + lo, n}, scores.data());
-      }
-      best = std::min(best, seconds_since(t0));
+    const Clock::time_point t0 = Clock::now();
+    for (size_t lo = 0; lo < big.view.size(); lo += 64) {
+      const size_t n = std::min<size_t>(64, big.view.size() - lo);
+      det.score_packets({big.view.data() + lo, n}, scores.data());
     }
-    scorer_ns = best / npkt * 1e9;
-  }
+    return seconds_since(t0);
+  };
 
   // Chain path: the same per-packet feature math (damped_stats IS the
   // Kitsune extractor) as a compiled spec, model seeded from a batch train.
-  double chain_ns = 0.0;
-  uint64_t chain_alerts = 0;
-  {
-    const std::string extract =
-        R"({"func": "field_extract", "input": None, "output": "P",
-            "param": []},
-           {"func": "damped_stats", "input": ["P"], "output": "F"},)";
-    auto trained = core::Engine(eopts).run(
-        parse_spec(extract +
-                   R"({"func": "model", "input": None, "output": "M0",
-                       "model_type": "KitNET", "normalize": true},
-                      {"func": "train", "input": ["M0", "F"],
-                       "output": "Model"},)"),
-        tctx);
-    if (!trained.ok()) {
-      std::fprintf(stderr, "train per-packet: %s\n",
-                   trained.error().message.c_str());
-      return 1;
-    }
-    StreamingOptions sopts;
-    sopts.bindings.emplace("Model",
-                           *trained.value().get<core::ModelValue>("Model"));
-    auto chain = compile_streaming(
-        parse_spec(extract + R"({"func": "predict", "input": ["Model", "F"],
-                                 "output": "Preds"},)"),
-        std::move(sopts));
-    if (!chain.ok()) {
-      std::fprintf(stderr, "compile per-packet: %s\n",
-                   chain.error().message.c_str());
-      return 1;
-    }
-    chain_ns = time_chain(*chain.value(), big.view) / npkt * 1e9;
-    chain_alerts = chain.value()->alerts();
+  const std::string per_packet =
+      R"({"func": "field_extract", "input": None, "output": "P",
+          "param": []},
+         {"func": "damped_stats", "input": ["P"], "output": "F"},)";
+  auto trained = core::Engine(eopts).run(
+      parse_spec(per_packet +
+                 R"({"func": "model", "input": None, "output": "M0",
+                     "model_type": "KitNET", "normalize": true},
+                    {"func": "train", "input": ["M0", "F"],
+                     "output": "Model"},)"),
+      tctx);
+  if (!trained.ok()) {
+    std::fprintf(stderr, "train per-packet: %s\n",
+                 trained.error().message.c_str());
+    return 1;
   }
-  const double ratio = scorer_ns > 0.0 ? chain_ns / scorer_ns : 0.0;
-  std::printf("bare KitsuneScorer path: %.1f ns/pkt\n", scorer_ns);
-  std::printf("compiled chain path:     %.1f ns/pkt (%.2fx, %llu alerts)\n\n",
-              chain_ns, ratio,
-              static_cast<unsigned long long>(chain_alerts));
-
-  telemetry::json::Writer w;
-  w.kv_str("benchmark", "stream_engine");
-  w.kv_str("capture", "P1");
-  w.kv_u64("packets", big.view.size());
-  w.kv_i64("stream_repeats", kStreamRepeats);
-  w.kv_i64("reps", kReps);
-  w.begin_array("ops");
-  for (const OpCost& c : op_costs) {
-    w.begin_inline_object();
-    w.kv_str("op", c.op);
-    w.kv_f("marginal_ns_per_pkt", c.ns, 1);
-    w.end();
+  StreamingOptions sopts;
+  sopts.bindings.emplace("Model",
+                         *trained.value().get<core::ModelValue>("Model"));
+  auto chain = compile_streaming(
+      parse_spec(per_packet + R"({"func": "predict", "input": ["Model", "F"],
+                                  "output": "Preds"},)"),
+      std::move(sopts));
+  if (!chain.ok()) {
+    std::fprintf(stderr, "compile per-packet: %s\n",
+                 chain.error().message.c_str());
+    return 1;
   }
-  w.end();
-  w.kv_f("windowed_chain_ns_per_pkt", windowed_chain_ns, 1);
-  w.begin_inline_object("per_packet");
-  w.kv_f("scorer_ns_per_pkt", scorer_ns, 1);
-  w.kv_f("chain_ns_per_pkt", chain_ns, 1);
-  w.kv_f("chain_vs_scorer", ratio, 3);
-  w.kv_u64("chain_alerts", chain_alerts);
-  w.end();
-  if (std::FILE* f = std::fopen("BENCH_stream.json", "w")) {
-    const std::string doc = w.str();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("[artifact] BENCH_stream.json\n");
-  }
+  const double ratio = bench::paired_ratio(
+      o, kPairs, [&] { return chain_seconds(*chain.value(), big.view); },
+      scorer_seconds);
+  o.add("stream.chain_vs_scorer", ratio, "ratio");
+  o.note("stream.chain_alerts", static_cast<double>(chain.value()->alerts()),
+         "count");
+  std::printf("compiled chain / bare KitsuneScorer time: %.3f (median of %d "
+              "pairs, %llu alerts)\n\n",
+              ratio, kPairs,
+              static_cast<unsigned long long>(chain.value()->alerts()));
+  bench::print_record("bench_stream", o);
   return 0;
 }

@@ -1,7 +1,8 @@
 // Micro-benchmark for the parallel evaluation sweep: times a serial
 // (SerialGuard-forced) same-dataset sweep against the pool-parallel sweep on
-// a reduced grid, verifies the result CSVs are byte-identical, and emits
-// BENCH_sweep.json so future PRs can track the wall-clock trend.
+// a reduced grid and verifies the result CSVs are byte-identical. Ungated;
+// the last stdout line is the result record (gate_record.h), one of which
+// is kept in bench/baseline.jsonl to track the wall-clock trend.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include "common/parallel.h"
 #include "common/telemetry.h"
 #include "fig_common.h"
+#include "gate_record.h"
 
 namespace {
 
@@ -53,8 +55,7 @@ int main() {
   const Clock::time_point t_serial = Clock::now();
   {
     SerialGuard guard;
-    eval::sweep_same_dataset(serial_bench, algos, serial_store, {},
-                             /*parallel=*/false);
+    eval::sweep_same_dataset(serial_bench, algos, serial_store);
   }
   const double serial_s = seconds_since(t_serial);
 
@@ -97,23 +98,17 @@ int main() {
               static_cast<unsigned long long>(snap.counter_value("pool.tasks")),
               cell_spans);
 
-  // JSON artifact via the unified telemetry serializer.
-  telemetry::json::Writer w;
-  w.kv_str("benchmark", "same_dataset_sweep");
-  w.kv_u64("grid_pairs", pairs);
-  w.kv_u64("threads", threads);
-  w.kv_u64("hardware_threads", hw_threads);
-  w.kv_f("serial_seconds", serial_s, 4);
-  w.kv_f("parallel_seconds", parallel_s, 4);
-  w.kv_f("speedup", speedup, 3);
-  w.kv_bool("csv_identical", identical);
-  w.kv_u64("pool_tasks", snap.counter_value("pool.tasks"));
-  w.kv_u64("eval_cell_spans", cell_spans);
-  if (std::FILE* f = std::fopen("BENCH_sweep.json", "w")) {
-    const std::string doc = w.str();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("[artifact] BENCH_sweep.json\n");
-  }
+  e2e::Outcome o;
+  o.attempted = 2;
+  o.check(identical, "serial and parallel sweep CSVs differ");
+  o.add("sweep.serial_s", serial_s, "s");
+  o.add("sweep.parallel_s", parallel_s, "s");
+  o.add("sweep.speedup", speedup, "ratio");
+  o.note("sweep.grid_pairs", static_cast<double>(pairs), "count");
+  o.note("sweep.pool_threads", static_cast<double>(threads), "count");
+  o.note("sweep.pool_tasks",
+         static_cast<double>(snap.counter_value("pool.tasks")), "count");
+  o.note("sweep.cell_spans", static_cast<double>(cell_spans), "count");
+  bench::print_record("bench_sweep", o);
   return identical ? 0 : 1;
 }

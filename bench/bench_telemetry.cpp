@@ -1,12 +1,13 @@
 // Telemetry overhead benchmark: per-operation cost of each instrument on the
-// hot path (counter add, gauge set, histogram record, span enter/exit) and
-// the end-to-end throughput delta of the ingest runtime with telemetry
-// enabled (process-registry instruments + stage histograms) vs disabled
-// (Options.registry = nullptr, the pre-telemetry accounting path). Emits
-// BENCH_telemetry.json; tools/check_bench.sh fails the gate if the ingest
-// overhead exceeds 2%.
+// hot path (counter add, gauge set, histogram record, span enter/exit;
+// informational) and the gate, telemetry.on_vs_off: the ingest runtime's
+// drain rate with telemetry enabled (a registry with every instrument and
+// the stage histograms) over its rate with it disabled (Options.registry =
+// nullptr, the plain accounting path), timed in interleaved pairs
+// (gate_record.h). The last stdout line is the result record.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -14,22 +15,21 @@
 #include "common/telemetry.h"
 #include "core/ingest.h"
 #include "core/stream.h"
-#include "netio/parse.h"
+#include "gate_record.h"
 #include "netio/source.h"
 #include "trace/registry.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using e2e::Clock;
+using e2e::seconds_since;
 
 constexpr int kMicroReps = 5;       // best-of repetitions per micro loop
 constexpr size_t kMicroIters = 1u << 20;
-constexpr int kIngestReps = 7;      // interleaved reps per ingest variant
-constexpr int kStreamRepeats = 8;   // sweep stream = streamed region x repeats
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+// Interleaved on/off drain pairs, each over P1's streamed region once:
+// many short drains give a steadier median than a few long ones, which
+// a shared host's stalls hit unevenly.
+constexpr int kPairs = 161;
 
 /// Best-of-kMicroReps cost of one iteration of fn(), in nanoseconds.
 template <typename Fn>
@@ -50,6 +50,7 @@ int main() {
   std::printf("bench_telemetry: instrument micro-costs and ingest overhead\n\n");
   std::printf("threads: %zu (pool), %zu (hardware)\n\n",
               ThreadPool::global().size(), ThreadPool::hardware_threads());
+  e2e::Outcome o;
 
   // ---- Micro-costs: single-threaded hot-path cost per operation. ----
   telemetry::Registry reg;
@@ -72,33 +73,27 @@ int main() {
   std::printf("%-24s %10.1f ns/op\n", "histogram record", hist_ns);
   std::printf("%-24s %10.1f ns/op\n", "span enter+exit", span_ns);
 
+  o.note("telemetry.counter_add_ns", counter_ns, "ns");
+  o.note("telemetry.gauge_set_ns", gauge_ns, "ns");
+  o.note("telemetry.histogram_record_ns", hist_ns, "ns");
+  o.note("telemetry.span_ns", span_ns, "ns");
+
   // ---- Ingest overhead: telemetry on vs off, same stream, same scorers.
   // "off" = Options.registry == nullptr: core counters land in a runtime-
-  // local scratch registry (same cost as the old bespoke atomics) and the
-  // extended instruments (stage histograms, queue gauges, clock reads) are
-  // skipped entirely. "on" = a dedicated registry with everything enabled.
+  // local scratch registry and the extended instruments (stage histograms,
+  // queue gauges, clock reads) are skipped entirely. "on" = a dedicated
+  // registry with everything enabled.
   const trace::Dataset ds = trace::make_dataset("P1", 1.0);
   const size_t grace = ds.trace.view.size() * 45 / 100;
   core::OnlineKitsune proto;
   proto.train({ds.trace.view.data(), grace});
-
-  netio::Trace big;
-  big.link = ds.trace.link;
-  const double span = ds.trace.raw.back().ts - ds.trace.raw[grace].ts + 0.001;
-  for (int rep = 0; rep < kStreamRepeats; ++rep) {
-    for (size_t i = grace; i < ds.trace.raw.size(); ++i) {
-      netio::RawPacket p = ds.trace.raw[i];
-      p.ts += rep * span;
-      big.raw.push_back(std::move(p));
-    }
-  }
-  netio::parse_trace(big);
+  const netio::Trace big = bench::repeated_stream(ds, grace, 1);
   const double n = static_cast<double>(big.view.size());
-  std::printf("\ningest stream: P1 streamed region x%d = %zu packets\n",
-              kStreamRepeats, big.view.size());
+  std::printf("\ningest stream: P1 streamed region = %zu packets\n",
+              big.view.size());
 
   telemetry::Registry ingest_reg;
-  auto drain_seconds = [&](telemetry::Registry* registry) {
+  auto drain_rate = [&](telemetry::Registry* registry) {
     netio::TraceReplaySource src(big, netio::ReplayOptions{});
     core::IngestRuntime::Options opts;
     opts.registry = registry;
@@ -109,62 +104,27 @@ int main() {
     const Clock::time_point t0 = Clock::now();
     auto stats = rt.run(src);
     const double secs = seconds_since(t0);
-    if (!stats.ok() || stats.value().scored == 0) return -1.0;
-    return secs;
-  };
-
-  // Interleave reps so slow host phases hit both variants alike.
-  double off_s = 1e30, on_s = 1e30;
-  for (int rep = 0; rep < kIngestReps; ++rep) {
-    const double off = drain_seconds(nullptr);
-    const double on = drain_seconds(&ingest_reg);
-    if (off < 0.0 || on < 0.0) {
-      std::fprintf(stderr, "ingest run failed\n");
-      return 1;
+    if (!stats.ok() || stats.value().scored == 0) {
+      std::fprintf(stderr, "bench_telemetry: ingest run failed\n");
+      std::exit(1);
     }
-    off_s = std::min(off_s, off);
-    on_s = std::min(on_s, on);
-  }
-  const double off_rate = n / off_s;
-  const double on_rate = n / on_s;
-  // Best-of comparison: overhead is how much slower the best instrumented
-  // run is than the best uninstrumented run (negative = within noise).
-  const double overhead_pct = (off_rate - on_rate) / off_rate * 100.0;
-  std::printf("uninstrumented drain: %.0f pkts/s\n", off_rate);
-  std::printf("instrumented drain:   %.0f pkts/s\n", on_rate);
-  std::printf("overhead:             %.2f%%\n", overhead_pct);
+    return n / secs;
+  };
+  const double ratio = bench::paired_ratio(
+      o, kPairs, [&] { return drain_rate(&ingest_reg); },
+      [&] { return drain_rate(nullptr); });
+  o.add("telemetry.on_vs_off", ratio, "ratio");
+  std::printf("instrumented / plain drain rate: %.4f (median of %d pairs)\n",
+              ratio, kPairs);
 
   // Sanity-scrape the instrumented registry: every scored packet must have
   // passed through the stage histograms' batches.
   const telemetry::Snapshot snap = ingest_reg.snapshot();
   const auto* parse = snap.find_histogram("ingest.stage.parse_ns");
   const uint64_t scored = snap.counter_value("ingest.scored");
-  std::printf("instrumented registry: %llu scored, %llu parse samples\n",
+  std::printf("instrumented registry: %llu scored, %llu parse samples\n\n",
               static_cast<unsigned long long>(scored),
               static_cast<unsigned long long>(parse ? parse->count : 0));
-
-  telemetry::json::Writer w;
-  w.kv_str("benchmark", "telemetry_overhead");
-  w.kv_u64("micro_iters", kMicroIters);
-  w.kv_i64("micro_reps", kMicroReps);
-  w.begin_inline_object("micro_ns_per_op");
-  w.kv_f("counter_add", counter_ns, 2);
-  w.kv_f("gauge_set", gauge_ns, 2);
-  w.kv_f("histogram_record", hist_ns, 2);
-  w.kv_f("span_enter_exit", span_ns, 2);
-  w.end();
-  w.kv_u64("ingest_packets", big.view.size());
-  w.kv_i64("ingest_reps", kIngestReps);
-  w.kv_f("uninstrumented_pkts_per_sec", off_rate, 1);
-  w.kv_f("instrumented_pkts_per_sec", on_rate, 1);
-  w.kv_f("overhead_pct", overhead_pct, 3);
-  w.kv_u64("instrumented_scored", scored);
-  w.kv_u64("instrumented_parse_samples", parse ? parse->count : 0);
-  if (std::FILE* f = std::fopen("BENCH_telemetry.json", "w")) {
-    const std::string doc = w.str();
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("[artifact] BENCH_telemetry.json\n");
-  }
+  bench::print_record("bench_telemetry", o);
   return 0;
 }

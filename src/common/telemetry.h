@@ -17,8 +17,8 @@
 // costs go through histograms instead.
 //
 // `Registry::snapshot()` returns a point-in-time `Snapshot` that can be
-// rendered as Prometheus text exposition or as JSON (the same serializer the
-// BENCH_*.json artifacts use — see telemetry::json::Writer).
+// rendered as Prometheus text exposition or as JSON (see
+// telemetry::json::Writer).
 //
 // Hot-path cost model: Counter::add is one relaxed fetch_add on a striped
 // cache line (~2-5 ns uncontended); Gauge::set is one relaxed store;
@@ -221,8 +221,7 @@ struct Snapshot {
   /// Prometheus has no span concept.
   std::string to_prometheus() const;
 
-  /// JSON exposition in the BENCH_*.json house style (rendered through
-  /// telemetry::json::Writer).
+  /// JSON exposition in the json::Writer house style.
   std::string to_json() const;
 };
 
@@ -318,12 +317,10 @@ class Span {
 
 namespace json {
 
-/// Streaming JSON writer producing the BENCH_*.json house style: two-space
+/// Streaming JSON writer producing the house style: two-space
 /// indent, one field per line, insertion order preserved, inline objects
 /// (single line) for array rows and small field values, printf-style fixed
-/// decimal counts for doubles. Snapshot::to_json and every bench harness
-/// emit through this writer, so all Lumen JSON artifacts share one
-/// serializer.
+/// decimal counts for doubles. Snapshot::to_json renders through it.
 class Writer {
  public:
   /// Open the root object.

@@ -52,7 +52,7 @@ namespace {
 /// serially in index order: successful runs go to `store` + `on_run`, errors
 /// to stderr via `describe`.
 void run_indexed(
-    size_t n, bool parallel,
+    size_t n,
     const std::function<Result<Benchmark::RunOutput>(size_t)>& cell,
     const std::function<std::string(size_t)>& describe, ResultStore& store,
     const RunCallback& on_run) {
@@ -70,11 +70,7 @@ void run_indexed(
     span.stop();
     (results[i]->ok() ? cells_ok : cells_err).add(1);
   };
-  if (parallel) {
-    parallel_for(0, n, evaluate, /*min_parallel=*/2);
-  } else {
-    for (size_t i = 0; i < n; ++i) evaluate(i);
-  }
+  parallel_for(0, n, evaluate, /*min_parallel=*/2);
   for (size_t i = 0; i < n; ++i) {
     Result<Benchmark::RunOutput>& run = *results[i];
     if (!run.ok()) {
@@ -90,11 +86,10 @@ void run_indexed(
 }  // namespace
 
 void sweep_same_dataset(Benchmark& bench, const std::vector<std::string>& algos,
-                        ResultStore& store, const RunCallback& on_run,
-                        bool parallel) {
+                        ResultStore& store, const RunCallback& on_run) {
   const auto pairs = same_dataset_pairs(bench, algos);
   run_indexed(
-      pairs.size(), parallel,
+      pairs.size(),
       [&](size_t i) { return bench.same_dataset(pairs[i].first, pairs[i].second); },
       [&](size_t i) { return pairs[i].first + " on " + pairs[i].second; },
       store, on_run);
@@ -102,10 +97,10 @@ void sweep_same_dataset(Benchmark& bench, const std::vector<std::string>& algos,
 
 void sweep_cross_dataset(Benchmark& bench,
                          const std::vector<std::string>& algos,
-                         ResultStore& store, bool parallel) {
+                         ResultStore& store) {
   const auto triples = cross_dataset_pairs(bench, algos);
   run_indexed(
-      triples.size(), parallel,
+      triples.size(),
       [&](size_t i) {
         return bench.cross_dataset(triples[i][0], triples[i][1], triples[i][2]);
       },

@@ -39,16 +39,15 @@ std::vector<std::array<std::string, 3>> cross_dataset_pairs(
 
 /// Run every same-dataset pair; records land in `store` in canonical order
 /// and `on_run` (if set) sees each successful run for per-attack
-/// post-processing. `parallel` toggles pool execution (results identical
-/// either way).
+/// post-processing. Cells run on the shared pool (inline under a
+/// SerialGuard); results are identical either way.
 void sweep_same_dataset(Benchmark& bench, const std::vector<std::string>& algos,
-                        ResultStore& store, const RunCallback& on_run = {},
-                        bool parallel = true);
+                        ResultStore& store, const RunCallback& on_run = {});
 
 /// Run every cross-dataset (train != test) pair among faithful datasets.
 void sweep_cross_dataset(Benchmark& bench,
                          const std::vector<std::string>& algos,
-                         ResultStore& store, bool parallel = true);
+                         ResultStore& store);
 
 /// Warm the benchmark's feature/model caches for a set of same-dataset pairs
 /// in parallel; later serial queries then hit the caches. Failures are

@@ -56,7 +56,7 @@ class Gmm : public Model {
   double final_log_likelihood() const { return final_ll_; }
 
   /// Pre-PR reference: per-row log_density loop. Kept for the
-  /// batched-vs-per-row equivalence tests and the BENCH_ml baseline.
+  /// batched-vs-per-row equivalence tests and bench_ml's per-row baseline.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
   double threshold() const { return threshold_; }

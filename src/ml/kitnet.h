@@ -63,7 +63,7 @@ class KitNet : public Model {
   double score_row(std::span<const double> x, ScoreScratch& scratch) const;
 
   /// Row-at-a-time score_row loop over a table: the reference for the
-  /// equivalence tests and the BENCH_ml baseline.
+  /// equivalence tests and bench_ml's per-row baseline.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
  private:

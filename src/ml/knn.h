@@ -36,7 +36,7 @@ class Knn : public Model {
   bool is_supervised() const override { return true; }
 
   /// Pre-PR reference: per-row scalar distance scan. Kept for the
-  /// batched-vs-per-row equivalence tests and the BENCH_ml baseline.
+  /// batched-vs-per-row equivalence tests and bench_ml's per-row baseline.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
  private:

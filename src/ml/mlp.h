@@ -40,7 +40,7 @@ class Mlp : public Model {
 
   /// Pre-PR reference: row-at-a-time scalar forward with per-row activation
   /// allocations. Kept for the batched-vs-per-row equivalence tests and the
-  /// BENCH_ml baseline; not a production path.
+  /// bench_ml per-row baseline; not a production path.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
  private:

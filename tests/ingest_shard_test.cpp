@@ -153,7 +153,7 @@ TEST(ShardedEquivalence, MatchesPerShardSequentialReference) {
     ReplayOptions replay;
     replay.begin = grace;
 
-    for (const size_t shards : {size_t{2}, size_t{4}}) {
+    for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
       TraceReplaySource ref_src(ds.trace, replay);
       const RunResult want = reference_partition(proto, ref_src, shards);
       ASSERT_FALSE(want.packets.empty()) << id;
@@ -313,6 +313,44 @@ TEST(ShardedRuntime, DropNewestAccountingStaysExact) {
   // and skips the extended instruments.
   EXPECT_EQ(rt.registry().snapshot().find_histogram("ingest.stage.parse_ns"),
             nullptr);
+}
+
+TEST(ShardedRuntime, FaultyDropNewestAccountingStaysExact) {
+  // A damaged capture (truncated, corrupted, reordered frames) into two
+  // lossy rings behind slow consumers: frames are both shed at the rings
+  // and skipped by the parser, and every arrival is still accounted once.
+  const trace::Dataset ds = trace::make_dataset("P1", 0.05);
+  FaultOptions faults;
+  faults.truncate_p = 0.3;
+  faults.corrupt_p = 0.05;
+  faults.reorder_p = 0.05;
+  faults.seed = 7;
+  IngestRuntime::Options opts;
+  opts.shards = 2;
+  opts.queue_capacity = 16;
+  opts.overflow = OverflowPolicy::kDropNewest;
+  telemetry::Registry reg;
+  opts.registry = &reg;
+  IngestRuntime rt(
+      opts,
+      [](size_t) {
+        return std::make_unique<FnScorer>(
+            [](const netio::PacketView& v) {
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              return static_cast<double>(v.payload_len);
+            },
+            1e9);
+      },
+      nullptr);
+  TraceReplaySource inner(ds.trace, ReplayOptions{});
+  FaultInjectingSource src(inner, faults);
+  auto stats = rt.run(src);
+  ASSERT_TRUE(stats.ok());
+  const IngestStats& s = stats.value();
+  EXPECT_EQ(s.enqueued, ds.trace.raw.size());
+  EXPECT_GT(s.dropped, 0u);
+  EXPECT_GT(s.parse_skipped, 0u);
+  EXPECT_EQ(s.scored + s.parse_skipped, s.enqueued - s.dropped);
 }
 
 TEST(ShardedRuntime, PerShardTelemetrySumsToTotals) {

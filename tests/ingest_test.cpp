@@ -217,6 +217,25 @@ TEST(Runtime, FaultySourceSkipsUnparseableKeepsRest) {
   EXPECT_EQ(s.scored + s.parse_skipped, 300u);
 }
 
+// Every scored packet of a run, in delivery order, and its alerts.
+struct PacketRecord {
+  uint32_t index = 0;
+  double score = 0.0;
+  bool alerted = false;
+  bool operator==(const PacketRecord&) const = default;
+};
+
+class PacketRecorder : public core::AlertSink {
+ public:
+  void on_alert(const core::Alert& a) override { alerts.push_back(a); }
+  void on_packet(const netio::PacketView& v, double score,
+                 bool alerted) override {
+    recs.push_back(PacketRecord{v.index, score, alerted});
+  }
+  std::vector<PacketRecord> recs;
+  std::vector<core::Alert> alerts;
+};
+
 TEST(Runtime, PacedAndUnpacedReplayAlertIdentically) {
   Trace t = make_trace(150);
   auto run_with = [&](bool pace) {
@@ -232,6 +251,37 @@ TEST(Runtime, PacedAndUnpacedReplayAlertIdentically) {
     return sink.alerts().size();
   };
   EXPECT_EQ(run_with(false), run_with(true));
+
+  // Full records from a trained KitsuneScorer on a P1 slice: pacing only
+  // changes arrival timing, never a score or an alert flag.
+  const trace::Dataset ds = trace::make_dataset("P1", 0.1);
+  const size_t grace = ds.trace.view.size() * 45 / 100;
+  core::OnlineKitsune proto;
+  proto.train({ds.trace.view.data(), grace});
+  auto records = [&](bool pace) {
+    ReplayOptions opts;
+    opts.begin = grace;
+    opts.pace = pace;
+    opts.speed = 2000.0;
+    opts.max_sleep = 0.0005;
+    TraceReplaySource src(ds.trace, opts);
+    PacketRecorder sink;
+    IngestRuntime rt(
+        IngestRuntime::Options{},
+        [&proto](size_t) {
+          return std::make_unique<core::KitsuneScorer>(proto);
+        },
+        &sink);
+    EXPECT_TRUE(rt.run(src).ok());
+    EXPECT_EQ(sink.alerts.size(),
+              static_cast<size_t>(std::count_if(
+                  sink.recs.begin(), sink.recs.end(),
+                  [](const PacketRecord& r) { return r.alerted; })));
+    return sink.recs;
+  };
+  const std::vector<PacketRecord> unpaced = records(false);
+  ASSERT_EQ(unpaced.size(), ds.trace.view.size() - grace);
+  EXPECT_EQ(unpaced, records(true));
 }
 
 TEST(Runtime, KitsuneScorerDetectsOnTheStream) {
@@ -310,24 +360,6 @@ class TenantTaggingDriver : public netio::SourceDriver {
   const std::atomic<bool>* resume_ = nullptr;
 };
 
-struct TenantRecord {
-  uint32_t index = 0;
-  double score = 0.0;
-  bool alerted = false;
-  bool operator==(const TenantRecord&) const = default;
-};
-
-class TenantRecorder : public core::AlertSink {
- public:
-  void on_alert(const core::Alert& a) override { alerts.push_back(a); }
-  void on_packet(const netio::PacketView& v, double score,
-                 bool alerted) override {
-    recs.push_back(TenantRecord{v.index, score, alerted});
-  }
-  std::vector<TenantRecord> recs;
-  std::vector<core::Alert> alerts;
-};
-
 // Two tenants interleaved in every claimed batch, each scored by its own
 // stateful KitsuneScorer, must score exactly as if each tenant's traffic
 // had been replayed alone: per-tenant partitions keep each scorer's
@@ -344,7 +376,7 @@ TEST(Runtime, InterleavedTenantsMatchSoloRuns) {
   const auto run = [&](uint32_t only) {
     IngestRuntime::Options opts;
     opts.registry = nullptr;
-    TenantRecorder sink;
+    PacketRecorder sink;
     IngestRuntime rt(opts, payload_scorer(), &sink);
     EXPECT_TRUE(rt.register_tenant(1, [&proto1](size_t) {
       return std::make_unique<core::KitsuneScorer>(proto1);
@@ -356,16 +388,16 @@ TEST(Runtime, InterleavedTenantsMatchSoloRuns) {
     EXPECT_TRUE(rt.run(driver).ok());
     return sink;
   };
-  const TenantRecorder mixed = run(0);
+  const PacketRecorder mixed = run(0);
   ASSERT_EQ(mixed.recs.size(), ds.trace.view.size() - grace);
 
   size_t total_alerts = 0;
   for (const uint32_t t : {1u, 2u}) {
     SCOPED_TRACE(t);
-    const TenantRecorder solo = run(t);
+    const PacketRecorder solo = run(t);
     ASSERT_FALSE(solo.recs.empty());
-    std::vector<TenantRecord> got;
-    for (const TenantRecord& r : mixed.recs) {
+    std::vector<PacketRecord> got;
+    for (const PacketRecord& r : mixed.recs) {
       if (tenant_of(r.index) == t) got.push_back(r);
     }
     EXPECT_EQ(got, solo.recs);  // bit-identical scores, order and flags
@@ -402,7 +434,7 @@ TEST(Runtime, UnregisteredTenantsShareTheDefaultScorer) {
     IngestRuntime::Options opts;
     opts.shards = 2;
     opts.registry = nullptr;
-    TenantRecorder sink;
+    PacketRecorder sink;
     std::atomic<size_t> calls{0};
     IngestRuntime rt(
         opts,
@@ -426,8 +458,8 @@ TEST(Runtime, UnregisteredTenantsShareTheDefaultScorer) {
     return sink;
   };
   size_t built_default = 0, built_spoofed = 0;
-  const TenantRecorder want = run([](uint32_t) { return 0u; }, &built_default);
-  const TenantRecorder got = run(spoofed, &built_spoofed);
+  const PacketRecorder want = run([](uint32_t) { return 0u; }, &built_default);
+  const PacketRecorder got = run(spoofed, &built_spoofed);
   EXPECT_EQ(built_default, 2u);
   EXPECT_EQ(built_spoofed, 2u);  // once per shard, however many ids
   ASSERT_EQ(got.recs.size(), ds.trace.view.size() - grace);

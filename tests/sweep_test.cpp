@@ -106,8 +106,7 @@ TEST(SweepDeterminism, SweepHelperMatchesSerialHelper) {
   ResultStore serial_store;
   {
     SerialGuard guard;
-    sweep_cross_dataset(serial_bench, algos, serial_store,
-                        /*parallel=*/false);
+    sweep_cross_dataset(serial_bench, algos, serial_store);
   }
 
   GridBenchmark parallel_bench;

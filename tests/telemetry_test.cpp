@@ -1,7 +1,7 @@
 // Tests for the unified telemetry subsystem: instrument exactness under
 // concurrency, span nesting, snapshot consistency while writers are live,
 // and golden renderings of both exposition formats (Prometheus text and the
-// BENCH_*.json house style).
+// json::Writer house style).
 #include "common/telemetry.h"
 
 #include <gtest/gtest.h>

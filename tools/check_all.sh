@@ -2,7 +2,8 @@
 # Single entry point for the verify recipe: the tier-1 build-and-test pass,
 # then the ThreadSanitizer, AddressSanitizer, and UBSanitizer checks, the
 # end-to-end benchmark's correctness checks (every workload, traced and
-# untraced, at smoke size), and finally the throughput regression gates.
+# untraced, at smoke size), and finally the micro-bench regression gates
+# (judged against bench/baseline.jsonl).
 # Usage:
 #   tools/check_all.sh [build-dir]
 set -euo pipefail

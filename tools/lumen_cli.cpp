@@ -11,10 +11,13 @@
 //                                    same- or cross-dataset evaluation
 //   lumen compare [--granularity connection|packet] [--scale S]
 //                                    same-dataset precision matrix
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "eval/benchmark.h"
 #include "eval/relevance.h"
@@ -24,6 +27,11 @@
 namespace {
 
 using namespace lumen;
+
+/// A flag value the command cannot use; main() prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Minimal flag parser: --name value pairs after the positional args.
 struct Args {
@@ -51,9 +59,18 @@ struct Args {
     auto it = flags.find(name);
     return it == flags.end() ? dflt : it->second;
   }
+  /// A numeric flag: the whole value must parse as a finite number > 0.
   double flag_num(const std::string& name, double dflt) const {
     auto it = flags.find(name);
-    return it == flags.end() ? dflt : std::atof(it->second.c_str());
+    if (it == flags.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
+      throw UsageError("--" + name + " must be a finite number > 0, got '" +
+                       it->second + "'");
+    }
+    return v;
   }
 };
 
@@ -292,14 +309,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string& cmd = args.positional[0];
-  if (cmd == "list-algorithms") return cmd_list_algorithms();
-  if (cmd == "list-datasets") return cmd_list_datasets();
-  if (cmd == "list-ops") return cmd_list_ops();
-  if (cmd == "generate") return cmd_generate(args);
-  if (cmd == "run") return cmd_run(args);
-  if (cmd == "evaluate") return cmd_evaluate(args);
-  if (cmd == "compare") return cmd_compare(args);
-  if (cmd == "explain") return cmd_explain(args);
+  try {
+    if (cmd == "list-algorithms") return cmd_list_algorithms();
+    if (cmd == "list-datasets") return cmd_list_datasets();
+    if (cmd == "list-ops") return cmd_list_ops();
+    if (cmd == "generate") return cmd_generate(args);
+    if (cmd == "run") return cmd_run(args);
+    if (cmd == "evaluate") return cmd_evaluate(args);
+    if (cmd == "compare") return cmd_compare(args);
+    if (cmd == "explain") return cmd_explain(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "lumen %s: %s\n", cmd.c_str(), e.what());
+    return 2;
+  }
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 2;
 }
