@@ -65,26 +65,15 @@ int main() {
         continue;
       }
       auto [train, test] = eval::Benchmark::split_by_time(feats.value(), 0.7);
+      // train() fits the template's transforms and model on the train rows;
+      // transform() applies the fitted transforms to the test rows.
       auto model = core::make_algorithm_model(algo);
       if (!model.ok()) continue;
-      core::ModelValue mv = std::move(model).value();
-      features::FeatureTable X = train;
-      if (mv.decorrelate) {
-        mv.corr_filter = std::make_shared<features::CorrelationFilter>();
-        mv.corr_filter->fit(X);
-        X = mv.corr_filter->apply(X);
-      }
-      if (mv.normalize) {
-        mv.normalizer = std::make_shared<features::Normalizer>();
-        mv.normalizer->fit(X);
-        mv.normalizer->apply(X);
-      }
-      mv.model->fit(X);
-      features::FeatureTable T = test;
-      if (mv.corr_filter) T = mv.corr_filter->apply(T);
-      if (mv.normalizer) mv.normalizer->apply(T);
-      const auto pred = mv.model->predict(T);
-      const auto c = ml::confusion(T.labels, pred);
+      auto trained = model.value().train(std::move(train));
+      if (!trained.ok()) continue;
+      const core::ModelValue& mv = trained.value();
+      const auto pred = mv.model->predict(mv.transform(test));
+      const auto c = ml::confusion(test.labels, pred);
       const double p = ml::precision(c);
       std::printf("  %6.3f", p);
       sum += p;

@@ -88,7 +88,7 @@ Result<PipelineReport> Engine::run(const PipelineSpec& spec, OpContext& ctx,
   const OperationRegistry& reg = OperationRegistry::instance();
 
   // Telemetry sink: the configured registry, or a run-local scratch one
-  // when the embedder silenced publishing (profiles still work either way).
+  // when the embedder silenced publishing.
   telemetry::Registry local_tel;
   telemetry::Registry& tel =
       opts_.registry != nullptr ? *opts_.registry : local_tel;
@@ -189,10 +189,6 @@ Result<PipelineReport> Engine::run(const PipelineSpec& spec, OpContext& ctx,
     peak_gauge.update_max(static_cast<double>(report.peak_bytes));
   }
 
-  // The report's profile is a view over the telemetry snapshot: same span
-  // records a scraper of `tel` sees, keyed by this run's span ids.
-  report.profile =
-      profile_from_spans(tel.snapshot(), report.span_ids, op_prefix);
   report.bindings = std::move(env);
   return report;
 }

@@ -11,15 +11,12 @@
 
 namespace lumen::core {
 
-/// One row of the engine's time/memory profile.
-///
-/// DEPRECATION NOTE: OpProfile is now a compatibility view over the
-/// unified telemetry API (common/telemetry.h). Engine::run records
-/// one telemetry::Span per operation (name `<prefix>op.<func>`, detail = the
-/// output binding, value = output bytes, flag = freed-early) into
-/// Options::registry and rebuilds this struct from the registry snapshot, so
-/// the numbers here and in the registry are the same by construction. New
-/// consumers should scrape the registry instead of this struct.
+/// One row of the engine's time/memory profile: a view over one of the
+/// telemetry spans (common/telemetry.h) Engine::run records per operation
+/// into Options::registry (name `<prefix>op.<func>`, detail = the output
+/// binding, value = output bytes, flag = freed-early). Rows exist only when
+/// an embedder asks for them: profile_from_spans over a snapshot of that
+/// registry and PipelineReport::span_ids. Scrapers read the spans directly.
 struct OpProfile {
   std::string func;
   std::string output;
@@ -30,25 +27,23 @@ struct OpProfile {
 
 /// Rebuild per-op profile rows from the telemetry spans a run recorded
 /// (`span_ids` in execution order, names prefixed with `op_prefix`). This is
-/// the only constructor of OpProfile rows the engine uses.
+/// the only constructor of OpProfile rows.
 std::vector<OpProfile> profile_from_spans(const telemetry::Snapshot& snap,
                                           const std::vector<uint64_t>& span_ids,
                                           std::string_view op_prefix);
 
-/// Render profile rows as an aligned text table plus the peak-resident
-/// footer (the engine's "plots"): pass a PipelineReport's `profile` and
-/// `peak_bytes`, or rows rebuilt with profile_from_spans — no
-/// PipelineReport needed.
+/// Render profile rows (from profile_from_spans) as an aligned text table
+/// plus the peak-resident footer (the engine's "plots").
 std::string render_op_profile(const std::vector<OpProfile>& profile,
                               size_t peak_bytes);
 
 struct PipelineReport {
   /// Bindings still alive at the end of the run (pipeline results).
   std::map<std::string, Value> bindings;
-  std::vector<OpProfile> profile;
   size_t peak_bytes = 0;
-  /// Span ids (execution order) of this run's per-op telemetry spans — the
-  /// keys for re-deriving `profile` from a registry snapshot.
+  /// Span ids (execution order) of this run's per-op telemetry spans in
+  /// Options::registry — the keys profile_from_spans reads. With a null
+  /// registry the spans lived in a run-local registry and are gone.
   std::vector<uint64_t> span_ids;
 
   const Value* find(const std::string& name) const {
@@ -72,8 +67,8 @@ class Engine {
     std::vector<std::string> keep;
     /// Where per-op spans and byte gauges land. Default: the process-wide
     /// registry, so any embedder can scrape engine activity. nullptr keeps
-    /// the run's telemetry in a run-local registry (nothing published) —
-    /// the report and its profile still work. Same shape as
+    /// the run's telemetry in a run-local registry (nothing published);
+    /// the report's bindings and peak_bytes still work. Same shape as
     /// IngestRuntime::Options.
     telemetry::Registry* registry = &telemetry::Registry::process();
     /// Prepended to every instrument and span name this engine records.

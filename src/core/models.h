@@ -12,10 +12,11 @@ namespace lumen::core {
 ///               LogisticRegression | MLP | AutoML | Ensemble | OCSVM |
 ///               LinearOCSVM | NystromGMM | NystromOCSVM | GMM |
 ///               AutoEncoder | KitNET
-///   normalize / decorrelate: bool — train-fitted transforms applied by the
-///               evaluation protocol (and the train/predict ops).
+///   normalize / decorrelate: bool — train-fitted transforms of the
+///               evaluation protocol (ModelValue::train / predict).
 ///   members:    for Ensemble, a list of model_type strings.
-/// Unknown types produce an Error naming the offender.
+/// The params are kept in ModelValue::params, from which train() builds
+/// each fresh model. Unknown types produce an Error naming the offender.
 Result<ModelValue> make_model(const Json& params);
 
 /// Nyström feature map feeding an inner anomaly detector (GMM or linear

@@ -125,6 +125,7 @@ Result<ModelValue> make_model(const Json& params) {
   if (type.empty()) return Error::make("model", "missing 'model_type'");
 
   ModelValue mv;
+  mv.params = params;
   mv.normalize = params.get_bool("normalize", false);
   mv.decorrelate = params.get_bool("decorrelate", false);
 
@@ -158,29 +159,17 @@ Result<Value> run_model(const OpSpec& spec,
   return Value(std::move(mv).value());
 }
 
-/// Fit train-side transforms, then the model. Emits the trained ModelValue.
+/// A trained copy of the input model (ModelValue::train); the input stays
+/// untrained, so one "model" binding can feed several trains.
 Result<Value> run_train(const OpSpec& spec,
                         const std::vector<const Value*>& in, OpContext& ctx) {
   auto mr = input_as<ModelValue>(in, 0, "train");
   if (!mr.ok()) return mr.error();
   auto tr = input_as<FeatureTable>(in, 1, "train");
   if (!tr.ok()) return tr.error();
-
-  ModelValue mv = *mr.value();
-  FeatureTable X = *tr.value();
-  features::impute_non_finite(X);
-  if (mv.decorrelate) {
-    mv.corr_filter = std::make_shared<features::CorrelationFilter>();
-    mv.corr_filter->fit(X);
-    X = mv.corr_filter->apply(X);
-  }
-  if (mv.normalize) {
-    mv.normalizer = std::make_shared<features::Normalizer>();
-    mv.normalizer->fit(X);
-    mv.normalizer->apply(X);
-  }
-  mv.model->fit(X);
-  return Value(std::move(mv));
+  Result<ModelValue> trained = mr.value()->train(*tr.value());
+  if (!trained.ok()) return trained.error();
+  return Value(std::move(trained).value());
 }
 
 Result<Value> run_predict(const OpSpec& spec,
@@ -190,26 +179,9 @@ Result<Value> run_predict(const OpSpec& spec,
   if (!mr.ok()) return mr.error();
   auto tr = input_as<FeatureTable>(in, 1, "predict");
   if (!tr.ok()) return tr.error();
-
   const ModelValue& mv = *mr.value();
   if (!mv.model) return Error::make("predict", "model was never constructed");
-  FeatureTable X = *tr.value();
-  features::impute_non_finite(X);
-  if (mv.corr_filter) X = mv.corr_filter->apply(X);
-  if (mv.normalizer) mv.normalizer->apply(X);
-
-  Predictions p;
-  p.y_true = X.labels;
-  p.scores = mv.model->score(X);
-  if (const auto* kit = dynamic_cast<const ml::KitNet*>(mv.model.get())) {
-    // KitNet::predict == threshold_predict(score(X), threshold()); reuse
-    // the scores instead of paying a second full scoring pass.
-    p.y_pred = ml::threshold_predict(p.scores, kit->threshold());
-  } else {
-    p.y_pred = mv.model->predict(X);
-  }
-  p.attack = X.attack;
-  return Value(std::move(p));
+  return Value(mv.predict(*tr.value()));
 }
 
 Result<Value> run_evaluate(const OpSpec& spec,

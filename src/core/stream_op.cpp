@@ -10,7 +10,6 @@
 #include "core/ops_common.h"
 #include "features/stats.h"
 #include "features/transform.h"
-#include "ml/kitnet.h"
 
 namespace lumen::core {
 
@@ -81,8 +80,6 @@ class GroupByOp final : public StreamOp {
 
   /// Printable key of a group id (valid for ids issued this stream).
   const std::string& key_of(uint32_t gid) const { return keys_[gid]; }
-
-  size_t group_count() const { return keys_.size(); }
 
  private:
   std::function<Key128(const PacketView&)> packed_;
@@ -584,11 +581,11 @@ class NormalizeOp final : public StreamOp {
   std::vector<features::RunningStats> cols_;  // running mode only
 };
 
-/// "predict": score each epoch's rows with the seeded batch-trained model,
-/// replicating run_predict (impute -> corr-filter -> normalizer -> model)
-/// on a copy, so the emitted aggregates stay raw. Model::score keeps row
-/// i's score independent of which rows share the table, so scoring
-/// epoch-by-epoch equals the batch engine's whole-table pass row for row.
+/// "predict": score each epoch's rows with the seeded batch-trained model
+/// through ModelValue::predict, the batch op's own protocol, on a copy, so
+/// the emitted aggregates stay raw. Model::score keeps row i's score
+/// independent of which rows share the table, so scoring epoch-by-epoch
+/// equals the batch engine's whole-table pass row for row.
 class ScoreOp final : public StreamOp {
  public:
   explicit ScoreOp(ModelValue mv) : mv_(std::move(mv)) {}
@@ -597,19 +594,9 @@ class ScoreOp final : public StreamOp {
   void push_rows(EpochBatch&& b) override {
     if (b.table.rows > 0) {
       telemetry::Span span(reg_, span_name_);
-      FeatureTable X = b.table;
-      features::impute_non_finite(X);
-      if (mv_.corr_filter) X = mv_.corr_filter->apply(X);
-      if (mv_.normalizer) mv_.normalizer->apply(X);
-      b.scores = mv_.model->score(X);
-      if (const auto* kit = dynamic_cast<const ml::KitNet*>(mv_.model.get())) {
-        // KitNet::predict == threshold_predict(score(X), threshold()), and
-        // score is deterministic — reuse the scores instead of paying a
-        // second full scoring pass per epoch.
-        b.predictions = ml::threshold_predict(b.scores, kit->threshold());
-      } else {
-        b.predictions = mv_.model->predict(X);
-      }
+      Predictions p = mv_.predict(b.table);
+      b.scores = std::move(p.scores);
+      b.predictions = std::move(p.y_pred);
       b.scored = true;
       span.set_value(b.table.rows);
     }
@@ -921,7 +908,6 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
 
     lowered->set_telemetry(opts.registry,
                            opts.instrument_prefix + "op." + op.func);
-    pipe->funcs_.push_back(op.func);
     pipe->ops_.push_back(std::move(lowered));
     last_out = op.output;
   }

@@ -158,9 +158,6 @@ class StreamPipeline {
   /// clocks, accumulators, counters). Seeded models/transforms survive.
   void reset();
 
-  /// The lowered op funcs, in chain order (diagnostics, benches).
-  const std::vector<std::string>& op_funcs() const { return funcs_; }
-
   uint64_t packets() const { return counts_.packets; }
   uint64_t rows() const { return counts_.rows; }
   uint64_t epochs() const { return counts_.epochs; }
@@ -175,7 +172,6 @@ class StreamPipeline {
 
   Counters counts_;
   std::vector<std::unique_ptr<StreamOp>> ops_;  // chain order; [0] is entry
-  std::vector<std::string> funcs_;
   StreamOp* front_ = nullptr;
   stream_detail::EmitOp* emit_ = nullptr;  // terminal (owned by ops_)
   bool finished_ = false;

@@ -1,6 +1,52 @@
 #include "core/value.h"
 
+#include "core/models.h"
+#include "ml/kitnet.h"
+
 namespace lumen::core {
+
+Result<ModelValue> ModelValue::train(features::FeatureTable X) const {
+  if (!model) return Error::make("train", "model was never constructed");
+  Result<ModelValue> out = make_model(params);
+  if (!out.ok()) return out.error();
+  ModelValue& mv = out.value();
+  features::impute_non_finite(X);
+  if (mv.decorrelate) {
+    mv.corr_filter = std::make_shared<features::CorrelationFilter>();
+    mv.corr_filter->fit(X);
+    X = mv.corr_filter->apply(X);
+  }
+  if (mv.normalize) {
+    mv.normalizer = std::make_shared<features::Normalizer>();
+    mv.normalizer->fit(X);
+    mv.normalizer->apply(X);
+  }
+  mv.model->fit(X);
+  return out;
+}
+
+features::FeatureTable ModelValue::transform(features::FeatureTable X) const {
+  features::impute_non_finite(X);
+  if (corr_filter) X = corr_filter->apply(X);
+  if (normalizer) normalizer->apply(X);
+  return X;
+}
+
+Predictions ModelValue::predict(features::FeatureTable X) const {
+  X = transform(std::move(X));
+  Predictions p;
+  p.scores = model->score(X);
+  if (const auto* kit = dynamic_cast<const ml::KitNet*>(model.get())) {
+    // KitNet::predict == threshold_predict(score(X), threshold()); reuse
+    // the scores instead of paying a second full scoring pass.
+    p.y_pred = ml::threshold_predict(p.scores, kit->threshold());
+  } else {
+    p.y_pred = model->predict(X);
+  }
+  p.y_true = std::move(X.labels);
+  p.attack = std::move(X.attack);
+  return p;
+}
 
 const char* value_kind_name(ValueKind k) {
   switch (k) {

@@ -8,6 +8,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/json.h"
 #include "features/table.h"
 #include "features/transform.h"
 #include "flow/flow.h"
@@ -61,21 +62,39 @@ struct ConnSet {
   std::vector<flow::ConnRecord> records;  // aligned with conns
 };
 
-/// A (possibly trained) model plus the train-fitted feature transforms the
-/// evaluation protocol applies to test data.
-struct ModelValue {
-  ml::ModelPtr model;
-  bool normalize = false;
-  bool decorrelate = false;
-  std::shared_ptr<features::Normalizer> normalizer;
-  std::shared_ptr<features::CorrelationFilter> corr_filter;
-};
-
 struct Predictions {
   std::vector<int> y_true;
   std::vector<int> y_pred;
   std::vector<double> scores;
   std::vector<uint8_t> attack;  // per row
+};
+
+/// A (possibly trained) model plus the train-fitted feature transforms, and
+/// the one implementation of the evaluation protocol: transforms are fitted
+/// on training rows only, then applied to test rows before scoring. The
+/// train/predict ops, the Benchmark, the synthesis search and the streaming
+/// "predict" all go through these members.
+struct ModelValue {
+  ml::ModelPtr model;
+  /// The "model" op's parameters; train() builds its fresh model from them.
+  Json params;
+  bool normalize = false;
+  bool decorrelate = false;
+  std::shared_ptr<features::Normalizer> normalizer;
+  std::shared_ptr<features::CorrelationFilter> corr_filter;
+
+  /// A trained copy: imputes X, fits the enabled correlation filter and
+  /// normalizer on it, then fits a fresh model built from `params`. `*this`
+  /// is left untouched, so one untrained value can be trained on several
+  /// tables. Error when no model was ever constructed.
+  Result<ModelValue> train(features::FeatureTable X) const;
+
+  /// X imputed and passed through the fitted transforms: the rows the
+  /// model sees.
+  features::FeatureTable transform(features::FeatureTable X) const;
+
+  /// Scores transform(X) once and decides every row. Requires `model`.
+  Predictions predict(features::FeatureTable X) const;
 };
 
 /// Flat named metrics (the output of an "evaluate" op).

@@ -96,46 +96,22 @@ Result<const core::ModelValue*> Benchmark::trained_model(
         }
         Result<const Split*> sp = split(algo_id, train_ds);
         if (!sp.ok()) return sp.error();
-        const FeatureTable capped =
-            cap_rows(sp.value()->first, opts_.max_train_rows,
-                     Rng::seed_from(algo_id + train_ds));
-
         Result<core::ModelValue> mv = core::make_algorithm_model(*algo);
         if (!mv.ok()) return mv.error();
-        core::ModelValue model = std::move(mv).value();
-
-        FeatureTable X = capped;
-        if (model.decorrelate) {
-          model.corr_filter = std::make_shared<features::CorrelationFilter>();
-          model.corr_filter->fit(X);
-          X = model.corr_filter->apply(X);
-        }
-        if (model.normalize) {
-          model.normalizer = std::make_shared<features::Normalizer>();
-          model.normalizer->fit(X);
-          model.normalizer->apply(X);
-        }
-        model.model->fit(X);
-        return model;
+        return mv.value().train(cap_rows(sp.value()->first,
+                                         opts_.max_train_rows,
+                                         Rng::seed_from(algo_id + train_ds)));
       });
 }
 
-Result<Benchmark::RunOutput> Benchmark::evaluate_table(
+Benchmark::RunOutput Benchmark::evaluate_table(
     const std::string& algo_id, const core::ModelValue& model,
     const FeatureTable& test, const std::string& train_ds,
-    const std::string& test_ds) {
-  FeatureTable X =
-      cap_rows(test, opts_.max_test_rows,
-               Rng::seed_from(algo_id + train_ds + test_ds, 7));
-  if (model.corr_filter) X = model.corr_filter->apply(X);
-  if (model.normalizer) model.normalizer->apply(X);
-
+    const std::string& test_ds) const {
   RunOutput out;
-  out.predictions.y_true = X.labels;
-  out.predictions.scores = model.model->score(X);
-  out.predictions.y_pred = model.model->predict(X);
-  out.predictions.attack = X.attack;
-
+  out.predictions =
+      model.predict(cap_rows(test, opts_.max_test_rows,
+                             Rng::seed_from(algo_id + train_ds + test_ds, 7)));
   const ml::Confusion c =
       ml::confusion(out.predictions.y_true, out.predictions.y_pred);
   out.record.algo = algo_id;
@@ -146,7 +122,7 @@ Result<Benchmark::RunOutput> Benchmark::evaluate_table(
   out.record.f1 = ml::f1(c);
   out.record.accuracy = ml::accuracy(c);
   out.record.auc = ml::auc(out.predictions.y_true, out.predictions.scores);
-  out.record.n_test = X.rows;
+  out.record.n_test = out.predictions.y_true.size();
   return out;
 }
 
@@ -156,9 +132,9 @@ Result<Benchmark::RunOutput> Benchmark::same_dataset(
   if (!model.ok()) return model.error();
   Result<const Split*> sp = split(algo_id, ds_id);
   if (!sp.ok()) return sp.error();
-  Result<RunOutput> out =
+  RunOutput out =
       evaluate_table(algo_id, *model.value(), sp.value()->second, ds_id, ds_id);
-  if (out.ok()) out.value().record.n_train = sp.value()->first.rows;
+  out.record.n_train = sp.value()->first.rows;
   return out;
 }
 
@@ -212,24 +188,15 @@ Result<Benchmark::RunOutput> Benchmark::merged_training(
 
   Result<core::ModelValue> mv = core::make_algorithm_model(*algo);
   if (!mv.ok()) return mv.error();
-  core::ModelValue model = std::move(mv).value();
   FeatureTable X = cap_rows(*train_merged, opts_.max_train_rows,
                             Rng::seed_from(algo_id, 17));
-  if (model.decorrelate) {
-    model.corr_filter = std::make_shared<features::CorrelationFilter>();
-    model.corr_filter->fit(X);
-    X = model.corr_filter->apply(X);
-  }
-  if (model.normalize) {
-    model.normalizer = std::make_shared<features::Normalizer>();
-    model.normalizer->fit(X);
-    model.normalizer->apply(X);
-  }
-  model.model->fit(X);
+  const size_t n_train = X.rows;
+  Result<core::ModelValue> model = mv.value().train(std::move(X));
+  if (!model.ok()) return model.error();
 
-  Result<RunOutput> out =
-      evaluate_table(algo_id, model, *test_merged, "merged", "merged");
-  if (out.ok()) out.value().record.n_train = X.rows;
+  RunOutput out =
+      evaluate_table(algo_id, model.value(), *test_merged, "merged", "merged");
+  out.record.n_train = n_train;
   return out;
 }
 

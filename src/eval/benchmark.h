@@ -103,11 +103,12 @@ class Benchmark {
 
   FeatureTable cap_rows(const FeatureTable& t, size_t max_rows,
                         uint64_t salt) const;
-  Result<RunOutput> evaluate_table(const std::string& algo_id,
-                                   const core::ModelValue& model,
-                                   const FeatureTable& test,
-                                   const std::string& train_ds,
-                                   const std::string& test_ds);
+  /// Caps the test rows, then predicts through the model's protocol.
+  RunOutput evaluate_table(const std::string& algo_id,
+                           const core::ModelValue& model,
+                           const FeatureTable& test,
+                           const std::string& train_ds,
+                           const std::string& test_ds) const;
 
   Options opts_;
   // Concurrency-safe per-key memoization: sweep workers computing the same

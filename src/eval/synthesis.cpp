@@ -97,24 +97,11 @@ double score_candidate(Benchmark& bench, const SynthCandidate& cand,
 
     auto model = core::make_algorithm_model(def);
     if (!model.ok()) continue;
-    core::ModelValue mv = std::move(model).value();
-    features::FeatureTable X = train;
-    if (mv.decorrelate) {
-      mv.corr_filter = std::make_shared<features::CorrelationFilter>();
-      mv.corr_filter->fit(X);
-      X = mv.corr_filter->apply(X);
-    }
-    if (mv.normalize) {
-      mv.normalizer = std::make_shared<features::Normalizer>();
-      mv.normalizer->fit(X);
-      mv.normalizer->apply(X);
-    }
-    mv.model->fit(X);
-
-    features::FeatureTable T = test;
-    if (mv.corr_filter) T = mv.corr_filter->apply(T);
-    if (mv.normalizer) mv.normalizer->apply(T);
-    const ml::Confusion c = ml::confusion(T.labels, mv.model->predict(T));
+    auto trained = model.value().train(std::move(train));
+    if (!trained.ok()) continue;
+    const core::ModelValue& mv = trained.value();
+    const ml::Confusion c =
+        ml::confusion(test.labels, mv.model->predict(mv.transform(test)));
     sum += metric == "f1" ? ml::f1(c) : ml::precision(c);
     ++n;
   }

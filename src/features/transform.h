@@ -19,7 +19,6 @@ class Normalizer {
 
   void fit(const FeatureTable& t);
   void apply(FeatureTable& t) const;
-  bool fitted() const { return !shift_.empty(); }
   NormKind kind() const { return kind_; }
 
   /// Fitted statistics, exposed for persistence.
@@ -47,7 +46,6 @@ class CorrelationFilter {
 
   void fit(const FeatureTable& t);
   FeatureTable apply(const FeatureTable& t) const;
-  const std::vector<uint8_t>& keep_mask() const { return keep_; }
 
  private:
   double threshold_;

@@ -36,7 +36,6 @@ class NystromMap {
   /// Map a table into the landmark space (labels/metadata carried over).
   FeatureTable transform(const FeatureTable& X) const;
 
-  bool fitted() const { return !landmarks_.empty(); }
   double gamma() const { return gamma_; }
   size_t dim() const { return rank_; }
 

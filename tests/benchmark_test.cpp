@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <functional>
 
+#include "core/engine.h"
 #include "eval/benchmark.h"
 #include "eval/literature.h"
 #include "eval/report.h"
@@ -91,6 +94,104 @@ TEST(Benchmark, MergedTrainingRunsOverConnectionDatasets) {
   ASSERT_TRUE(run.ok()) << run.error().message;
   EXPECT_EQ(run.value().record.train_ds, "merged");
   EXPECT_GT(run.value().record.n_train, 0u);
+}
+
+// ---- Golden evaluation outputs --------------------------------------------
+// The evaluation protocol (impute, fit the enabled transforms on the train
+// rows, fit the model; transform, score and decide on the test rows) pinned
+// bit for bit. Every model here is a table model off the dense kernels, so
+// the values do not depend on the SIMD backend.
+
+/// FNV-1a over the bit patterns of every score, then every decision.
+uint64_t fnv1a(const std::vector<double>& scores, const std::vector<int>& y) {
+  uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const double s : scores) mix(&s, sizeof s);
+  for (const int v : y) mix(&v, sizeof v);
+  return h;
+}
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+struct GoldenRun {
+  const char* name;
+  std::function<Result<Benchmark::RunOutput>()> run;
+  double precision, recall, f1, accuracy, auc;
+  size_t n_train, n_test;
+  uint64_t digest;
+};
+
+TEST(BenchmarkGolden, ProtocolOutputsAreBitIdentical) {
+  const GoldenRun cases[] = {
+      {"A13 F4", [] { return bench().same_dataset("A13", "F4"); },
+       0x1p+0, 0x1.eea4e1a08ad8fp-1, 0x1.f72c234f72c23p-1, 0x1.f417d05f417dp-1,
+       0x1.fbd25c3e5a50bp-1, 198, 86, 0x1141e413cada27f9ull},
+      {"A14 F4", [] { return bench().same_dataset("A14", "F4"); },
+       0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 198, 86,
+       0xddce1e4b82d38298ull},
+      {"AM01 F4", [] { return bench().same_dataset("AM01", "F4"); },
+       0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 198, 86,
+       0x1baa3ccd98d664f5ull},
+      {"A14 F4->F7", [] { return bench().cross_dataset("A14", "F4", "F7"); },
+       0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0, 55,
+       0x74654af67142ec15ull},
+      {"A14 merged 0.1", [] { return bench().merged_training("A14", 0.1); },
+       0x1.f58d0fac687d6p-1, 0x1.f58d0fac687d6p-1, 0x1.f58d0fac687d6p-1,
+       0x1.f451c3a672dcp-1, 0x1.ff9463348b8f5p-1, 259, 263,
+       0xc8b26bb809e10ca5ull},
+  };
+  for (const GoldenRun& g : cases) {
+    auto run = g.run();
+    ASSERT_TRUE(run.ok()) << g.name << ": " << run.error().message;
+    const EvalRecord& r = run.value().record;
+    const core::Predictions& p = run.value().predictions;
+    EXPECT_EQ(r.precision, g.precision) << g.name << " " << hex(r.precision);
+    EXPECT_EQ(r.recall, g.recall) << g.name << " " << hex(r.recall);
+    EXPECT_EQ(r.f1, g.f1) << g.name << " " << hex(r.f1);
+    EXPECT_EQ(r.accuracy, g.accuracy) << g.name << " " << hex(r.accuracy);
+    EXPECT_EQ(r.auc, g.auc) << g.name << " " << hex(r.auc);
+    EXPECT_EQ(r.n_train, g.n_train) << g.name;
+    EXPECT_EQ(r.n_test, g.n_test) << g.name;
+    EXPECT_EQ(fnv1a(p.scores, p.y_pred), g.digest)
+        << g.name << " 0x" << std::hex << fnv1a(p.scores, p.y_pred);
+  }
+}
+
+// The same protocol through the engine's model/train/predict ops. GaussianNB
+// is used because its scores move under a monotone rescale, so the digest
+// also pins the fitted normalizer and correlation filter.
+TEST(BenchmarkGolden, EngineTrainPredictIsBitIdentical) {
+  auto spec = core::PipelineSpec::parse(R"([
+    {"func": "field_extract", "input": None, "output": "Packets", "param": []},
+    {"func": "packet_features", "input": ["Packets"], "output": "F",
+     "param": ["len", "iat", "proto", "sport", "dport", "is_syn", "is_ack"]},
+    {"func": "model", "input": None, "output": "M",
+     "model_type": "GaussianNB", "normalize": true, "decorrelate": true},
+    {"func": "train", "input": ["M", "F"], "output": "T"},
+    {"func": "predict", "input": ["T", "F"], "output": "Preds"},
+  ])");
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  core::Engine::Options eopts;
+  eopts.registry = nullptr;
+  core::OpContext ctx;
+  ctx.dataset = &bench().dataset("P1");
+  auto report = core::Engine(eopts).run(spec.value(), ctx);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  const auto* p = report.value().get<core::Predictions>("Preds");
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->scores.size(), 1788u);
+  EXPECT_EQ(fnv1a(p->scores, p->y_pred), 0x2baac24f2f71f668ull)
+      << "0x" << std::hex << fnv1a(p->scores, p->y_pred);
 }
 
 TEST(ResultStore, AddQueryValue) {

@@ -127,17 +127,20 @@ TEST(Engine, RunsPaperTemplateEndToEnd) {
   const Metrics* m = report.value().get<Metrics>("Metrics");
   ASSERT_NE(m, nullptr);
   EXPECT_GT(m->get("accuracy"), 0.5);
-  // Profile covers every op.
-  EXPECT_EQ(report.value().profile.size(), 8u);
+  // The profile rebuilt from the process registry's spans covers every op.
+  const std::vector<OpProfile> profile =
+      profile_from_spans(telemetry::Registry::process().snapshot(),
+                         report.value().span_ids, "engine.op.");
+  ASSERT_EQ(profile.size(), 8u);
+  EXPECT_EQ(profile[4].func, "model");
+  EXPECT_EQ(profile[7].output, "Metrics");
   EXPECT_GT(report.value().peak_bytes, 0u);
-  EXPECT_FALSE(
-      render_op_profile(report.value().profile, report.value().peak_bytes)
-          .empty());
+  EXPECT_FALSE(render_op_profile(profile, report.value().peak_bytes).empty());
 }
 
-// The report's profile is rebuilt from the telemetry spans the run
-// recorded, so re-deriving it from a registry snapshot must reproduce the
-// same rows — and the spans must carry the op/output/bytes annotations.
+// The profile is rebuilt from the telemetry spans the run recorded: one
+// row per op in execution order, carrying the op/output/bytes/freed
+// annotations of its span.
 TEST(Engine, ProfileRoundTripsThroughTelemetrySnapshot) {
   auto spec = PipelineSpec::parse(R"([
     {"func": "field_extract", "input": None, "output": "Packets", "param": []},
@@ -154,34 +157,35 @@ TEST(Engine, ProfileRoundTripsThroughTelemetrySnapshot) {
   auto report = Engine(opts).run(spec.value(), ctx);
   ASSERT_TRUE(report.ok());
   const PipelineReport& r = report.value();
-  ASSERT_EQ(r.profile.size(), 3u);
   ASSERT_EQ(r.span_ids.size(), 3u);
 
   const telemetry::Snapshot snap = reg.snapshot();
-  const std::vector<OpProfile> rebuilt =
+  const std::vector<OpProfile> profile =
       profile_from_spans(snap, r.span_ids, "e.op.");
-  ASSERT_EQ(rebuilt.size(), r.profile.size());
-  for (size_t i = 0; i < rebuilt.size(); ++i) {
-    EXPECT_EQ(rebuilt[i].func, r.profile[i].func);
-    EXPECT_EQ(rebuilt[i].output, r.profile[i].output);
-    EXPECT_DOUBLE_EQ(rebuilt[i].seconds, r.profile[i].seconds);
-    EXPECT_EQ(rebuilt[i].output_bytes, r.profile[i].output_bytes);
-    EXPECT_EQ(rebuilt[i].freed_early, r.profile[i].freed_early);
+  ASSERT_EQ(profile.size(), 3u);
+  const char* funcs[] = {"field_extract", "groupby", "apply_aggregates"};
+  const char* outputs[] = {"Packets", "Grouped", "Features"};
+  for (size_t i = 0; i < profile.size(); ++i) {
+    const telemetry::SpanRecord* span = snap.find_span(r.span_ids[i]);
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->name, std::string("e.op.") + funcs[i]);
+    EXPECT_EQ(profile[i].func, funcs[i]);
+    EXPECT_EQ(profile[i].output, outputs[i]);
+    EXPECT_EQ(span->detail, outputs[i]);
+    EXPECT_DOUBLE_EQ(profile[i].seconds, span->seconds);
+    EXPECT_EQ(profile[i].output_bytes, span->value);
+    EXPECT_GT(profile[i].output_bytes, 0u);
+    // Packets and Grouped were consumed and freed early; Features survives.
+    EXPECT_EQ(profile[i].freed_early, i < 2);
+    EXPECT_EQ(span->flag, i < 2);
   }
-  // The spans carry the profile's semantics directly.
-  const telemetry::SpanRecord* first = snap.find_span(r.span_ids[0]);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->name, "e.op.field_extract");
-  EXPECT_EQ(first->detail, "Packets");
-  EXPECT_EQ(first->value, r.profile[0].output_bytes);
-  EXPECT_TRUE(first->flag);  // Packets was consumed and freed early
   // Run-level instruments landed under the configured prefix.
   EXPECT_EQ(snap.counter_value("e.ops"), 3u);
   EXPECT_GT(snap.gauge_value("e.peak_bytes"), 0.0);
 }
 
-// registry = nullptr keeps telemetry run-local; the report must still be
-// fully populated.
+// registry = nullptr keeps telemetry run-local; the report still carries
+// the run's peak resident bytes.
 TEST(Engine, NullRegistryStillProfiles) {
   auto spec = PipelineSpec::parse(R"([
     {"func": "field_extract", "input": None, "output": "P", "param": []},
@@ -193,11 +197,7 @@ TEST(Engine, NullRegistryStillProfiles) {
   OpContext ctx = make_ctx();
   auto report = Engine(opts).run(spec.value(), ctx);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().profile.size(), 2u);
   EXPECT_GT(report.value().peak_bytes, 0u);
-  EXPECT_FALSE(
-      render_op_profile(report.value().profile, report.value().peak_bytes)
-          .empty());
 }
 
 TEST(Engine, DeadValueEliminationFreesConsumedBindings) {

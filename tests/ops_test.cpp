@@ -471,6 +471,75 @@ TEST(Ops, PredictHonorsTrainingWidth) {
   }
 }
 
+// `train` returns a trained copy: training one binding twice leaves the
+// first result as a singly trained model would be, and the `model` output
+// still predicts like an untrained model.
+TEST(Ops, TrainReturnsACopyAndNeverRefitsItsInput) {
+  const Value feats =
+      packet_features(R"({"param": ["len", "iat", "dport", "is_syn"]})");
+  auto train = run_op("split", parse(R"({"take": "train"})"), {&feats});
+  auto test = run_op("split", parse(R"({"take": "test"})"), {&feats});
+  ASSERT_TRUE(train.ok() && test.ok());
+  auto few = run_op("sample", parse(R"({"fraction": 0.05, "seed": 3})"),
+                    {&test.value()});
+  ASSERT_TRUE(few.ok());
+  const Json tree = parse(R"({"model_type": "DecisionTree"})");
+  const auto model = [&] {
+    auto m = run_op("model", tree, {});
+    EXPECT_TRUE(m.ok());
+    return m.ok() ? std::move(m).value() : Value();
+  };
+  const auto fit = [&](const Value& m, const Value& t) {
+    auto r = run_op("train", parse("{}"), {&m, &t});
+    EXPECT_TRUE(r.ok()) << r.error().message;
+    return r.ok() ? std::move(r).value() : Value();
+  };
+  const auto predict = [&](const Value& m) {
+    auto r = run_op("predict", parse("{}"), {&m, &feats});
+    EXPECT_TRUE(r.ok()) << r.error().message;
+    return r.ok() ? std::get<Predictions>(r.value()) : Predictions{};
+  };
+
+  const Predictions untrained = predict(model());
+  const Predictions solo = predict(fit(model(), train.value()));
+
+  const Value m0 = model();
+  const Value first = fit(m0, train.value());
+  const Value second = fit(m0, few.value());
+  // The two trainings must disagree, or this test could not tell.
+  ASSERT_NE(predict(second).scores, solo.scores);
+
+  const Predictions after = predict(first);
+  EXPECT_EQ(after.scores, solo.scores);
+  EXPECT_EQ(after.y_pred, solo.y_pred);
+  const Predictions input = predict(m0);
+  EXPECT_EQ(input.scores, untrained.scores);
+  EXPECT_EQ(input.y_pred, untrained.y_pred);
+}
+
+// A binding seeded with an empty ModelValue has no model to train.
+TEST(Ops, TrainWithoutAConstructedModelIsAnError) {
+  auto spec = PipelineSpec::parse(R"([
+    {"func": "field_extract", "input": None, "output": "P", "param": []},
+    {"func": "packet_features", "input": ["P"], "output": "F",
+     "param": ["len"]},
+    {"func": "train", "input": ["M", "F"], "output": "T"},
+  ])");
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  const std::map<std::string, Value> seed = {{"M", Value(ModelValue{})}};
+  Engine::Options eopts;
+  eopts.registry = nullptr;
+  OpContext ctx;
+  ctx.dataset = &tiny_dataset();
+  auto report = Engine(eopts).run(spec.value(), ctx, &seed);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.error().message.find("('train')"), std::string::npos)
+      << report.error().message;
+  EXPECT_NE(report.error().message.find("never constructed"),
+            std::string::npos)
+      << report.error().message;
+}
+
 TEST(Ops, ModelRejectsUnknownType) {
   EXPECT_FALSE(run_op("model", parse(R"({"model_type": "Quantum"})"), {}).ok());
   EXPECT_FALSE(run_op("model", parse(R"({})"), {}).ok());

@@ -6,7 +6,11 @@
 # the model width contract (ops_test drives predict on tables narrower
 # and wider than the training table, and on untrained models), and the
 # other byte-input decoders: the parser and JSON fuzzers (property_test),
-# the JSON reader (json_test) and persisted models (persist_test).
+# the JSON reader (json_test) and persisted models (persist_test), and the
+# evaluation protocol (ModelValue::train/transform/predict) as the engine,
+# the benchmarking suite and the synthesis search drive it: row caps and
+# the correlation filter's column selection (engine_test, benchmark_test,
+# synthesis_test).
 # Usage:
 #   tools/check_asan.sh [build-dir]
 set -euo pipefail
@@ -15,7 +19,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test flat_map_test property_test json_test persist_test
+cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test flat_map_test property_test json_test persist_test engine_test benchmark_test synthesis_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 
@@ -36,5 +40,8 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 "$BUILD/tests/property_test"
 "$BUILD/tests/json_test"
 "$BUILD/tests/persist_test"
+"$BUILD/tests/engine_test"
+"$BUILD/tests/benchmark_test"
+"$BUILD/tests/synthesis_test"
 
-echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + flat_map_test + property_test + json_test + persist_test clean"
+echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + flat_map_test + property_test + json_test + persist_test + engine_test + benchmark_test + synthesis_test clean"
