@@ -29,7 +29,9 @@ class NystromComposite : public ml::Model {
 
   void fit(const ml::FeatureTable& X) override;
   std::vector<double> score(const ml::FeatureTable& X) const override;
-  std::vector<int> predict(const ml::FeatureTable& X) const override;
+  /// The inner detector decides from the scores alone.
+  std::vector<int> decide(const ml::FeatureTable& X,
+                          const std::vector<double>& scores) const override;
   std::string name() const override;
   bool is_supervised() const override { return false; }
 

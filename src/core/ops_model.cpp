@@ -39,8 +39,9 @@ std::vector<double> NystromComposite::score(const ml::FeatureTable& X) const {
   return inner_->score(map_.transform(X));
 }
 
-std::vector<int> NystromComposite::predict(const ml::FeatureTable& X) const {
-  return inner_->predict(map_.transform(X));
+std::vector<int> NystromComposite::decide(
+    const ml::FeatureTable& X, const std::vector<double>& scores) const {
+  return inner_->decide(X, scores);
 }
 
 std::string NystromComposite::name() const {

@@ -1,7 +1,6 @@
 #include "core/value.h"
 
 #include "core/models.h"
-#include "ml/kitnet.h"
 
 namespace lumen::core {
 
@@ -36,13 +35,7 @@ Predictions ModelValue::predict(features::FeatureTable X) const {
   X = transform(std::move(X));
   Predictions p;
   p.scores = model->score(X);
-  if (const auto* kit = dynamic_cast<const ml::KitNet*>(model.get())) {
-    // KitNet::predict == threshold_predict(score(X), threshold()); reuse
-    // the scores instead of paying a second full scoring pass.
-    p.y_pred = ml::threshold_predict(p.scores, kit->threshold());
-  } else {
-    p.y_pred = model->predict(X);
-  }
+  p.y_pred = model->decide(X, p.scores);
   p.y_true = std::move(X.labels);
   p.attack = std::move(X.attack);
   return p;

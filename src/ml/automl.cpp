@@ -82,8 +82,9 @@ std::vector<double> AutoMl::score(const FeatureTable& X) const {
   return best_ ? best_->score(X) : std::vector<double>(X.rows, 0.0);
 }
 
-std::vector<int> AutoMl::predict(const FeatureTable& X) const {
-  return best_ ? best_->predict(X) : std::vector<int>(X.rows, 0);
+std::vector<int> AutoMl::decide(const FeatureTable& X,
+                                const std::vector<double>& scores) const {
+  return best_ ? best_->decide(X, scores) : std::vector<int>(X.rows, 0);
 }
 
 std::string AutoMl::name() const { return "AutoML(" + winner_name_ + ")"; }

@@ -69,11 +69,4 @@ std::vector<double> GaussianNB::score(const FeatureTable& X) const {
   return out;
 }
 
-std::vector<int> GaussianNB::predict(const FeatureTable& X) const {
-  std::vector<double> s = score(X);
-  std::vector<int> out(X.rows);
-  for (size_t r = 0; r < X.rows; ++r) out[r] = s[r] >= 0.5 ? 1 : 0;
-  return out;
-}
-
 }  // namespace lumen::ml

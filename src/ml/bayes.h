@@ -10,7 +10,6 @@ class GaussianNB : public Model {
  public:
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
   std::string name() const override { return "GaussianNB"; }
   bool is_supervised() const override { return true; }
 

@@ -27,8 +27,10 @@ class VotingEnsemble : public Model {
     return out;
   }
 
-  std::vector<int> predict(const FeatureTable& X) const override {
-    // Majority vote over member predictions.
+  /// Majority vote over member predictions, not a threshold on the mean
+  /// score.
+  std::vector<int> decide(const FeatureTable& X,
+                          const std::vector<double>&) const override {
     std::vector<int> votes(X.rows, 0);
     for (const auto& m : members_) {
       const std::vector<int> p = m->predict(X);

@@ -16,6 +16,8 @@ void RandomForest::fit(const FeatureTable& X) {
     tree_seed = rng.next();
     boot_seed = rng.next();
   }
+  // Rank-encode the columns once; every tree's split search reads them.
+  const ColumnRanks ranks(X);
   trees_.assign(cfg_.n_trees, DecisionTree(TreeConfig{}));
   parallel_for(
       0, cfg_.n_trees,
@@ -32,7 +34,7 @@ void RandomForest::fit(const FeatureTable& X) {
         for (size_t i = 0; i < X.rows; ++i) {
           rows[i] = static_cast<size_t>(boot.below(X.rows == 0 ? 1 : X.rows));
         }
-        tree.fit_rows(X, rows);
+        tree.fit_rows(X, ranks, rows);
         trees_[t] = std::move(tree);
       },
       /*min_parallel=*/2);
@@ -54,13 +56,6 @@ std::vector<double> RandomForest::score(const FeatureTable& X) const {
         out[r] = acc * inv;
       },
       /*min_parallel=*/64);
-  return out;
-}
-
-std::vector<int> RandomForest::predict(const FeatureTable& X) const {
-  std::vector<double> s = score(X);
-  std::vector<int> out(X.rows);
-  for (size_t r = 0; r < X.rows; ++r) out[r] = s[r] >= 0.5 ? 1 : 0;
   return out;
 }
 

@@ -18,7 +18,6 @@ class RandomForest : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
   std::string name() const override { return "RandomForest"; }
   bool is_supervised() const override { return true; }
 

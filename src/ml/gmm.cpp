@@ -314,8 +314,4 @@ std::vector<double> Gmm::score_perrow(const FeatureTable& X) const {
   return out;
 }
 
-std::vector<int> Gmm::predict(const FeatureTable& X) const {
-  return threshold_predict(score(X), threshold_);
-}
-
 }  // namespace lumen::ml

@@ -48,7 +48,10 @@ class Gmm : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
+  std::vector<int> decide(const FeatureTable& X,
+                          const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold_);
+  }
   std::string name() const override { return "GMM"; }
   bool is_supervised() const override { return false; }
 

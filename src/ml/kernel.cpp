@@ -325,10 +325,6 @@ std::vector<double> OneClassSvm::score_perrow(const FeatureTable& X) const {
   return out;
 }
 
-std::vector<int> OneClassSvm::predict(const FeatureTable& X) const {
-  return threshold_predict(score(X), threshold_);
-}
-
 // ------------------------------------------------------------ linear OCSVM
 
 void LinearOneClassSvm::fit(const FeatureTable& X) {
@@ -388,10 +384,6 @@ std::vector<double> LinearOneClassSvm::score_perrow(
     out[r] = rho_ - wx;
   }
   return out;
-}
-
-std::vector<int> LinearOneClassSvm::predict(const FeatureTable& X) const {
-  return threshold_predict(score(X), threshold_);
 }
 
 }  // namespace lumen::ml

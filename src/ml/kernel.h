@@ -74,7 +74,10 @@ class OneClassSvm : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
+  std::vector<int> decide(const FeatureTable& X,
+                          const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold_);
+  }
   std::string name() const override { return "OneClassSVM"; }
   bool is_supervised() const override { return false; }
 
@@ -119,7 +122,10 @@ class LinearOneClassSvm : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
+  std::vector<int> decide(const FeatureTable& X,
+                          const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold_);
+  }
   std::string name() const override { return "LinearOCSVM"; }
   bool is_supervised() const override { return false; }
 

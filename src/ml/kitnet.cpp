@@ -148,8 +148,4 @@ std::vector<double> KitNet::score_perrow(const FeatureTable& X) const {
   return out;
 }
 
-std::vector<int> KitNet::predict(const FeatureTable& X) const {
-  return threshold_predict(score(X), threshold());
-}
-
 }  // namespace lumen::ml

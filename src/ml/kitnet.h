@@ -29,7 +29,10 @@ class KitNet : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
+  std::vector<int> decide(const FeatureTable& X,
+                          const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold());
+  }
   std::string name() const override { return "KitNET"; }
   bool is_supervised() const override { return false; }
 

@@ -31,7 +31,6 @@ class Knn : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
   std::string name() const override { return "kNN"; }
   bool is_supervised() const override { return true; }
 

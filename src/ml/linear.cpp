@@ -49,6 +49,16 @@ void LinearModel::fit(const FeatureTable& X) {
   const double w_neg =
       n_neg > 0 ? static_cast<double>(X.rows) / (2.0 * n_neg) : 1.0;
 
+  // Standardize the table once; every step reads its row of Z. Each z is
+  // the value a per-step standardization would compute.
+  const size_t dim = X.cols;
+  std::vector<double> Z(X.rows * dim);
+  for (size_t r = 0; r < X.rows; ++r) {
+    const std::span<const double> x = X.row(r);
+    double* z = Z.data() + r * dim;
+    for (size_t c = 0; c < dim; ++c) z[c] = (x[c] - mean_[c]) * inv_sd_[c];
+  }
+
   std::vector<size_t> order(X.rows);
   std::iota(order.begin(), order.end(), 0);
   Rng rng(cfg_.seed);
@@ -56,14 +66,20 @@ void LinearModel::fit(const FeatureTable& X) {
   for (size_t e = 0; e < cfg_.epochs; ++e) {
     rng.shuffle(order);
     const double lr = cfg_.lr / (1.0 + 0.1 * static_cast<double>(e));
+    const double shrink = 1.0 - lr * cfg_.l2;
     for (size_t r : order) {
-      const std::vector<double> z = standardized(X.row(r));
+      const std::span<const double> z(Z.data() + r * dim, dim);
       const double y = X.labels[r] != 0 ? 1.0 : -1.0;
       const double cw = X.labels[r] != 0 ? w_pos : w_neg;
-      // L2 shrink then loss-specific update.
-      const double shrink = 1.0 - lr * cfg_.l2;
-      for (double& wi : w_) wi *= shrink;
-      update(z, y, lr, cw);
+      // L2 shrink fused with the margin of the shrunk weights (the same
+      // products, summed in the same order as margin()), then the
+      // loss-specific update.
+      double m = b_;
+      for (size_t c = 0; c < dim; ++c) {
+        w_[c] *= shrink;
+        m += w_[c] * z[c];
+      }
+      update(z, m, y, lr, cw);
     }
   }
 }
@@ -95,18 +111,11 @@ std::vector<double> LinearModel::score_perrow(const FeatureTable& X) const {
   return out;
 }
 
-std::vector<int> LinearModel::predict(const FeatureTable& X) const {
-  std::vector<double> s = score(X);
-  std::vector<int> out(X.rows);
-  for (size_t r = 0; r < X.rows; ++r) out[r] = s[r] >= 0.5 ? 1 : 0;
-  return out;
-}
-
-void LinearSvm::update(std::span<const double> x, double y, double lr,
-                       double class_weight) {
-  if (y * margin(x) < 1.0) {
+void LinearSvm::update(std::span<const double> z, double m, double y,
+                       double lr, double class_weight) {
+  if (y * m < 1.0) {
     for (size_t c = 0; c < w_.size(); ++c) {
-      w_[c] += lr * class_weight * y * x[c];
+      w_[c] += lr * class_weight * y * z[c];
     }
     b_ += lr * class_weight * y;
   }
@@ -117,12 +126,12 @@ double LinearSvm::to_score(double m) const {
   return 1.0 / (1.0 + std::exp(-2.0 * m));
 }
 
-void LogisticRegression::update(std::span<const double> x, double y,
-                                double lr, double class_weight) {
-  const double p = 1.0 / (1.0 + std::exp(-margin(x)));
+void LogisticRegression::update(std::span<const double> z, double m,
+                                double y, double lr, double class_weight) {
+  const double p = 1.0 / (1.0 + std::exp(-m));
   const double target = y > 0 ? 1.0 : 0.0;
   const double g = class_weight * (target - p);
-  for (size_t c = 0; c < w_.size(); ++c) w_[c] += lr * g * x[c];
+  for (size_t c = 0; c < w_.size(); ++c) w_[c] += lr * g * z[c];
   b_ += lr * g;
 }
 

@@ -20,21 +20,22 @@ class LinearModel : public Model {
  public:
   explicit LinearModel(LinearConfig cfg) : cfg_(cfg) {}
 
+  /// Standardizes X once, then runs SGD over its standardized rows.
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
   bool is_supervised() const override { return true; }
 
-  /// Pre-PR reference: per-row standardize + margin loop. Kept for the
+  /// Per-row reference: standardize + margin loop. Kept for the
   /// batched-vs-per-row equivalence tests.
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
  protected:
   /// Raw decision value w.x + b for a standardized row.
   double margin(std::span<const double> x) const;
-  /// Loss-specific weight update for one example. y in {-1, +1}.
-  virtual void update(std::span<const double> x, double y, double lr,
-                      double class_weight) = 0;
+  /// Loss-specific weight update for one standardized example z whose
+  /// margin w.z + b is `m`. y in {-1, +1}.
+  virtual void update(std::span<const double> z, double m, double y,
+                      double lr, double class_weight) = 0;
   /// Map margin to a [0,1] score.
   virtual double to_score(double margin_value) const = 0;
 
@@ -47,8 +48,6 @@ class LinearModel : public Model {
  private:
   void standardize_fit(const FeatureTable& X);
   std::vector<double> standardized(std::span<const double> x) const;
-  friend class LinearSvm;
-  friend class LogisticRegression;
 };
 
 class LinearSvm : public LinearModel {
@@ -57,7 +56,7 @@ class LinearSvm : public LinearModel {
   std::string name() const override { return "LinearSVM"; }
 
  protected:
-  void update(std::span<const double> x, double y, double lr,
+  void update(std::span<const double> z, double m, double y, double lr,
               double class_weight) override;
   double to_score(double m) const override;
 };
@@ -68,7 +67,7 @@ class LogisticRegression : public LinearModel {
   std::string name() const override { return "LogisticRegression"; }
 
  protected:
-  void update(std::span<const double> x, double y, double lr,
+  void update(std::span<const double> z, double m, double y, double lr,
               double class_weight) override;
   double to_score(double m) const override;
 };

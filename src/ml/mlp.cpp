@@ -209,13 +209,6 @@ std::vector<double> Mlp::score_perrow(const FeatureTable& X) const {
   return out;
 }
 
-std::vector<int> Mlp::predict(const FeatureTable& X) const {
-  std::vector<double> s = score(X);
-  std::vector<int> out(X.rows);
-  for (size_t r = 0; r < X.rows; ++r) out[r] = s[r] >= 0.5 ? 1 : 0;
-  return out;
-}
-
 // ------------------------------------------------------- AutoEncoderCore
 
 AutoEncoderCore::AutoEncoderCore(size_t dim, double hidden_ratio, double lr,
@@ -353,10 +346,6 @@ std::vector<double> AutoEncoderDetector::score_perrow(
       0, X.rows, [&](size_t r) { out[r] = ae_->score_sample(X.row(r)); },
       /*min_parallel=*/64);
   return out;
-}
-
-std::vector<int> AutoEncoderDetector::predict(const FeatureTable& X) const {
-  return threshold_predict(score(X), threshold());
 }
 
 }  // namespace lumen::ml

@@ -34,7 +34,6 @@ class Mlp : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
   std::string name() const override { return "MLP"; }
   bool is_supervised() const override { return true; }
 
@@ -140,7 +139,10 @@ class AutoEncoderDetector : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
+  std::vector<int> decide(const FeatureTable& X,
+                          const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold());
+  }
   std::string name() const override { return "AutoEncoder"; }
   bool is_supervised() const override { return false; }
 

@@ -4,6 +4,13 @@
 
 namespace lumen::ml {
 
+std::vector<int> Model::decide(const FeatureTable& /*X*/,
+                              const std::vector<double>& scores) const {
+  std::vector<int> out(scores.size());
+  for (size_t r = 0; r < scores.size(); ++r) out[r] = scores[r] >= 0.5 ? 1 : 0;
+  return out;
+}
+
 std::vector<size_t> benign_rows(const FeatureTable& X) {
   std::vector<size_t> idx;
   idx.reserve(X.rows);

@@ -2,11 +2,12 @@
 //
 // Two families implement it:
 //  * supervised classifiers  — fit() consumes X.labels; score() returns an
-//    estimate of P(malicious); predict() thresholds at 0.5.
+//    estimate of P(malicious); decide() thresholds it at 0.5.
 //  * unsupervised anomaly detectors — fit() trains on the BENIGN rows only
 //    (they filter internally, mirroring how Kitsune/OCSVM-style systems are
-//    trained on clean traffic); score() returns an anomaly score and fit()
-//    calibrates a threshold from a high quantile of benign training scores.
+//    trained on clean traffic); score() returns an anomaly score, fit()
+//    calibrates a threshold from a high quantile of benign training scores
+//    and decide() thresholds there.
 #pragma once
 
 #include <memory>
@@ -31,8 +32,16 @@ class Model {
   /// Per-row decision value. Higher = more likely malicious/anomalous.
   virtual std::vector<double> score(const FeatureTable& X) const = 0;
 
-  /// Per-row 0/1 prediction.
-  virtual std::vector<int> predict(const FeatureTable& X) const = 0;
+  /// Per-row 0/1 decision from `scores`, which score(X) returned. The
+  /// default thresholds at 0.5; the anomaly detectors threshold at their
+  /// calibrated threshold. Only a voting ensemble reads X.
+  virtual std::vector<int> decide(const FeatureTable& X,
+                                  const std::vector<double>& scores) const;
+
+  /// Per-row 0/1 prediction: decide(X, score(X)).
+  std::vector<int> predict(const FeatureTable& X) const {
+    return decide(X, score(X));
+  }
 
   virtual std::string name() const = 0;
   virtual bool is_supervised() const = 0;

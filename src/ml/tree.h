@@ -4,10 +4,36 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "ml/model.h"
 
 namespace lumen::ml {
+
+/// Every column of a training table rank-encoded once per fit: the column's
+/// sorted distinct values and, column-major, each row's rank among them.
+/// The split search counts rows and labels per rank instead of sorting
+/// values at every node. Values that compare equal (-0.0 and +0.0) share a
+/// rank; NaNs share one rank above every number.
+class ColumnRanks {
+ public:
+  explicit ColumnRanks(const FeatureTable& X);
+
+  /// Sorted distinct values of column c.
+  std::span<const double> values(size_t c) const {
+    return {values_.data() + starts_[c], starts_[c + 1] - starts_[c]};
+  }
+  /// Rank of every table row in column c: values(c)[ranks(c)[r]] == X(r, c).
+  std::span<const uint32_t> ranks(size_t c) const {
+    return {ranks_.data() + c * rows_, rows_};
+  }
+
+ private:
+  size_t rows_ = 0;
+  std::vector<uint32_t> ranks_;  // cols * rows, column-major
+  std::vector<double> values_;   // every column's distinct values, in order
+  std::vector<size_t> starts_;   // cols + 1 offsets into values_
+};
 
 struct TreeConfig {
   int max_depth = 12;
@@ -26,11 +52,12 @@ class DecisionTree : public Model {
 
   void fit(const FeatureTable& X) override;
 
-  /// Fit on a subset of rows (bootstrap sample); rows may repeat.
-  void fit_rows(const FeatureTable& X, const std::vector<size_t>& rows);
+  /// Fit on a subset of rows (bootstrap sample); rows may repeat. `ranks`
+  /// encodes X and is only read, so trees may share it across threads.
+  void fit_rows(const FeatureTable& X, const ColumnRanks& ranks,
+                const std::vector<size_t>& rows);
 
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> predict(const FeatureTable& X) const override;
   std::string name() const override { return "DecisionTree"; }
   bool is_supervised() const override { return true; }
 
@@ -62,10 +89,6 @@ class DecisionTree : public Model {
   }
 
  private:
-
-  int build(const FeatureTable& X, std::vector<size_t>& rows, size_t lo,
-            size_t hi, int depth, Rng& rng);
-
   TreeConfig cfg_;
   std::vector<Node> nodes_;
   int depth_ = 0;

@@ -149,6 +149,21 @@ TEST(BenchmarkGolden, ProtocolOutputsAreBitIdentical) {
        0x1.f58d0fac687d6p-1, 0x1.f58d0fac687d6p-1, 0x1.f58d0fac687d6p-1,
        0x1.f451c3a672dcp-1, 0x1.ff9463348b8f5p-1, 259, 263,
        0xc8b26bb809e10ca5ull},
+      // The models the grid spends its training time in: AutoML on nPrint
+      // tables (on A01 F7 a forest wins validation, on A02 F3 logistic
+      // regression) and the ML-DDoS ensemble (forest, linear SVM, tree,
+      // kNN).
+      {"A01 F7", [] { return bench().same_dataset("A01", "F7"); },
+       0x1.e147ae147ae14p-1, 0x1.d7d7d7d7d7d7dp-1, 0x1.dc83cd4e93029p-1,
+       0x1.f15f15f15f15fp-1, 0x1.fe15d67f67a7p-1, 570, 245,
+       0x4fb054e89166ec56ull},
+      {"A02 F3", [] { return bench().same_dataset("A02", "F3"); },
+       0x1.d3dcb08d3dcb1p-1, 0x1p+0, 0x1.e8efdb195e8f1p-1,
+       0x1.f8e8992cad07dp-1, 0x1p+0, 840, 361, 0x56d4a4847aaaf750ull},
+      {"A00 F4", [] { return bench().same_dataset("A00", "F4"); },
+       0x1.3f73f73f73f74p-1, 0x1.ebca1af286bcap-1, 0x1.8350e97366228p-1,
+       0x1.a082082082082p-1, 0x1.d51745d1745d1p-1, 586, 252,
+       0xf80a9e46fd5110acull},
   };
   for (const GoldenRun& g : cases) {
     auto run = g.run();

@@ -10,7 +10,9 @@
 # evaluation protocol (ModelValue::train/transform/predict) as the engine,
 # the benchmarking suite and the synthesis search drive it: row caps and
 # the correlation filter's column selection (engine_test, benchmark_test,
-# synthesis_test).
+# synthesis_test), and model training against its oracles: the tree
+# builder's rank indexing and column-major rank offsets, and the SGD loop's
+# standardized copy of the table (ml_train_oracle_test).
 # Usage:
 #   tools/check_asan.sh [build-dir]
 set -euo pipefail
@@ -19,7 +21,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test flat_map_test property_test json_test persist_test engine_test benchmark_test synthesis_test
+cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test flat_map_test property_test json_test persist_test engine_test benchmark_test synthesis_test ml_train_oracle_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 
@@ -43,5 +45,6 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 "$BUILD/tests/engine_test"
 "$BUILD/tests/benchmark_test"
 "$BUILD/tests/synthesis_test"
+"$BUILD/tests/ml_train_oracle_test"
 
-echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + flat_map_test + property_test + json_test + persist_test + engine_test + benchmark_test + synthesis_test clean"
+echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + flat_map_test + property_test + json_test + persist_test + engine_test + benchmark_test + synthesis_test + ml_train_oracle_test clean"

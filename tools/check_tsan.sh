@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Race-check the threading layer: build the pool/sweep tests with
-# ThreadSanitizer and run them on an oversubscribed pool. Usage:
+# ThreadSanitizer and run them on an oversubscribed pool, plus the random
+# forest's tree workers, which read one shared rank encoding of the
+# training table (ml_train_oracle_test). Usage:
 #   tools/check_tsan.sh [build-dir]
 set -euo pipefail
 
@@ -8,7 +10,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-tsan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j "$(nproc)" --target parallel_test sweep_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test flat_map_test dense_test compiled_model_test telemetry_test
+cmake --build "$BUILD" -j "$(nproc)" --target parallel_test sweep_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test flat_map_test dense_test compiled_model_test telemetry_test ml_train_oracle_test
 
 # Oversubscribe the pool past hardware_concurrency to shake out races;
 # LUMEN_THREADS_FORCE bypasses the default clamp to the core count.
@@ -28,5 +30,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 "$BUILD/tests/dense_test"
 "$BUILD/tests/compiled_model_test"
 "$BUILD/tests/telemetry_test"
+"$BUILD/tests/ml_train_oracle_test"
 
-echo "TSan: parallel_test + sweep_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + flat_map_test + dense_test + compiled_model_test + telemetry_test clean"
+echo "TSan: parallel_test + sweep_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + flat_map_test + dense_test + compiled_model_test + telemetry_test + ml_train_oracle_test clean"
