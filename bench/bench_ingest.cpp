@@ -8,10 +8,6 @@
 //                             paced at 140k pkts/s
 //   ingest.batch64_vs_batch1  KitsuneScorer::score_batch time, batches of 1
 //                             / batches of 64
-//   ingest.f32_plan_ns        KitNET f32 plan ns/row over pre-extracted
-//                             rows, as it would read on the reference host
-//   ingest.kitnet_f32_vs_f64  f64 plan time / f32 plan time over the same
-//   ingest.ae_f32_vs_f64      rows (KitNET, AutoEncoder)
 //   ingest.drain_4_vs_1       unpaced drain rate, 4 shards / 1 shard; only
 //                             with >= 4 hardware threads
 //   ingest.socket_vs_replay   drain rate over loopback TCP / in-process
@@ -19,9 +15,10 @@
 //
 // Informational: the paced alert count at 1, 2 and 4 shards, and
 // accept-to-first-score latency over short connections. Correctness (alert
-// identity across batch size, shard count, pacing, transport, precision,
-// fault and hot-swap accounting) is ctest's. The last stdout line is the
-// result record.
+// identity across batch size, shard count, pacing and transport, fault
+// and hot-swap accounting) is ctest's. The compiled KitNET plan is timed by
+// bench_ml's ml.kitnet.batched_vs_perrow gate and the e2e ledger's
+// ml.plan_ns_per_row. The last stdout line is the result record.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -33,12 +30,8 @@
 #include <vector>
 
 #include "core/ingest.h"
-#include "core/kitsune_extractor.h"
 #include "core/stream.h"
-#include "features/table.h"
 #include "gate_record.h"
-#include "ml/compiled.h"
-#include "ml/mlp.h"
 #include "netio/frontend.h"
 #include "netio/source.h"
 
@@ -51,7 +44,6 @@ using e2e::seconds_since;
 constexpr int kStreamRepeats = 8;
 constexpr int kPacedPairs = 7;   // paced runs per shard count
 constexpr int kDrainPairs = 15;  // unpaced runs per side
-constexpr int kPasses = 5;       // passes of the f32 plan's absolute timing
 constexpr size_t kBatch = 64;
 // Offered load of the paced pairs: 2.24x the 62.5k pkts/s the
 // pre-refactor runtime managed with one consumer.
@@ -215,89 +207,6 @@ int main() {
         });
     o.add("ingest.batch64_vs_batch1", ratio, "ratio");
     std::printf("score_batch: batch 1 / batch %zu time %.3f\n", kBatch, ratio);
-  }
-
-  // Compiled plans over pre-extracted feature rows, model math only, one
-  // 64-row block per timed call.
-  {
-    core::KitsuneExtractor ex;
-    const size_t fdim = ex.dim();
-    const size_t blocks = n / kBatch;
-    std::vector<double> feats(n * fdim), row;
-    for (size_t i = 0; i < n; ++i) {
-      ex.process(big.view[i], row);
-      std::copy(row.begin(), row.end(), feats.begin() + i * fdim);
-    }
-    std::vector<double> out(kBatch, 0.0);
-    const auto block_seconds = [&](const ml::compiled::PlanPtr& plan,
-                                   ml::compiled::Scratch& scratch,
-                                   size_t block) {
-      const Clock::time_point t0 = Clock::now();
-      plan->score_rows(feats.data() + block * kBatch * fdim, kBatch, fdim,
-                       out.data(), scratch);
-      return seconds_since(t0);
-    };
-    // f64 / f32 time, one block pair per pair, the same block on both.
-    const auto f32_vs_f64 = [&](const ml::compiled::PlanPtr& f64,
-                                const ml::compiled::PlanPtr& f32) {
-      ml::compiled::Scratch s64, s32;
-      size_t b64 = 0, b32 = 0;
-      return bench::paired_ratio(
-          o, static_cast<int>(blocks),
-          [&] { return block_seconds(f64, s64, b64++); },
-          [&] { return block_seconds(f32, s32, b32++); });
-    };
-    const auto f32_of = [](Result<ml::compiled::PlanPtr> plan) {
-      if (!plan.ok()) {
-        std::fprintf(stderr, "bench_ingest: f32 compile: %s\n",
-                     plan.error().message.c_str());
-        std::exit(1);
-      }
-      return std::move(plan).value();
-    };
-
-    const ml::KitNet& kn = proto.detector();
-    const ml::compiled::PlanPtr kn_f32 = f32_of(
-        ml::compiled::compile_kitnet(kn, {ml::compiled::Precision::kF32}));
-    // The absolute budget: each pass's median block, per row, scaled by the
-    // host speed around the pass.
-    e2e::Reps f32_ns;
-    e2e::SpeedClock clock;
-    ml::compiled::Scratch scratch;
-    clock.start();
-    for (int r = 0; r < kPasses; ++r) {
-      std::vector<double> ns(blocks);
-      for (size_t b = 0; b < blocks; ++b) {
-        ns[b] = block_seconds(kn_f32, scratch, b) / kBatch * 1e9;
-      }
-      f32_ns.add(e2e::median(std::move(ns)), clock.next());
-    }
-    o.attempted += kPasses * blocks;
-    o.add("ingest.f32_plan_ns", f32_ns.time(), "ns");
-    const double kn_ratio = f32_vs_f64(kn.plan(), kn_f32);
-    o.add("ingest.kitnet_f32_vs_f64", kn_ratio, "ratio");
-
-    // A single full-width autoencoder, trained for one pass over the first
-    // 2000 rows.
-    const size_t train_rows = 2000;
-    features::FeatureTable xa =
-        features::FeatureTable::make(train_rows, ex.feature_names());
-    std::copy(feats.begin(), feats.begin() + train_rows * fdim,
-              xa.data.begin());
-    ml::AutoEncoderConfig acfg;
-    acfg.hidden_ratio = 0.75;
-    acfg.lr = 0.1;
-    acfg.epochs = 1;
-    acfg.seed = 77;
-    ml::AutoEncoderDetector ae(acfg);
-    ae.fit(xa);
-    const ml::compiled::PlanPtr ae_f32 = f32_of(
-        ml::compiled::compile_autoencoder(ae, {ml::compiled::Precision::kF32}));
-    const double ae_ratio = f32_vs_f64(ae.plan(), ae_f32);
-    o.add("ingest.ae_f32_vs_f64", ae_ratio, "ratio");
-    std::printf("KitNET f32 plan %.1f ns/row (reference host); f64/f32 time: "
-                "KitNET %.3f, AutoEncoder %.3f\n",
-                f32_ns.time(), kn_ratio, ae_ratio);
   }
 
   // Unpaced drain: shard scaling needs cores to scale onto.

@@ -28,14 +28,14 @@ void OnlineKitsune::train(std::span<const netio::PacketView> packets) {
   trained_ = true;
 }
 
-Result<void> OnlineKitsune::compile(ml::compiled::Precision precision) {
+Result<void> OnlineKitsune::compile(ml::compiled::Precision) {
   if (!trained_) {
     return Error::make("OnlineKitsune", "compile() requires a trained detector");
   }
-  Result<ml::compiled::PlanPtr> plan =
-      ml::compiled::compile_kitnet(detector_, {precision});
-  if (!plan.ok()) return plan.error();
-  plan_ = std::move(plan).value();
+  if (plan_ == nullptr) {
+    return Error::make("OnlineKitsune",
+                       "KitNet is not fitted (empty training prefix)");
+  }
   return {};
 }
 

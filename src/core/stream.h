@@ -9,6 +9,7 @@
 // autoencoders, and the threshold all come from the stream prefix.
 #pragma once
 
+#include "common/result.h"
 #include "core/kitsune_extractor.h"
 #include "ml/compiled.h"
 #include "ml/kitnet.h"
@@ -62,12 +63,11 @@ class OnlineKitsune {
   /// The trained detector (for benches that want to time the model alone).
   const ml::KitNet& detector() const { return detector_; }
 
-  /// Switch the scoring plan's precision (ml/compiled.h). train() already
-  /// installs the kF64 plan; kF32 trades a bounded score divergence for
-  /// speed (see docs/framework.md), and kF64 switches back. The plan is
-  /// immutable and shared by copies of this detector, so compiling once
-  /// before cloning per-consumer detectors compiles for all of them.
-  /// Errors before train() and after training on an empty prefix.
+  /// Check that train() installed a plan (the detector's f64 plan, the
+  /// only one); the installed plan is left as it is. The plan is immutable
+  /// and shared by copies of this detector. Errors before train() and after
+  /// training on an empty prefix. The parameter has one value and is kept
+  /// only for existing callers.
   Result<void> compile(
       ml::compiled::Precision precision = ml::compiled::Precision::kF64);
 
