@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 
@@ -30,6 +31,16 @@ std::vector<AggSpec> parse_agg_list(const Json& params) {
            {"iat", "std"},  {"", "count"},   {"", "bytes_rate"}};
   }
   return out;
+}
+
+Result<double> window_param(const OpSpec& spec) {
+  const double window = spec.params.get_number("window", 10.0);
+  if (std::isfinite(window) && window >= 1e-6 && window <= 1e9) return window;
+  char got[32];
+  std::snprintf(got, sizeof got, "%g", window);
+  return Error::make(spec.func,
+                     std::string("window must be finite and in [1e-6, 1e9] "
+                                 "seconds, got ") + got);
 }
 
 namespace {

@@ -76,6 +76,14 @@ void fill_unit_metadata(const trace::Dataset& ds,
                         const std::vector<std::vector<uint32_t>>& units,
                         features::FeatureTable& t);
 
+/// The `window` param of a windowing op (time_slice, window_stats), in
+/// seconds, default 10. Errors, naming the op, unless the window is finite
+/// and in [1e-6, 1e9] s: the lower bound is pcap's microsecond timestamp
+/// resolution, and the range keeps the window index (int64) and
+/// window_stats' whole-second column name (int) representable for any pcap
+/// timestamp.
+Result<double> window_param(const OpSpec& spec);
+
 /// Typed input accessors (engine has already kind-checked, these are
 /// defensive second checks with good error messages).
 template <typename T>

@@ -113,8 +113,9 @@ Result<Value> run_groupby(const OpSpec& spec,
 Result<Value> run_time_slice(const OpSpec& spec,
                              const std::vector<const Value*>& in,
                              OpContext& ctx) {
-  const double window = spec.params.get_number("window", 10.0);
-  if (window <= 0.0) return Error::make("time_slice", "window must be > 0");
+  const Result<double> wr = window_param(spec);
+  if (!wr.ok()) return wr.error();
+  const double window = wr.value();
   const std::string align = spec.params.get_string("align", "group");
   if (align != "group" && align != "global") {
     return Error::make("time_slice",
@@ -206,7 +207,9 @@ Result<Value> run_window_stats(const OpSpec& spec,
   auto psr = input_as<PacketSet>(in, 0, "window_stats");
   if (!psr.ok()) return psr.error();
   const PacketSet& ps = *psr.value();
-  const double window = spec.params.get_number("window", 10.0);
+  const Result<double> wr = window_param(spec);
+  if (!wr.ok()) return wr.error();
+  const double window = wr.value();
   const std::string key = spec.params.get_string("key", "srcip");
   auto keyfn = make_group_key(key);
   if (!keyfn.ok()) return keyfn.error();

@@ -513,72 +513,30 @@ class PacketFeaturesOp final : public RowBufferOp {
 
 // ---- row-phase operators -------------------------------------------------
 
-/// "normalize": two streaming modes.
-///  * "epoch" (default): refit on each epoch's rows — identical to running
-///    the batch op on that epoch's slice. min-max fits are order-
-///    independent, so the result matches the batch fit over the same rows
-///    regardless of row order.
-///  * "running": cumulative statistics over every row seen so far (a
-///    streaming-only extension; no batch counterpart).
+/// "normalize": refit on each epoch's rows — identical to running the batch
+/// op on that epoch's slice. min-max fits are order-independent, so the
+/// result matches the batch fit over the same rows regardless of row order.
 /// The batch op's whole-table fit has no windowed streaming equivalent —
 /// the evaluation protocol's train-frozen normalization (model op with
 /// normalize=true) is the exactly-equivalent alternative.
 class NormalizeOp final : public StreamOp {
  public:
-  NormalizeOp(features::NormKind kind, bool running)
-      : kind_(kind), running_(running) {}
+  explicit NormalizeOp(features::NormKind kind) : kind_(kind) {}
   const char* name() const override { return "normalize"; }
 
   void push_rows(EpochBatch&& b) override {
     if (b.table.rows > 0) {
       telemetry::Span span(reg_, span_name_);
-      if (!running_) {
-        features::Normalizer norm(kind_);
-        norm.fit(b.table);
-        norm.apply(b.table);
-      } else {
-        apply_running(b.table);
-      }
+      features::Normalizer norm(kind_);
+      norm.fit(b.table);
+      norm.apply(b.table);
       span.set_value(b.table.rows);
     }
     forward_rows(std::move(b));
   }
 
-  void reset() override { cols_.clear(); }
-
  private:
-  void apply_running(FeatureTable& t) {
-    cols_.resize(std::max(cols_.size(), t.cols));
-    for (size_t c = 0; c < t.cols; ++c) {
-      for (size_t r = 0; r < t.rows; ++r) {
-        const double v = t.at(r, c);
-        if (std::isfinite(v)) cols_[c].add(v);
-      }
-    }
-    // Same shift/scale construction and degenerate-column guards as
-    // Normalizer::fit, over the cumulative statistics.
-    std::vector<double> shift(t.cols, 0.0), scale(t.cols, 1.0);
-    for (size_t c = 0; c < t.cols; ++c) {
-      const features::RunningStats& rs = cols_[c];
-      if (rs.count() == 0) continue;
-      if (kind_ == features::NormKind::kMinMax) {
-        shift[c] = rs.min();
-        const double range = rs.max() - rs.min();
-        scale[c] = range > 1e-12 ? range : 1.0;
-      } else {
-        shift[c] = rs.mean();
-        const double sd = rs.stddev();
-        scale[c] = sd > 1e-12 ? sd : 1.0;
-      }
-    }
-    features::Normalizer norm;
-    norm.restore(kind_, std::move(shift), std::move(scale));
-    norm.apply(t);
-  }
-
   const features::NormKind kind_;
-  const bool running_;
-  std::vector<features::RunningStats> cols_;  // running mode only
 };
 
 /// "predict": score each epoch's rows with the seeded batch-trained model
@@ -710,6 +668,15 @@ Error lower_error(size_t i, const OpSpec& op, const std::string& msg) {
                                               op.func + "'): " + msg);
 }
 
+/// Where a lowerable op after the source sits in a linear chain: whether it
+/// reads the rows a producer emitted (normalize, predict) or the packets
+/// before them, and which input slot carries the chain (predict's slot 0 is
+/// its model).
+struct ChainPlace {
+  bool reads_rows;
+  size_t input;
+};
+
 }  // namespace
 
 Result<std::unique_ptr<StreamPipeline>> compile_streaming(
@@ -733,10 +700,11 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
   bool windowed = false;
   bool have_rows = false;  // chain switched from packets to feature rows
   std::string last_out;
-
-  const auto chain_input_ok = [&](const OpSpec& op, size_t input_slot) {
-    return input_slot < op.inputs.size() && op.inputs[input_slot] == last_out;
-  };
+  static const std::map<std::string, ChainPlace> kChainPlaces = {
+      {"filter", {false, 0}},       {"groupby", {false, 0}},
+      {"time_slice", {false, 0}},   {"apply_aggregates", {false, 0}},
+      {"damped_stats", {false, 0}}, {"packet_features", {false, 0}},
+      {"normalize", {true, 0}},     {"predict", {true, 1}}};
 
   for (size_t i = 0; i < spec.ops.size(); ++i) {
     const OpSpec& op = spec.ops[i];
@@ -748,6 +716,19 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
           "training is batch-only — run the batch Engine once, keep the "
           "trained binding, and seed it through StreamingOptions::bindings "
           "(Engine::run accepts the same map)");
+    }
+
+    if (const auto place = kChainPlaces.find(op.func);
+        place != kChainPlaces.end()) {
+      const auto [reads_rows, input] = place->second;
+      if (reads_rows != have_rows || input >= op.inputs.size() ||
+          op.inputs[input] != last_out) {
+        return lower_error(i, op,
+                           "streaming lowering supports linear chains only: "
+                           "each op reads the previous op's output, packet "
+                           "ops come before the rows and normalize / "
+                           "predict after them");
+      }
     }
 
     if (op.func == "field_extract") {
@@ -764,22 +745,9 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       }
       lowered = std::make_unique<SourceOp>();
     } else if (op.func == "filter") {
-      if (have_rows || !chain_input_ok(op, 0)) {
-        return lower_error(i, op,
-                           "input '" + (op.inputs.empty() ? "" : op.inputs[0]) +
-                               "' is not the preceding operation's output — "
-                               "streaming lowering supports linear chains");
-      }
       lowered =
           std::make_unique<FilterOp>(op.params.get_string_list("require"));
     } else if (op.func == "groupby") {
-      if (have_rows || !chain_input_ok(op, 0)) {
-        return lower_error(i, op, "streaming lowering supports linear chains "
-                                  "only (input must be the previous output)");
-      }
-      if (groupby != nullptr) {
-        return lower_error(i, op, "only one groupby stage can be lowered");
-      }
       std::vector<std::string> keys = op.params.get_string_list("flowid");
       if (keys.empty()) keys = op.params.get_string_list("key");
       if (keys.empty()) return lower_error(i, op, "missing 'flowid' param");
@@ -792,15 +760,11 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       groupby = gb.get();
       lowered = std::move(gb);
     } else if (op.func == "time_slice") {
-      if (have_rows || !chain_input_ok(op, 0)) {
-        return lower_error(i, op, "streaming lowering supports linear chains "
-                                  "only (input must be the previous output)");
-      }
       if (windowed) {
         return lower_error(i, op, "only one time_slice stage can be lowered");
       }
-      const double window = op.params.get_number("window", 10.0);
-      if (window <= 0.0) return lower_error(i, op, "window must be > 0");
+      const Result<double> window = window_param(op);
+      if (!window.ok()) return window.error();
       const std::string align = op.params.get_string("align", "group");
       if (align != "global") {
         return lower_error(
@@ -811,12 +775,8 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
             "the same parameter, so both paths stay comparable)");
       }
       windowed = true;
-      lowered = std::make_unique<TimeSliceOp>(window, &pipe->counts_);
+      lowered = std::make_unique<TimeSliceOp>(window.value(), &pipe->counts_);
     } else if (op.func == "apply_aggregates") {
-      if (have_rows || !chain_input_ok(op, 0)) {
-        return lower_error(i, op, "streaming lowering supports linear chains "
-                                  "only (input must be the previous output)");
-      }
       std::vector<AggSpec> aggs = parse_agg_list(op.params);
       for (const AggSpec& a : aggs) {
         static const std::set<std::string> kFuncs = {
@@ -843,28 +803,18 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       lowered = std::make_unique<AggregateOp>(std::move(aggs), groupby,
                                               windowed, &pipe->counts_);
     } else if (op.func == "normalize") {
-      if (!have_rows || !chain_input_ok(op, 0)) {
-        return lower_error(i, op, "streaming lowering supports linear chains "
-                                  "only (input must be the previous output)");
-      }
       const std::string kind = op.params.get_string("kind", "minmax");
-      const std::string mode = op.params.get_string("mode", "epoch");
-      if (mode != "epoch" && mode != "running") {
+      if (op.params.get_string("mode", "epoch") != "epoch") {
         return lower_error(i, op,
                            "mode must be \"epoch\" (refit per window — the "
-                           "batch op on that window's rows) or \"running\" "
-                           "(cumulative, streaming-only)");
+                           "batch op on that window's rows); for statistics "
+                           "frozen at training time, set the model op's "
+                           "\"normalize\": true instead");
       }
       lowered = std::make_unique<NormalizeOp>(
           kind == "zscore" ? features::NormKind::kZScore
-                           : features::NormKind::kMinMax,
-          mode == "running");
+                           : features::NormKind::kMinMax);
     } else if (op.func == "predict") {
-      if (!have_rows || !chain_input_ok(op, 1)) {
-        return lower_error(i, op, "streaming lowering supports linear chains "
-                                  "only (table input must be the previous "
-                                  "output)");
-      }
       const std::string& mname = op.inputs.empty() ? "" : op.inputs[0];
       auto it = opts.bindings.find(mname);
       if (it == opts.bindings.end()) {
@@ -882,10 +832,6 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       }
       lowered = std::make_unique<ScoreOp>(*mv);
     } else if (op.func == "damped_stats" || op.func == "packet_features") {
-      if (have_rows || !chain_input_ok(op, 0)) {
-        return lower_error(i, op, "streaming lowering supports linear chains "
-                                  "only (input must be the previous output)");
-      }
       if (op.func == "damped_stats") {
         lowered = std::make_unique<DampedStatsOp>(
             op.params.get_number_list("lambdas"), opts.micro_batch);

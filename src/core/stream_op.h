@@ -183,8 +183,8 @@ class StreamPipeline {
 ///
 ///   field_extract, filter, groupby, time_slice (align="global" only),
 ///   apply_aggregates (all funcs except the batch-only "median"),
-///   normalize (per-epoch refit, or mode="running"), predict (seeded
-///   model), damped_stats, packet_features
+///   normalize (per-epoch refit), predict (seeded model), damped_stats,
+///   packet_features
 ///
 /// Everything else — training, flow/connection reassembly, table surgery,
 /// evaluation, I/O — is rejected with a diagnostic naming the op and the

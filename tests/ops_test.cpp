@@ -132,6 +132,22 @@ TEST(Ops, TimeSliceBoundsWindows) {
 TEST(Ops, TimeSliceRejectsBadWindow) {
   const Value src = source_packets();
   EXPECT_FALSE(run_op("time_slice", parse(R"({"window": -1})"), {&src}).ok());
+  // A window must be finite and in [1e-6, 1e9] s, so the window index and
+  // the column name stay representable; 1e999 parses as inf.
+  for (const char* op : {"time_slice", "window_stats"}) {
+    for (const char* w : {"1e-18", "1e999", "-1e999", "1e10", "0"}) {
+      const std::string params = std::string(R"({"window": )") + w + "}";
+      auto v = run_op(op, parse(params.c_str()), {&src});
+      ASSERT_FALSE(v.ok()) << op << " window " << w;
+      EXPECT_EQ(v.error().message.rfind(std::string(op) + ": window", 0), 0u)
+          << v.error().message;
+    }
+    for (const char* w : {"1e-6", "1e9"}) {
+      const std::string params = std::string(R"({"window": )") + w + "}";
+      EXPECT_TRUE(run_op(op, parse(params.c_str()), {&src}).ok())
+          << op << " window " << w;
+    }
+  }
 }
 
 TEST(Ops, ApplyAggregatesComputesHandValues) {

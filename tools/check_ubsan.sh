@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # UB-check the whole suite: build with UndefinedBehaviorSanitizer
-# (LUMEN_SANITIZE=undefined, non-recoverable) and run every ctest target.
-# The dense-kernel library's pointer arithmetic over strided panels and the
-# exponent-bit 2^n construction in the vector exp are the prime suspects
-# this exists to watch. Usage:
+# (LUMEN_SANITIZE=undefined plus float-cast-overflow, which GCC's
+# -fsanitize=undefined leaves out; non-recoverable) and run every ctest
+# target. The dense-kernel library's pointer arithmetic over strided panels,
+# the exponent-bit 2^n construction in the vector exp, and float -> integer
+# casts of spec parameters (window indices, column names) are the prime
+# suspects this exists to watch. Usage:
 #   tools/check_ubsan.sh [build-dir]
 set -euo pipefail
 
