@@ -1,5 +1,8 @@
 #include "core/op.h"
 
+#include <strings.h>
+
+#include <cstdio>
 #include <mutex>
 
 #include "netio/bytes.h"
@@ -35,123 +38,132 @@ bool OperationRegistry::knows(const std::string& func) const {
   return factories_.count(func) > 0;
 }
 
-bool packet_field(const netio::PacketView& v, const std::string& field,
-                  double* out) {
-  using netio::TcpFlag;
-  if (field == "ts") *out = v.ts;
-  else if (field == "len" || field == "packetLength") *out = v.wire_len;
-  else if (field == "ip_len") *out = v.ip_len;
-  else if (field == "payload_len") *out = v.payload_len;
-  else if (field == "srcIP" || field == "srcip") *out = v.src_ip;
-  else if (field == "dstIP" || field == "dstip") *out = v.dst_ip;
-  else if (field == "srcPort" || field == "sport") *out = v.src_port;
-  else if (field == "dstPort" || field == "dport") *out = v.dst_port;
-  else if (field == "proto") *out = v.proto_raw;
-  else if (field == "ttl") *out = v.ttl;
-  else if (field == "TCPFlags" || field == "tcpflags") *out = v.tcp_flags;
-  else if (field == "tcp_window") *out = v.tcp_window;
-  else if (field == "tcp_seq") *out = v.tcp_seq;
-  else if (field == "icmp_type") *out = v.icmp_type;
-  else if (field == "app") *out = static_cast<double>(v.app);
-  else if (field == "is_syn") *out = v.tcp_flag(TcpFlag::kSyn) ? 1.0 : 0.0;
-  else if (field == "is_ack") *out = v.tcp_flag(TcpFlag::kAck) ? 1.0 : 0.0;
-  else if (field == "is_fin") *out = v.tcp_flag(TcpFlag::kFin) ? 1.0 : 0.0;
-  else if (field == "is_rst") *out = v.tcp_flag(TcpFlag::kRst) ? 1.0 : 0.0;
-  else if (field == "is_psh") *out = v.tcp_flag(TcpFlag::kPsh) ? 1.0 : 0.0;
-  else if (field == "has_ip") *out = v.has_ip ? 1.0 : 0.0;
-  else if (field == "is_tcp") *out = v.proto == netio::IpProto::kTcp ? 1.0 : 0.0;
-  else if (field == "is_udp") *out = v.proto == netio::IpProto::kUdp ? 1.0 : 0.0;
-  else if (field == "is_icmp") *out = v.proto == netio::IpProto::kIcmp ? 1.0 : 0.0;
-  else if (field == "dot11_type") *out = static_cast<double>(v.dot11_type);
-  else if (field == "dot11_subtype") *out = v.dot11_subtype;
-  else return false;
-  return true;
-}
-
-const std::vector<std::string>& known_packet_fields() {
-  static const std::vector<std::string> kFields = {
-      "ts",        "len",       "ip_len",   "payload_len", "srcip",
-      "dstip",     "sport",     "dport",    "proto",       "ttl",
-      "tcpflags",  "tcp_window", "tcp_seq", "icmp_type",   "app",
-      "is_syn",    "is_ack",    "is_fin",   "is_rst",      "is_psh",
-      "has_ip",    "is_tcp",    "is_udp",   "is_icmp",     "dot11_type",
-      "dot11_subtype"};
-  return kFields;
-}
-
 namespace {
 
-std::string mac_str(const netio::MacAddr& m) {
-  char buf[18];
-  std::snprintf(buf, sizeof(buf), "%02x%02x%02x%02x%02x%02x", m[0], m[1], m[2],
-                m[3], m[4], m[5]);
-  return buf;
+using netio::IpProto;
+using V = const netio::PacketView&;
+
+/// The packet-field table: every name packet_field, find_packet_field and
+/// known_packet_fields know, with the template spelling as an alias.
+struct PacketFieldDef {
+  const char* name;
+  const char* alias;  // nullptr: none
+  PacketFieldFn get;
+};
+
+double is(bool b) { return b ? 1.0 : 0.0; }
+
+const PacketFieldDef kPacketFields[] = {
+    {"ts", nullptr, [](V v) { return v.ts; }},
+    {"len", "packetLength", [](V v) -> double { return v.wire_len; }},
+    {"ip_len", nullptr, [](V v) -> double { return v.ip_len; }},
+    {"payload_len", nullptr, [](V v) -> double { return v.payload_len; }},
+    {"srcip", "srcIP", [](V v) -> double { return v.src_ip; }},
+    {"dstip", "dstIP", [](V v) -> double { return v.dst_ip; }},
+    {"sport", "srcPort", [](V v) -> double { return v.src_port; }},
+    {"dport", "dstPort", [](V v) -> double { return v.dst_port; }},
+    {"proto", nullptr, [](V v) -> double { return v.proto_raw; }},
+    {"ttl", nullptr, [](V v) -> double { return v.ttl; }},
+    {"tcpflags", "TCPFlags", [](V v) -> double { return v.tcp_flags; }},
+    {"tcp_window", nullptr, [](V v) -> double { return v.tcp_window; }},
+    {"tcp_seq", nullptr, [](V v) -> double { return v.tcp_seq; }},
+    {"icmp_type", nullptr, [](V v) -> double { return v.icmp_type; }},
+    {"app", nullptr, [](V v) { return static_cast<double>(v.app); }},
+    {"is_syn", nullptr, [](V v) { return is(v.tcp_flag(netio::kSyn)); }},
+    {"is_ack", nullptr, [](V v) { return is(v.tcp_flag(netio::kAck)); }},
+    {"is_fin", nullptr, [](V v) { return is(v.tcp_flag(netio::kFin)); }},
+    {"is_rst", nullptr, [](V v) { return is(v.tcp_flag(netio::kRst)); }},
+    {"is_psh", nullptr, [](V v) { return is(v.tcp_flag(netio::kPsh)); }},
+    {"has_ip", nullptr, [](V v) { return is(v.has_ip); }},
+    {"is_tcp", nullptr, [](V v) { return is(v.proto == IpProto::kTcp); }},
+    {"is_udp", nullptr, [](V v) { return is(v.proto == IpProto::kUdp); }},
+    {"is_icmp", nullptr, [](V v) { return is(v.proto == IpProto::kIcmp); }},
+    {"dot11_type", nullptr,
+     [](V v) { return static_cast<double>(v.dot11_type); }},
+    {"dot11_subtype", nullptr, [](V v) -> double { return v.dot11_subtype; }},
+};
+
+using K = const Key128&;
+
+std::string ip(uint64_t a) {
+  return netio::ipv4_to_string(static_cast<uint32_t>(a));
 }
 
-std::string lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
+/// The group-key table. Each packing is injective per kind, and `render`
+/// inverts it into the printable key.
+const GroupKey kGroupKeys[] = {
+    {"srcip", nullptr, [](V v) { return Key128{0, v.src_ip}; },
+     [](K k) { return ip(k.lo); }},
+    {"dstip", nullptr, [](V v) { return Key128{0, v.dst_ip}; },
+     [](K k) { return ip(k.lo); }},
+    {"srcdst", "channel", [](V v) { return Key128{v.src_ip, v.dst_ip}; },
+     [](K k) { return ip(k.hi) + ">" + ip(k.lo); }},
+    {"socket", nullptr,
+     [](V v) {
+       return Key128{uint64_t{v.src_ip} << 32 | v.dst_ip,
+                     uint64_t{v.src_port} << 32 | uint64_t{v.dst_port} << 16 |
+                         v.proto_raw};
+     },
+     [](K k) {
+       return ip(k.hi >> 32) + ":" + std::to_string(k.lo >> 32) + ">" +
+              ip(k.hi & 0xffffffff) + ":" +
+              std::to_string(k.lo >> 16 & 0xffff) + "/" +
+              std::to_string(k.lo & 0xff);
+     }},
+    {"srcmac", nullptr,
+     [](V v) {
+       uint64_t mac = 0;
+       for (int i = 0; i < 6; ++i) mac = mac << 8 | v.src_mac[i];
+       return Key128{0, mac};
+     },
+     [](K k) {
+       char buf[13];
+       std::snprintf(buf, sizeof buf, "%012llx",
+                     static_cast<unsigned long long>(k.lo));
+       return std::string(buf);
+     }},
+    {"dstport", nullptr, [](V v) { return Key128{0, v.dst_port}; },
+     [](K k) { return std::to_string(k.lo); }},
+    {"proto", nullptr, [](V v) { return Key128{0, v.proto_raw}; },
+     [](K k) { return std::to_string(k.lo); }},
+};
 
 }  // namespace
 
-Result<std::function<std::string(const netio::PacketView&)>> make_group_key(
-    const std::string& key_in) {
-  const std::string key = lower(key_in);
-  using netio::PacketView;
-  if (key == "srcip")
-    return {[](const PacketView& v) { return netio::ipv4_to_string(v.src_ip); }};
-  if (key == "dstip")
-    return {[](const PacketView& v) { return netio::ipv4_to_string(v.dst_ip); }};
-  if (key == "srcdst" || key == "channel")
-    return {[](const PacketView& v) {
-      return netio::ipv4_to_string(v.src_ip) + ">" +
-             netio::ipv4_to_string(v.dst_ip);
-    }};
-  if (key == "socket")
-    return {[](const PacketView& v) {
-      return netio::ipv4_to_string(v.src_ip) + ":" +
-             std::to_string(v.src_port) + ">" +
-             netio::ipv4_to_string(v.dst_ip) + ":" +
-             std::to_string(v.dst_port) + "/" + std::to_string(v.proto_raw);
-    }};
-  if (key == "srcmac")
-    return {[](const PacketView& v) { return mac_str(v.src_mac); }};
-  if (key == "dstport")
-    return {[](const PacketView& v) { return std::to_string(v.dst_port); }};
-  if (key == "proto")
-    return {[](const PacketView& v) { return std::to_string(v.proto_raw); }};
-  return Error::make("groupby", "unknown group key '" + key_in + "'");
+PacketFieldFn find_packet_field(std::string_view field) {
+  for (const PacketFieldDef& f : kPacketFields) {
+    if (field == f.name || (f.alias != nullptr && field == f.alias)) {
+      return f.get;
+    }
+  }
+  return nullptr;
 }
 
-Result<std::function<Key128(const netio::PacketView&)>> make_packed_group_key(
-    const std::string& key_in) {
-  const std::string key = lower(key_in);
-  using netio::PacketView;
-  if (key == "srcip")
-    return {[](const PacketView& v) { return Key128{0, v.src_ip}; }};
-  if (key == "dstip")
-    return {[](const PacketView& v) { return Key128{0, v.dst_ip}; }};
-  if (key == "srcdst" || key == "channel")
-    return {[](const PacketView& v) { return Key128{v.src_ip, v.dst_ip}; }};
-  if (key == "socket")
-    return {[](const PacketView& v) {
-      return Key128{(static_cast<uint64_t>(v.src_ip) << 32) | v.dst_ip,
-                    (static_cast<uint64_t>(v.src_port) << 32) |
-                        (static_cast<uint64_t>(v.dst_port) << 16) |
-                        v.proto_raw};
-    }};
-  if (key == "srcmac")
-    return {[](const PacketView& v) {
-      uint64_t mac = 0;
-      for (int i = 0; i < 6; ++i) mac = (mac << 8) | v.src_mac[i];
-      return Key128{0, mac};
-    }};
-  if (key == "dstport")
-    return {[](const PacketView& v) { return Key128{0, v.dst_port}; }};
-  if (key == "proto")
-    return {[](const PacketView& v) { return Key128{0, v.proto_raw}; }};
-  return Error::make("groupby", "unknown group key '" + key_in + "'");
+bool packet_field(const netio::PacketView& v, const std::string& field,
+                  double* out) {
+  const PacketFieldFn get = find_packet_field(field);
+  if (get != nullptr) *out = get(v);
+  return get != nullptr;
+}
+
+const std::vector<std::string>& known_packet_fields() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const PacketFieldDef& f : kPacketFields) names.push_back(f.name);
+    return names;
+  }();
+  return kNames;
+}
+
+Result<const GroupKey*> find_group_key(const std::string& key,
+                                       const std::string& op) {
+  for (const GroupKey& k : kGroupKeys) {
+    if (strcasecmp(key.c_str(), k.name) == 0 ||
+        (k.alias != nullptr && strcasecmp(key.c_str(), k.alias) == 0)) {
+      return &k;
+    }
+  }
+  return Error::make(op, "unknown group key '" + key + "'");
 }
 
 // Registrars defined by the ops_*.cpp translation units.

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <string_view>
 
 #include "common/flat_map.h"
 #include "common/rng.h"
@@ -73,25 +74,33 @@ void register_builtin_operations();
 
 // ---- shared helpers used by several operations ----
 
-/// Numeric packet field accessor ("len", "iat" excepted — iat is contextual).
-/// Returns false when the field name is unknown.
+/// Numeric accessor of one packet field.
+using PacketFieldFn = double (*)(const netio::PacketView&);
+
+/// The accessor of packet field `field` ("len", or its alias
+/// "packetLength", ...); nullptr when unknown. "iat" is contextual, so it
+/// is not a packet field.
+PacketFieldFn find_packet_field(std::string_view field);
+
+/// Numeric packet field accessor by name; false when the name is unknown.
 bool packet_field(const netio::PacketView& v, const std::string& field,
                   double* out);
 
-/// The list of field names packet_field understands.
+/// The canonical names of the packet fields, in table order.
 const std::vector<std::string>& known_packet_fields();
 
-/// Group-key extractor for groupby-style operations ("srcip", "dstip",
-/// "srcdst", "channel", "socket", "srcmac").
-Result<std::function<std::string(const netio::PacketView&)>> make_group_key(
-    const std::string& key);
+/// A group-key kind of the groupby-style ops: `pack` maps a packet to a
+/// Key128 that is equal iff the groups are, `render` prints the group key.
+struct GroupKey {
+  const char* name;
+  const char* alias;  // nullptr: none
+  Key128 (*pack)(const netio::PacketView&);
+  std::string (*render)(const Key128&);
+};
 
-/// Packed-numeric counterpart of make_group_key for streaming group
-/// directories: same key vocabulary, but each packet maps to a Key128
-/// (injective per key kind — two packets pack equal iff their printable
-/// keys are equal), so hot-path grouping is one FlatMap probe with no
-/// string building.
-Result<std::function<Key128(const netio::PacketView&)>> make_packed_group_key(
-    const std::string& key);
+/// The group key named `key`, case-insensitive ("srcip", "dstip", "srcdst",
+/// "channel", "socket", "srcmac", "dstport", "proto"); errors naming `op`.
+Result<const GroupKey*> find_group_key(const std::string& key,
+                                       const std::string& op);
 
 }  // namespace lumen::core

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <set>
 
 namespace lumen::core {
 
@@ -43,86 +41,133 @@ Result<double> window_param(const OpSpec& spec) {
                                  "seconds, got ") + got);
 }
 
+// ---- aggregates ------------------------------------------------------------
+
+/// One aggregate func: its name, what it reads (the unit only, or one
+/// field's running stats, value counts or whole series) and its value.
+/// Series funcs only see a non-empty series; an empty one reads 0.
+enum AggReads : uint8_t { kUnitOnly, kStats, kCounts, kSeries };
+struct AggFuncDef {
+  const char* name;
+  AggReads reads;
+  double (*value)(const AggAccumulator::Unit&, AggAccumulator::Series*);
+};
+
 namespace {
 
-/// Collect the per-packet series for `field` over `idx`. "iat" is the
-/// special contextual field (gaps between consecutive unit packets).
-void field_series(const trace::Dataset& ds, const std::vector<uint32_t>& idx,
-                  const std::string& field, std::vector<double>& out) {
-  out.clear();
-  if (field == "iat") {
-    for (size_t i = 1; i < idx.size(); ++i) {
-      out.push_back(ds.trace.view[idx[i]].ts - ds.trace.view[idx[i - 1]].ts);
-    }
-    return;
+using U = const AggAccumulator::Unit&;
+using S = AggAccumulator::Series*;
+
+/// `n` per second of the unit's duration; 0 (or `n` itself, with
+/// `else_n`) when the unit spans no measurable time.
+double per_second(double n, U u, bool else_n = false) {
+  const double dur = u.duration();
+  return dur > 1e-9 ? n / dur : (else_n ? n : 0.0);
+}
+
+double entropy(S s) {
+  std::vector<double> c;
+  c.reserve(s->counts.size());
+  for (const auto& [value, n] : s->counts) c.push_back(n);
+  return features::entropy_bits(c);
+}
+
+/// The aggregate-func table: every func any aggregating op accepts.
+const AggFuncDef kAggFuncs[] = {
+    {"count", kUnitOnly, [](U u, S) { return static_cast<double>(u.count); }},
+    {"rate", kUnitOnly,
+     [](U u, S) { return per_second(static_cast<double>(u.count), u); }},
+    {"duration", kUnitOnly, [](U u, S) { return u.duration(); }},
+    {"bytes_rate", kUnitOnly, [](U u, S) { return per_second(u.bytes, u); }},
+    {"mean", kStats, [](U, S s) { return s->rs.mean(); }},
+    {"std", kStats, [](U, S s) { return s->rs.stddev(); }},
+    {"min", kStats, [](U, S s) { return s->rs.min(); }},
+    {"max", kStats, [](U, S s) { return s->rs.max(); }},
+    {"range", kStats, [](U, S s) { return s->rs.max() - s->rs.min(); }},
+    {"sum", kStats, [](U, S s) { return s->rs.sum(); }},
+    {"first", kStats, [](U, S s) { return s->first; }},
+    {"last", kStats, [](U, S s) { return s->last; }},
+    {"change_rate", kStats,
+     [](U u, S s) {
+       return per_second(static_cast<double>(s->changes), u, true);
+     }},
+    {"distinct", kCounts,
+     [](U, S s) { return static_cast<double>(s->counts.size()); }},
+    {"entropy", kCounts, [](U, S s) { return entropy(s); }},
+    {"median", kSeries, [](U, S s) { return features::median(s->values); }},
+};
+
+/// The accessor of `field`, nullptr for "iat"; errors, naming `op`, when
+/// the name is neither.
+Result<PacketFieldFn> resolve_field(const std::string& field,
+                                    const std::string& op) {
+  const PacketFieldFn get = find_packet_field(field);
+  if (get == nullptr && field != "iat") {
+    return Error::make(op, "unknown field '" + field + "'");
   }
-  double v = 0.0;
-  for (uint32_t p : idx) {
-    if (packet_field(ds.trace.view[p], field, &v)) out.push_back(v);
-  }
+  return get;
 }
 
 }  // namespace
 
-double compute_agg(const trace::Dataset& ds, const std::vector<uint32_t>& idx,
-                   const AggSpec& agg) {
-  if (agg.func == "count") return static_cast<double>(idx.size());
-  const double dur =
-      idx.size() >= 2
-          ? ds.trace.view[idx.back()].ts - ds.trace.view[idx.front()].ts
-          : 0.0;
-  if (agg.func == "rate") {
-    return dur > 1e-9 ? static_cast<double>(idx.size()) / dur : 0.0;
-  }
-  if (agg.func == "duration") return dur;
-  if (agg.func == "bytes_rate") {
-    double bytes = 0.0;
-    for (uint32_t p : idx) bytes += ds.trace.view[p].wire_len;
-    return dur > 1e-9 ? bytes / dur : 0.0;
-  }
-
-  std::vector<double> series;
-  field_series(ds, idx, agg.field.empty() ? "len" : agg.field, series);
-  if (series.empty()) return 0.0;
-
-  if (agg.func == "distinct") {
-    std::set<double> uniq(series.begin(), series.end());
-    return static_cast<double>(uniq.size());
-  }
-  if (agg.func == "entropy") {
-    std::map<double, double> counts;
-    for (double v : series) counts[v] += 1.0;
-    std::vector<double> c;
-    c.reserve(counts.size());
-    for (auto& [k, n] : counts) c.push_back(n);
-    return features::entropy_bits(c);
-  }
-  if (agg.func == "change_rate") {
-    // Number of consecutive-value changes per second (e.g. TCP flag churn).
-    size_t changes = 0;
-    for (size_t i = 1; i < series.size(); ++i) {
-      changes += series[i] != series[i - 1];
+Result<AggPlan> AggPlan::build(const std::vector<AggSpec>& aggs,
+                               const std::string& op) {
+  AggPlan plan;
+  std::map<std::string, uint32_t> slot_of;  // field name -> plan.fields
+  for (const AggSpec& a : aggs) {
+    const AggFuncDef* func = std::find_if(
+        std::begin(kAggFuncs), std::end(kAggFuncs),
+        [&](const AggFuncDef& f) { return a.func == f.name; });
+    if (func == std::end(kAggFuncs)) {
+      return Error::make(op, "unknown aggregate func '" + a.func + "'");
     }
-    return dur > 1e-9 ? static_cast<double>(changes) / dur
-                      : static_cast<double>(changes);
+    const std::string field = a.field.empty() ? "len" : a.field;
+    const Result<PacketFieldFn> get = resolve_field(field, op);
+    if (!get.ok()) return get.error();
+    plan.names.push_back(a.field.empty() ? a.func : a.field + "_" + a.func);
+    if (func->reads == kUnitOnly) {
+      plan.cols.push_back(Column{func, 0});
+      continue;
+    }
+    const auto [slot, fresh] = slot_of.try_emplace(
+        field, static_cast<uint32_t>(plan.fields.size()));
+    if (fresh) plan.fields.push_back(Field{get.value(), false, false});
+    plan.fields[slot->second].counts |= func->reads == kCounts;
+    plan.fields[slot->second].series |= func->reads == kSeries;
+    plan.cols.push_back(Column{func, slot->second});
   }
-  if (agg.func == "first") return series.front();
-  if (agg.func == "last") return series.back();
-  if (agg.func == "median") return features::median(series);
-  if (agg.func == "sum") {
-    double s = 0.0;
-    for (double v : series) s += v;
-    return s;
-  }
+  return plan;
+}
 
-  features::RunningStats rs;
-  for (double v : series) rs.add(v);
-  if (agg.func == "mean") return rs.mean();
-  if (agg.func == "std") return rs.stddev();
-  if (agg.func == "min") return rs.min();
-  if (agg.func == "max") return rs.max();
-  if (agg.func == "range") return rs.max() - rs.min();
-  return 0.0;  // unknown func validated at parse time by callers
+void AggAccumulator::feed(const netio::PacketView& v) {
+  const bool had_prev = unit_.count > 0;
+  const double prev_ts = unit_.last_ts;
+  if (!had_prev) unit_.first_ts = v.ts;
+  ++unit_.count;
+  unit_.last_ts = v.ts;
+  unit_.bytes += v.wire_len;
+  for (size_t f = 0; f < fields_.size(); ++f) {
+    const AggPlan::Field& need = plan_->fields[f];
+    if (need.get == nullptr && !had_prev) continue;  // iat starts at packet 2
+    const double val = need.get != nullptr ? need.get(v) : v.ts - prev_ts;
+    Series& s = fields_[f];
+    if (s.rs.count() == 0) {
+      s.first = val;
+    } else if (val != s.last) {
+      ++s.changes;
+    }
+    s.last = val;
+    s.rs.add(val);
+    if (need.counts) s.counts[val] += 1.0;
+    if (need.series) s.values.push_back(val);
+  }
+}
+
+double AggAccumulator::finalize(size_t col) {
+  const AggPlan::Column& c = plan_->cols[col];
+  if (c.func->reads == kUnitOnly) return c.func->value(unit_, nullptr);
+  Series& s = fields_[c.field];
+  return s.rs.count() == 0 ? 0.0 : c.func->value(unit_, &s);
 }
 
 void fill_unit_metadata(const trace::Dataset& ds,
@@ -147,19 +192,67 @@ void fill_unit_metadata(const trace::Dataset& ds,
 
 features::FeatureTable table_from_units(
     const trace::Dataset& ds,
-    const std::vector<std::vector<uint32_t>>& units,
-    const std::vector<AggSpec>& aggs) {
-  std::vector<std::string> names;
-  names.reserve(aggs.size());
-  for (const AggSpec& a : aggs) names.push_back(a.column_name());
-  features::FeatureTable t = features::FeatureTable::make(units.size(), names);
+    const std::vector<std::vector<uint32_t>>& units, const AggPlan& plan) {
+  features::FeatureTable t =
+      features::FeatureTable::make(units.size(), plan.names);
   for (size_t r = 0; r < units.size(); ++r) {
-    for (size_t c = 0; c < aggs.size(); ++c) {
-      t.at(r, c) = compute_agg(ds, units[r], aggs[c]);
-    }
+    AggAccumulator acc(plan);
+    for (uint32_t p : units[r]) acc.feed(ds.trace.view[p]);
+    for (size_t c = 0; c < t.cols; ++c) t.at(r, c) = acc.finalize(c);
   }
   fill_unit_metadata(ds, units, t);
   return t;
+}
+
+// ---- fields, filter, packet_features ---------------------------------------
+
+Result<void> check_extract_fields(const OpSpec& spec) {
+  for (const std::string& f : spec.params.get_string_list("param")) {
+    const Result<PacketFieldFn> get = resolve_field(f, spec.func);
+    if (!get.ok()) return get.error();
+  }
+  return {};
+}
+
+PacketFilter::PacketFilter(const std::vector<std::string>& require) {
+  for (const std::string& f : require) require_.push_back(find_packet_field(f));
+}
+
+Result<PacketFeatureRow> PacketFeatureRow::build(const OpSpec& spec) {
+  PacketFeatureRow row;
+  row.names_ = spec.params.get_string_list("param");
+  if (row.names_.empty()) {
+    row.names_ = {"len", "iat", "proto", "sport", "dport"};
+  }
+  for (const std::string& f : row.names_) {
+    const Result<PacketFieldFn> get = resolve_field(f, spec.func);
+    if (!get.ok()) return get.error();
+    row.fields_.push_back(get.value());
+  }
+  row.one_hot_app_ = spec.params.get_bool("one_hot_app", false);
+  if (row.one_hot_app_) {
+    constexpr int kAppCount = 10;  // netio::AppProto cardinality
+    for (int a = 0; a < kAppCount; ++a) {
+      row.names_.push_back(
+          std::string("app_") +
+          netio::app_proto_name(static_cast<netio::AppProto>(a)));
+    }
+  }
+  return row;
+}
+
+void PacketFeatureRow::fill(const netio::PacketView& v, double* row) {
+  std::fill(row, row + names_.size(), 0.0);
+  for (size_t c = 0; c < fields_.size(); ++c) {
+    if (fields_[c] != nullptr) {
+      row[c] = fields_[c](v);
+    } else if (seen_) {
+      row[c] = v.ts - prev_ts_;
+    }
+  }
+  if (one_hot_app_) row[fields_.size() + static_cast<size_t>(v.app)] = 1.0;
+  seen_ = true;
+  prev_ts_ = v.ts;
 }
 
 }  // namespace lumen::core

@@ -49,11 +49,13 @@ Result<Value> run_flow_features(const OpSpec& spec,
   auto fsr = input_as<FlowSet>(in, 0, "flow_features");
   if (!fsr.ok()) return fsr.error();
   const FlowSet& fs = *fsr.value();
-  const std::vector<AggSpec> aggs = parse_agg_list(spec.params);
+  const Result<AggPlan> plan =
+      AggPlan::build(parse_agg_list(spec.params), "flow_features");
+  if (!plan.ok()) return plan.error();
   std::vector<std::vector<uint32_t>> units;
   units.reserve(fs.flows.size());
   for (const flow::Flow& f : fs.flows) units.push_back(f.pkts);
-  FeatureTable t = table_from_units(*fs.dataset, units, aggs);
+  FeatureTable t = table_from_units(*fs.dataset, units, plan.value());
   for (size_t r = 0; r < fs.flows.size(); ++r) {
     t.unit_id[r] = fs.flows[r].id;
   }

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
 
 #include "common/parallel.h"
 #include "core/kitsune_extractor.h"
@@ -31,12 +30,8 @@ PacketSet whole_dataset_set(OpContext& ctx) {
 Result<Value> run_field_extract(const OpSpec& spec,
                                 const std::vector<const Value*>& in,
                                 OpContext& ctx) {
-  for (const std::string& f : spec.params.get_string_list("param")) {
-    double tmp = 0.0;
-    if (f != "iat" && !packet_field(PacketView{}, f, &tmp)) {
-      return Error::make("field_extract", "unknown field '" + f + "'");
-    }
-  }
+  const Result<void> fields = check_extract_fields(spec);
+  if (!fields.ok()) return fields.error();
   if (!in.empty()) {
     auto ps = input_as<PacketSet>(in, 0, "field_extract");
     if (!ps.ok()) return ps.error();
@@ -54,20 +49,11 @@ Result<Value> run_filter(const OpSpec& spec,
   auto psr = input_as<PacketSet>(in, 0, "filter");
   if (!psr.ok()) return psr.error();
   const PacketSet& ps = *psr.value();
-  const std::vector<std::string> require = spec.params.get_string_list("require");
+  const PacketFilter keep(spec.params.get_string_list("require"));
   PacketSet out;
   out.dataset = ps.dataset;
   for (uint32_t i : ps.idx) {
-    const PacketView& v = ps.dataset->trace.view[i];
-    bool keep = true;
-    for (const std::string& req : require) {
-      double val = 0.0;
-      if (!packet_field(v, req, &val) || val == 0.0) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.idx.push_back(i);
+    if (keep(ps.dataset->trace.view[i])) out.idx.push_back(i);
   }
   return Value(std::move(out));
 }
@@ -83,23 +69,20 @@ Result<Value> run_groupby(const OpSpec& spec,
   std::vector<std::string> keys = spec.params.get_string_list("flowid");
   if (keys.empty()) keys = spec.params.get_string_list("key");
   if (keys.empty()) return Error::make("groupby", "missing 'flowid' param");
-  auto keyfn = make_group_key(keys.front());
-  if (!keyfn.ok()) return keyfn.error();
+  const Result<const GroupKey*> key = find_group_key(keys.front(), "groupby");
+  if (!key.ok()) return key.error();
 
   GroupedPackets out;
   out.dataset = ps.dataset;
   out.group_field = keys.front();
-  std::map<std::string, size_t> index;
+  GroupDirectory dir(*key.value());
   for (uint32_t i : ps.idx) {
-    const std::string k = keyfn.value()(ps.dataset->trace.view[i]);
-    auto [it, fresh] = index.emplace(k, out.groups.size());
-    if (fresh) {
-      Group g;
-      g.key = k;
-      g.window_start = ps.dataset->trace.view[i].ts;
-      out.groups.push_back(std::move(g));
+    const PacketView& v = ps.dataset->trace.view[i];
+    const uint32_t id = dir.id_of(v);
+    if (id == out.groups.size()) {
+      out.groups.push_back(Group{dir.key_of(id), v.ts, {}});
     }
-    out.groups[it->second].idx.push_back(i);
+    out.groups[id].idx.push_back(i);
   }
   return Value(std::move(out));
 }
@@ -162,11 +145,11 @@ Result<Value> run_time_slice(const OpSpec& spec,
     std::map<int64_t, Group> windows;
     for (uint32_t i : g.idx) {
       const double ts = source.dataset->trace.view[i].ts;
-      const int64_t w = static_cast<int64_t>((ts - t0) / window);
+      const int64_t w = window_index(ts, t0, window);
       auto [it, fresh] = windows.try_emplace(w);
       if (fresh) {
         it->second.key = g.key + "#w" + std::to_string(w);
-        it->second.window_start = t0 + static_cast<double>(w) * window;
+        it->second.window_start = window_start(w, t0, window);
       }
       it->second.idx.push_back(i);
     }
@@ -182,25 +165,18 @@ Result<Value> run_apply_aggregates(const OpSpec& spec,
   auto gpr = input_as<GroupedPackets>(in, 0, "apply_aggregates");
   if (!gpr.ok()) return gpr.error();
   const GroupedPackets& gp = *gpr.value();
-  const std::vector<AggSpec> aggs = parse_agg_list(spec.params);
-  for (const AggSpec& a : aggs) {
-    static const std::set<std::string> kFuncs = {
-        "mean", "std",   "min",      "max",   "median", "sum",
-        "count", "rate", "bytes_rate", "distinct", "entropy", "first",
-        "last", "range", "duration", "change_rate"};
-    if (kFuncs.count(a.func) == 0) {
-      return Error::make("apply_aggregates", "unknown func '" + a.func + "'");
-    }
-  }
+  const Result<AggPlan> plan =
+      AggPlan::build(parse_agg_list(spec.params), "apply_aggregates");
+  if (!plan.ok()) return plan.error();
   std::vector<std::vector<uint32_t>> units;
   units.reserve(gp.groups.size());
   for (const Group& g : gp.groups) units.push_back(g.idx);
-  return Value(table_from_units(*gp.dataset, units, aggs));
+  return Value(table_from_units(*gp.dataset, units, plan.value()));
 }
 
 // "window_stats": per-PACKET contextual features — each packet gets
 // aggregates computed over its group's packets within the trailing window
-// (the stateful half of the ML-DDoS feature set).
+// (the stateful half of the ML-DDoS feature set), refolded per packet.
 Result<Value> run_window_stats(const OpSpec& spec,
                                const std::vector<const Value*>& in,
                                OpContext& ctx) {
@@ -211,32 +187,35 @@ Result<Value> run_window_stats(const OpSpec& spec,
   if (!wr.ok()) return wr.error();
   const double window = wr.value();
   const std::string key = spec.params.get_string("key", "srcip");
-  auto keyfn = make_group_key(key);
-  if (!keyfn.ok()) return keyfn.error();
-  const std::vector<AggSpec> aggs = parse_agg_list(spec.params);
+  const Result<const GroupKey*> group_key = find_group_key(key, "window_stats");
+  if (!group_key.ok()) return group_key.error();
+  const Result<AggPlan> plan =
+      AggPlan::build(parse_agg_list(spec.params), "window_stats");
+  if (!plan.ok()) return plan.error();
 
   std::vector<std::string> names;
-  for (const AggSpec& a : aggs) {
+  for (const std::string& name : plan.value().names) {
     names.push_back(key + "_" + std::to_string(static_cast<int>(window)) +
-                    "s_" + a.column_name());
+                    "s_" + name);
   }
   FeatureTable t = FeatureTable::make(ps.idx.size(), names);
 
   const trace::Dataset& ds = *ps.dataset;
-  std::map<std::string, std::deque<uint32_t>> history;
-  std::vector<uint32_t> unit;
+  GroupDirectory dir(*group_key.value());
+  std::vector<std::deque<uint32_t>> history;  // per group id
   for (size_t r = 0; r < ps.idx.size(); ++r) {
     const uint32_t i = ps.idx[r];
     const PacketView& v = ds.trace.view[i];
-    std::deque<uint32_t>& h = history[keyfn.value()(v)];
+    const uint32_t id = dir.id_of(v);
+    if (id == history.size()) history.emplace_back();
+    std::deque<uint32_t>& h = history[id];
     h.push_back(i);
     while (!h.empty() && v.ts - ds.trace.view[h.front()].ts > window) {
       h.pop_front();
     }
-    unit.assign(h.begin(), h.end());
-    for (size_t c = 0; c < aggs.size(); ++c) {
-      t.at(r, c) = compute_agg(ds, unit, aggs[c]);
-    }
+    AggAccumulator acc(plan.value());
+    for (const uint32_t p : h) acc.feed(ds.trace.view[p]);
+    for (size_t c = 0; c < t.cols; ++c) t.at(r, c) = acc.finalize(c);
     t.labels[r] = ds.label_at(i);
     t.attack[r] = ds.attack_at(i);
     t.unit_id[r] = i;
@@ -252,35 +231,14 @@ Result<Value> run_packet_features(const OpSpec& spec,
   auto psr = input_as<PacketSet>(in, 0, "packet_features");
   if (!psr.ok()) return psr.error();
   const PacketSet& ps = *psr.value();
-  std::vector<std::string> fields = spec.params.get_string_list("param");
-  if (fields.empty()) fields = {"len", "iat", "proto", "sport", "dport"};
-  const bool one_hot_app = spec.params.get_bool("one_hot_app", false);
-
-  std::vector<std::string> names = fields;
-  const int kAppCount = 10;  // netio::AppProto cardinality
-  if (one_hot_app) {
-    for (int a = 0; a < kAppCount; ++a) {
-      names.push_back(std::string("app_") +
-                      netio::app_proto_name(static_cast<netio::AppProto>(a)));
-    }
-  }
-  FeatureTable t = FeatureTable::make(ps.idx.size(), names);
+  Result<PacketFeatureRow> row = PacketFeatureRow::build(spec);
+  if (!row.ok()) return row.error();
+  FeatureTable t = FeatureTable::make(ps.idx.size(), row.value().names());
   const trace::Dataset& ds = *ps.dataset;
   for (size_t r = 0; r < ps.idx.size(); ++r) {
     const uint32_t i = ps.idx[r];
     const PacketView& v = ds.trace.view[i];
-    for (size_t c = 0; c < fields.size(); ++c) {
-      if (fields[c] == "iat") {
-        t.at(r, c) = r > 0 ? v.ts - ds.trace.view[ps.idx[r - 1]].ts : 0.0;
-      } else {
-        double val = 0.0;
-        packet_field(v, fields[c], &val);
-        t.at(r, c) = val;
-      }
-    }
-    if (one_hot_app) {
-      t.at(r, fields.size() + static_cast<size_t>(v.app)) = 1.0;
-    }
+    row.value().fill(v, &t.at(r, 0));
     t.labels[r] = ds.label_at(i);
     t.attack[r] = ds.attack_at(i);
     t.unit_id[r] = i;

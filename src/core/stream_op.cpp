@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/flat_map.h"
 #include "core/engine.h"
 #include "core/kitsune_extractor.h"
 #include "core/ops_common.h"
-#include "features/stats.h"
 #include "features/transform.h"
 
 namespace lumen::core {
@@ -16,7 +14,6 @@ namespace lumen::core {
 namespace stream_detail {
 
 using features::FeatureTable;
-using netio::PacketView;
 
 // ---- packet-phase operators ----------------------------------------------
 
@@ -28,64 +25,40 @@ class SourceOp final : public StreamOp {
   const char* name() const override { return "field_extract"; }
 };
 
-/// "filter": drop packets failing any `require` field (same semantics as
-/// the batch op — a requirement holds when the field exists and is != 0).
+/// "filter": drop packets failing the batch op's PacketFilter.
 class FilterOp final : public StreamOp {
  public:
-  explicit FilterOp(std::vector<std::string> require)
-      : require_(std::move(require)) {}
+  explicit FilterOp(const std::vector<std::string>& require)
+      : keep_(require) {}
   const char* name() const override { return "filter"; }
 
   void push(PacketTuple& t) override {
-    for (const std::string& req : require_) {
-      double val = 0.0;
-      if (!packet_field(*t.view, req, &val) || val == 0.0) return;
-    }
-    forward(t);
+    if (keep_(*t.view)) forward(t);
   }
 
  private:
-  std::vector<std::string> require_;
+  const PacketFilter keep_;
 };
 
-/// "groupby": assign each packet a dense group id via a packed numeric key
-/// (one FlatMap probe per packet, no string building on the hot path). The
-/// printable key — what the batch op and the emitted rows use — is computed
-/// once, on first sight of a group. Ids are issued in first-occurrence
-/// order, which is exactly the batch op's group order over the same slice.
+/// "groupby": dense group ids from the batch op's GroupDirectory: the same
+/// first-occurrence order over the same slice, the same printable keys.
 class GroupByOp final : public StreamOp {
  public:
-  GroupByOp(std::function<Key128(const PacketView&)> packed,
-            std::function<std::string(const PacketView&)> printable)
-      : packed_(std::move(packed)), printable_(std::move(printable)) {
-    ids_.reserve(64);
-  }
+  explicit GroupByOp(const GroupKey& key) : dir_(key) {}
   const char* name() const override { return "groupby"; }
 
   void push(PacketTuple& t) override {
-    auto [slot, fresh] = ids_.try_emplace(packed_(*t.view), 0);
-    if (fresh) {
-      *slot = static_cast<uint32_t>(keys_.size());
-      keys_.push_back(printable_(*t.view));
-    }
-    t.group = *slot;
+    t.group = dir_.id_of(*t.view);
     forward(t);
   }
 
-  void reset() override {
-    ids_.clear();
-    keys_.clear();
-    ids_.reserve(64);
-  }
+  void reset() override { dir_.clear(); }
 
   /// Printable key of a group id (valid for ids issued this stream).
-  const std::string& key_of(uint32_t gid) const { return keys_[gid]; }
+  const std::string& key_of(uint32_t gid) const { return dir_.key_of(gid); }
 
  private:
-  std::function<Key128(const PacketView&)> packed_;
-  std::function<std::string(const PacketView&)> printable_;
-  FlatMap<Key128, uint32_t> ids_;
-  std::vector<std::string> keys_;  // gid -> printable key
+  GroupDirectory dir_;
 };
 
 /// "time_slice" (align="global"): tumbling windows on the capture clock,
@@ -110,7 +83,7 @@ class TimeSliceOp final : public StreamOp {
       t0_ = ts;
       cur_w_ = 0;
     }
-    int64_t w = static_cast<int64_t>((ts - t0_) / window_);
+    int64_t w = window_index(ts, t0_, window_);
     if (w > static_cast<int64_t>(cur_w_)) {
       forward_flush(cur_w_);
       cur_w_ = static_cast<uint64_t>(w);
@@ -119,7 +92,7 @@ class TimeSliceOp final : public StreamOp {
       w = static_cast<int64_t>(cur_w_);
     }
     t.window = static_cast<uint64_t>(w);
-    t.window_start = t0_ + static_cast<double>(w) * window_;
+    t.window_start = window_start(w, t0_, window_);
     forward(t);
   }
 
@@ -139,71 +112,16 @@ class TimeSliceOp final : public StreamOp {
 
 // ---- aggregation ---------------------------------------------------------
 
-/// Incremental state for one (unit, field) pair, feeding every aggregate
-/// func that reads a per-packet series. The update order is the unit's
-/// packet arrival order, so the sequential accumulations (Welford mean/std,
-/// sum) are bit-identical to compute_agg's loop over the same series.
-struct FieldAcc {
-  features::RunningStats rs;
-  std::unique_ptr<std::set<double>> distinct;        // allocated on demand
-  std::unique_ptr<std::map<double, double>> counts;  // entropy, sorted keys
-  double first = 0.0;
-  double last = 0.0;
-  bool any = false;
-  size_t changes = 0;  // consecutive-value changes, for change_rate
-};
-
-/// What a chain's aggregate list needs per field.
-struct FieldNeed {
-  std::string field;  // "" already resolved to "len"
-  bool distinct = false;
-  bool entropy = false;
-};
-
-/// Per-unit accumulator: unit-level state plus one FieldAcc per needed
-/// field. Replicates compute_agg exactly — see finalize_agg.
-struct GroupAcc {
-  explicit GroupAcc(size_t fields) : field(fields) {}
-  size_t count = 0;
-  double first_ts = 0.0;
-  double last_ts = 0.0;  // arrival order, like view[idx.back()].ts
-  double bytes = 0.0;
-  std::vector<FieldAcc> field;
-};
-
-/// "apply_aggregates": per-(group, window) unit accumulators over FlatMap
-/// state, flushed into one FeatureTable per epoch. Unit math replicates the
-/// batch compute_agg bit for bit (same accumulation order, same guards);
-/// per-epoch state is cleared after every flush, so memory is bounded by
-/// the number of groups active within one window, not by stream length.
+/// "apply_aggregates": one AggAccumulator per (group, window) unit, fed as
+/// the batch op feeds it and flushed into one FeatureTable per epoch. State
+/// is cleared after every flush, so memory is bounded by the groups active
+/// within one window, not by stream length.
 class AggregateOp final : public StreamOp {
  public:
-  AggregateOp(std::vector<AggSpec> aggs, const GroupByOp* groups,
-              bool windowed, StreamPipeline::Counters* counts)
-      : aggs_(std::move(aggs)), groups_(groups), windowed_(windowed),
-        counts_(counts) {
-    // Resolve each agg to its field slot ("" means the default "len"
-    // series; count/rate/duration/bytes_rate use unit-level state only).
-    for (const AggSpec& a : aggs_) {
-      col_names_.push_back(a.column_name());
-      if (a.func == "count" || a.func == "rate" || a.func == "duration" ||
-          a.func == "bytes_rate") {
-        slot_of_.push_back(SIZE_MAX);
-        continue;
-      }
-      const std::string field = a.field.empty() ? "len" : a.field;
-      size_t slot = SIZE_MAX;
-      for (size_t f = 0; f < needs_.size(); ++f) {
-        if (needs_[f].field == field) slot = f;
-      }
-      if (slot == SIZE_MAX) {
-        slot = needs_.size();
-        needs_.push_back(FieldNeed{field, false, false});
-      }
-      if (a.func == "distinct") needs_[slot].distinct = true;
-      if (a.func == "entropy") needs_[slot].entropy = true;
-      slot_of_.push_back(slot);
-    }
+  AggregateOp(AggPlan plan, const GroupByOp* groups, bool windowed)
+      : plan_(std::move(plan)),
+        groups_(groups),
+        windowed_(windowed) {
     index_.reserve(64);
   }
   const char* name() const override { return "apply_aggregates"; }
@@ -218,26 +136,9 @@ class AggregateOp final : public StreamOp {
     if (fresh) {
       *slot = static_cast<uint32_t>(accs_.size());
       order_.push_back(t.group);
-      accs_.emplace_back(needs_.size());
+      accs_.emplace_back(plan_);
     }
-    GroupAcc& g = accs_[*slot];
-    const PacketView& v = *t.view;
-    const bool had_prev = g.count > 0;
-    const double prev_ts = g.last_ts;
-    if (!had_prev) g.first_ts = v.ts;
-    ++g.count;
-    g.last_ts = v.ts;
-    g.bytes += v.wire_len;
-    for (size_t f = 0; f < needs_.size(); ++f) {
-      double val = 0.0;
-      if (needs_[f].field == "iat") {
-        if (!had_prev) continue;  // series starts at the second packet
-        val = v.ts - prev_ts;
-      } else if (!packet_field(v, needs_[f].field, &val)) {
-        continue;  // unknown fields were rejected at compile time
-      }
-      feed(g.field[f], needs_[f], val);
-    }
+    accs_[*slot].feed(*t.view);
     forward(t);
   }
 
@@ -247,115 +148,51 @@ class AggregateOp final : public StreamOp {
       EpochBatch b;
       b.epoch = epoch_;
       b.window_start = window_start_;
-      b.table = FeatureTable::make(order_.size(), col_names_);
+      b.table = FeatureTable::make(order_.size(), plan_.names);
       b.keys.reserve(order_.size());
       for (size_t r = 0; r < order_.size(); ++r) {
-        const uint32_t gid = order_[r];
-        const GroupAcc& g = accs_[*index_.find(gid)];
-        std::string key = groups_ != nullptr ? groups_->key_of(gid) : "all";
+        AggAccumulator& acc = accs_[r];  // accs_ follows order_
+        std::string key =
+            groups_ != nullptr ? groups_->key_of(order_[r]) : "all";
         if (windowed_) {
           key += "#w" + std::to_string(static_cast<int64_t>(epoch_));
         }
         b.keys.push_back(std::move(key));
-        for (size_t c = 0; c < aggs_.size(); ++c) {
-          b.table.at(r, c) = finalize_agg(g, aggs_[c], slot_of_[c]);
+        for (size_t c = 0; c < b.table.cols; ++c) {
+          b.table.at(r, c) = acc.finalize(c);
         }
         b.table.unit_id[r] = static_cast<int64_t>(row_seq_++);
-        b.table.unit_time[r] = g.first_ts;
+        b.table.unit_time[r] = acc.first_ts();
       }
       span.set_value(b.table.rows);
       span.stop();
-      index_.clear();
-      index_.reserve(64);
-      order_.clear();
-      accs_.clear();
-      open_ = false;
+      clear_epoch();
       forward_rows(std::move(b));
     }
     forward_flush(epoch);
   }
 
   void reset() override {
+    clear_epoch();
+    row_seq_ = 0;
+  }
+
+ private:
+  void clear_epoch() {
     index_.clear();
     index_.reserve(64);
     order_.clear();
     accs_.clear();
     open_ = false;
-    row_seq_ = 0;
   }
 
- private:
-  static void feed(FieldAcc& acc, const FieldNeed& need, double val) {
-    if (acc.any && val != acc.last) ++acc.changes;
-    if (!acc.any) {
-      acc.first = val;
-      acc.any = true;
-    }
-    acc.last = val;
-    acc.rs.add(val);
-    if (need.distinct) {
-      if (!acc.distinct) acc.distinct = std::make_unique<std::set<double>>();
-      acc.distinct->insert(val);
-    }
-    if (need.entropy) {
-      if (!acc.counts) {
-        acc.counts = std::make_unique<std::map<double, double>>();
-      }
-      (*acc.counts)[val] += 1.0;
-    }
-  }
-
-  /// Mirror of compute_agg over the accumulated state. `dur` is the
-  /// arrival-order first-to-last gap, exactly as the batch op computes it.
-  double finalize_agg(const GroupAcc& g, const AggSpec& a, size_t slot) const {
-    if (a.func == "count") return static_cast<double>(g.count);
-    const double dur = g.count >= 2 ? g.last_ts - g.first_ts : 0.0;
-    if (a.func == "rate") {
-      return dur > 1e-9 ? static_cast<double>(g.count) / dur : 0.0;
-    }
-    if (a.func == "duration") return dur;
-    if (a.func == "bytes_rate") return dur > 1e-9 ? g.bytes / dur : 0.0;
-
-    const FieldAcc& f = g.field[slot];
-    // Batch returns 0.0 for an empty series before dispatching on func.
-    if (f.rs.count() == 0) return 0.0;
-    if (a.func == "distinct") {
-      return f.distinct ? static_cast<double>(f.distinct->size()) : 0.0;
-    }
-    if (a.func == "entropy") {
-      std::vector<double> c;
-      if (f.counts) {
-        c.reserve(f.counts->size());
-        for (const auto& [k, n] : *f.counts) c.push_back(n);
-      }
-      return features::entropy_bits(c);
-    }
-    if (a.func == "change_rate") {
-      return dur > 1e-9 ? static_cast<double>(f.changes) / dur
-                        : static_cast<double>(f.changes);
-    }
-    if (a.func == "first") return f.first;
-    if (a.func == "last") return f.last;
-    if (a.func == "sum") return f.rs.sum();
-    if (a.func == "mean") return f.rs.mean();
-    if (a.func == "std") return f.rs.stddev();
-    if (a.func == "min") return f.rs.min();
-    if (a.func == "max") return f.rs.max();
-    if (a.func == "range") return f.rs.max() - f.rs.min();
-    return 0.0;  // unknown funcs rejected at compile time
-  }
-
-  std::vector<AggSpec> aggs_;
-  std::vector<std::string> col_names_;
-  std::vector<size_t> slot_of_;   // agg -> field slot (SIZE_MAX: unit-level)
-  std::vector<FieldNeed> needs_;  // distinct fields the aggs read
-  const GroupByOp* groups_;       // nullptr when the chain has no groupby
+  const AggPlan plan_;
+  const GroupByOp* groups_;  // nullptr when the chain has no groupby
   const bool windowed_;
-  StreamPipeline::Counters* counts_;
 
   FlatMap<uint32_t, uint32_t> index_;  // gid -> position in accs_
   std::vector<uint32_t> order_;        // first-arrival order within the epoch
-  std::vector<GroupAcc> accs_;
+  std::vector<AggAccumulator> accs_;
   bool open_ = false;
   uint64_t epoch_ = 0;
   double window_start_ = 0.0;
@@ -450,65 +287,29 @@ class DampedStatsOp final : public RowBufferOp {
   std::vector<double> row_;
 };
 
-/// "packet_features": per-packet field vector (optional one-hot app).
-/// "iat" is the gap from the previous packet this op saw — which is the
-/// batch semantics over the same (possibly filtered) packet sequence.
+/// "packet_features": the batch op's PacketFeatureRow, one row per packet
+/// ("iat" is the gap from the previous packet this op saw).
 class PacketFeaturesOp final : public RowBufferOp {
  public:
-  static std::vector<std::string> column_names(
-      const std::vector<std::string>& fields, bool one_hot_app) {
-    std::vector<std::string> names = fields;
-    if (one_hot_app) {
-      for (int a = 0; a < kAppCount; ++a) {
-        names.push_back(std::string("app_") +
-                        netio::app_proto_name(static_cast<netio::AppProto>(a)));
-      }
-    }
-    return names;
-  }
-
-  PacketFeaturesOp(std::vector<std::string> fields, bool one_hot_app,
-                   size_t micro_batch)
-      : RowBufferOp(column_names(fields, one_hot_app), micro_batch),
-        fields_(std::move(fields)),
-        one_hot_app_(one_hot_app) {
-    row_.resize(dim_);
+  PacketFeaturesOp(PacketFeatureRow row, size_t micro_batch)
+      : RowBufferOp(row.names(), micro_batch), row_(std::move(row)) {
+    buf_.resize(dim_);
   }
   const char* name() const override { return "packet_features"; }
 
   void push(PacketTuple& t) override {
-    const PacketView& v = *t.view;
-    std::fill(row_.begin(), row_.end(), 0.0);
-    for (size_t c = 0; c < fields_.size(); ++c) {
-      if (fields_[c] == "iat") {
-        row_[c] = seen_any_ ? v.ts - prev_ts_ : 0.0;
-      } else {
-        double val = 0.0;
-        packet_field(v, fields_[c], &val);
-        row_[c] = val;
-      }
-    }
-    if (one_hot_app_) {
-      row_[fields_.size() + static_cast<size_t>(v.app)] = 1.0;
-    }
-    seen_any_ = true;
-    prev_ts_ = v.ts;
-    add_row(row_.data(), static_cast<int64_t>(v.index), v.ts);
+    row_.fill(*t.view, buf_.data());
+    add_row(buf_.data(), static_cast<int64_t>(t.view->index), t.view->ts);
   }
 
   void reset() override {
     RowBufferOp::reset();
-    seen_any_ = false;
-    prev_ts_ = 0.0;
+    row_.reset();
   }
 
  private:
-  static constexpr int kAppCount = 10;  // netio::AppProto cardinality
-  std::vector<std::string> fields_;
-  const bool one_hot_app_;
-  std::vector<double> row_;
-  bool seen_any_ = false;
-  double prev_ts_ = 0.0;
+  PacketFeatureRow row_;
+  std::vector<double> buf_;
 };
 
 // ---- row-phase operators -------------------------------------------------
@@ -737,12 +538,8 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
                            "must be the chain's first operation with no "
                            "input (it is the stream source)");
       }
-      for (const std::string& f : op.params.get_string_list("param")) {
-        double tmp = 0.0;
-        if (f != "iat" && !packet_field(netio::PacketView{}, f, &tmp)) {
-          return lower_error(i, op, "unknown field '" + f + "'");
-        }
-      }
+      const Result<void> fields = check_extract_fields(op);
+      if (!fields.ok()) return fields.error();
       lowered = std::make_unique<SourceOp>();
     } else if (op.func == "filter") {
       lowered =
@@ -751,12 +548,10 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       std::vector<std::string> keys = op.params.get_string_list("flowid");
       if (keys.empty()) keys = op.params.get_string_list("key");
       if (keys.empty()) return lower_error(i, op, "missing 'flowid' param");
-      auto printable = make_group_key(keys.front());
-      if (!printable.ok()) return printable.error();
-      auto packed = make_packed_group_key(keys.front());
-      if (!packed.ok()) return packed.error();
-      auto gb = std::make_unique<GroupByOp>(std::move(packed).value(),
-                                            std::move(printable).value());
+      const Result<const GroupKey*> key =
+          find_group_key(keys.front(), "groupby");
+      if (!key.ok()) return key.error();
+      auto gb = std::make_unique<GroupByOp>(*key.value());
       groupby = gb.get();
       lowered = std::move(gb);
     } else if (op.func == "time_slice") {
@@ -777,31 +572,19 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       windowed = true;
       lowered = std::make_unique<TimeSliceOp>(window.value(), &pipe->counts_);
     } else if (op.func == "apply_aggregates") {
-      std::vector<AggSpec> aggs = parse_agg_list(op.params);
-      for (const AggSpec& a : aggs) {
-        static const std::set<std::string> kFuncs = {
-            "mean",     "std",      "min",     "max",   "sum",
-            "count",    "rate",     "bytes_rate", "distinct", "entropy",
-            "first",    "last",     "range",   "duration", "change_rate"};
-        if (a.func == "median") {
-          return lower_error(i, op,
-                             "aggregate func 'median' is batch-only (it "
-                             "needs the whole window resident); use "
-                             "mean/std/min/max/... in streaming specs");
-        }
-        if (kFuncs.count(a.func) == 0) {
-          return lower_error(i, op, "unknown func '" + a.func + "'");
-        }
-        if (!a.field.empty() && a.field != "iat") {
-          double tmp = 0.0;
-          if (!packet_field(netio::PacketView{}, a.field, &tmp)) {
-            return lower_error(i, op, "unknown field '" + a.field + "'");
-          }
-        }
+      const std::vector<AggSpec> aggs = parse_agg_list(op.params);
+      if (std::any_of(aggs.begin(), aggs.end(),
+                      [](const AggSpec& a) { return a.func == "median"; })) {
+        return lower_error(i, op,
+                           "aggregate func 'median' is batch-only (it needs "
+                           "the whole window resident); use "
+                           "mean/std/min/max/... in streaming specs");
       }
+      Result<AggPlan> plan = AggPlan::build(aggs, op.func);
+      if (!plan.ok()) return plan.error();
       have_rows = true;
-      lowered = std::make_unique<AggregateOp>(std::move(aggs), groupby,
-                                              windowed, &pipe->counts_);
+      lowered = std::make_unique<AggregateOp>(std::move(plan).value(),
+                                              groupby, windowed);
     } else if (op.func == "normalize") {
       const std::string kind = op.params.get_string("kind", "minmax");
       if (op.params.get_string("mode", "epoch") != "epoch") {
@@ -836,11 +619,10 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
         lowered = std::make_unique<DampedStatsOp>(
             op.params.get_number_list("lambdas"), opts.micro_batch);
       } else {
-        std::vector<std::string> fields = op.params.get_string_list("param");
-        if (fields.empty()) fields = {"len", "iat", "proto", "sport", "dport"};
-        lowered = std::make_unique<PacketFeaturesOp>(
-            std::move(fields), op.params.get_bool("one_hot_app", false),
-            opts.micro_batch);
+        Result<PacketFeatureRow> row = PacketFeatureRow::build(op);
+        if (!row.ok()) return row.error();
+        lowered = std::make_unique<PacketFeaturesOp>(std::move(row).value(),
+                                                     opts.micro_batch);
       }
       have_rows = true;
     } else {

@@ -1,14 +1,9 @@
 // Streaming operator engine: run compiled pipeline specs continuously on
-// the live path (the paper's "one description, two execution modes").
-//
-// The batch Engine materializes every intermediate value in one pass per
-// operation; until now the ingestion runtime could only drive the hand-built
-// KitsuneScorer, so the ~30 template ops never ran live. This module closes
-// that split with push-based incremental operators in the style of the
-// stream-processing DSLs: a chain of StreamOps receives one packet at a time
-// (push), accumulates per-group / per-window state in FlatMap tables, and
-// emits a per-epoch feature batch downstream whenever the capture clock
-// crosses a tumbling-window boundary (flush_epoch).
+// the live path (the paper's "one description, two execution modes"). A
+// chain of push-based StreamOps receives one packet at a time (push),
+// accumulates per-group / per-window state in FlatMap tables, and emits a
+// per-epoch feature batch downstream whenever the capture clock crosses a
+// tumbling-window boundary (flush_epoch).
 //
 //   auto chain = compile_streaming(spec, opts);       // the SAME spec the
 //   chain.value()->set_callback([&](EpochBatch&& e) { // batch Engine runs
@@ -17,8 +12,10 @@
 //   for each live packet v: chain.value()->push(v);
 //   chain.value()->finish();                          // flush open windows
 //
-// The batch engine stays the oracle: for the supported op subset (and
-// time_slice with align="global"), the rows a chain emits for epoch k are
+// The packet-phase operators reuse the batch ops' definitions (ops_common.h:
+// aggregate plan and accumulator, group directory, window clock, filter
+// predicate, packet_features row), so for the supported op subset (and
+// time_slice with align="global") the rows a chain emits for epoch k are
 // bit-identical to what the batch Engine computes for window k of the same
 // trace — see tests/stream_engine_test.cpp. Batch-only ops are rejected at
 // compile time with a diagnostic saying why and what to do instead.

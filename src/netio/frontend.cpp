@@ -55,6 +55,28 @@ double get_f64(const uint8_t* p) {
   return v;
 }
 
+/// The header checks of one record, for the TCP and the datagram decoder:
+/// a known kind, a frame within `max_frame`, and a frame timestamp that is
+/// finite and in [0, 2^32) s, pcap's range (else it overflows the window
+/// index or reads as a damped statistic's unset clock).
+bool record_ok(const uint8_t* h, uint32_t max_frame) {
+  const double ts = get_f64(h + 8);
+  return h[0] <= WireFormat::kFin && get_u32(h + 20) <= max_frame &&
+         (h[0] == WireFormat::kFin || (ts >= 0.0 && ts < 4294967296.0));
+}
+
+/// The packet a frame record that passed record_ok carries.
+SourcePacket decode_frame(const uint8_t* h, uint32_t tenant) {
+  SourcePacket sp;
+  sp.capture_index = get_u32(h + 4);
+  sp.tenant = tenant;
+  sp.pkt.ts = get_f64(h + 8);
+  sp.pkt.orig_len = get_u32(h + 16);
+  const uint8_t* frame = h + WireFormat::kRecordBytes;
+  sp.pkt.data.assign(frame, frame + get_u32(h + 20));
+  return sp;
+}
+
 Error sys_error(const char* where, const char* what) {
   return Error::make(where, std::string(what) + ": " + std::strerror(errno));
 }
@@ -324,12 +346,10 @@ size_t GatewayFrontend::decode_records(uint64_t conn, ConnState& st,
   size_t off = 0;
   while (n - off >= WireFormat::kRecordBytes) {
     const uint8_t* h = data + off;
-    const uint8_t kind = h[0];
-    if (kind > WireFormat::kFin) return EventLoop::kAbort;
+    if (!record_ok(h, opts_.max_frame_bytes)) return EventLoop::kAbort;
     const uint32_t incl_len = get_u32(h + 20);
-    if (incl_len > opts_.max_frame_bytes) return EventLoop::kAbort;
     if (n - off < WireFormat::kRecordBytes + incl_len) break;
-    if (kind == WireFormat::kFin) {
+    if (h[0] == WireFormat::kFin) {
       if (!st.report.fin) {
         st.report.fin = true;
         ++streams_finished_;
@@ -338,13 +358,7 @@ size_t GatewayFrontend::decode_records(uint64_t conn, ConnState& st,
       off += WireFormat::kRecordBytes;
       continue;
     }
-    SourcePacket sp;
-    sp.capture_index = get_u32(h + 4);
-    sp.tenant = st.tenant;
-    sp.pkt.ts = get_f64(h + 8);
-    sp.pkt.orig_len = get_u32(h + 16);
-    const uint8_t* frame = h + WireFormat::kRecordBytes;
-    sp.pkt.data.assign(frame, frame + incl_len);
+    SourcePacket sp = decode_frame(h, st.tenant);
     off += WireFormat::kRecordBytes + incl_len;
     ++st.report.frames;
     st.report.bytes += incl_len;
@@ -406,26 +420,19 @@ void GatewayFrontend::on_datagram(uint64_t sock, const uint8_t* data,
   }
   const uint32_t tenant = get_u32(data + 4);
   const uint8_t* h = data + WireFormat::kHelloBytes;
-  const uint8_t kind = h[0];
   const uint32_t incl_len = get_u32(h + 20);
-  if (kind > WireFormat::kFin || incl_len > opts_.max_frame_bytes ||
+  if (!record_ok(h, opts_.max_frame_bytes) ||
       n < WireFormat::kHelloBytes + WireFormat::kRecordBytes + incl_len) {
     protocol_errors_->add(1);
     return;
   }
-  if (kind == WireFormat::kFin) {
+  if (h[0] == WireFormat::kFin) {
     ++udp_fins_;
     ++streams_finished_;
     fins_->add(1);
     return;
   }
-  SourcePacket sp;
-  sp.capture_index = get_u32(h + 4);
-  sp.tenant = tenant;
-  sp.pkt.ts = get_f64(h + 8);
-  sp.pkt.orig_len = get_u32(h + 16);
-  const uint8_t* frame = h + WireFormat::kRecordBytes;
-  sp.pkt.data.assign(frame, frame + incl_len);
+  SourcePacket sp = decode_frame(h, tenant);
   ++udp_state_.report.frames;
   udp_state_.report.bytes += incl_len;
   frames_->add(1);

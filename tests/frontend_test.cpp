@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -355,6 +356,81 @@ TEST(FrontendProtocol, MalformedStreamsRejectedGoodStreamSurvives) {
       ++protocol_closes;
   }
   EXPECT_EQ(3u, protocol_closes);
+}
+
+// A frame record whose timestamp is not finite and in [0, 2^32) s is a
+// protocol error at decode, like a bad record kind: the TCP stream that
+// carries it aborts, a datagram that carries it is counted and dropped, and
+// a good stream afterwards still ingests every frame.
+TEST(FrontendProtocol, BadRecordTimestampsRejected) {
+  const Trace trace = make_trace(3);
+  const double bad_ts[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0,
+                           1e300};
+  const auto hello_and_record = [&](double ts) {
+    std::vector<uint8_t> buf;
+    netio::append_hello(buf, 0, trace.link);
+    netio::RawPacket pkt = trace.raw[0];
+    pkt.ts = ts;
+    netio::append_record(buf, pkt, 0);
+    return buf;
+  };
+  for (const bool udp : {false, true}) {
+    SCOPED_TRACE(udp ? "udp" : "tcp");
+    FrontendOptions fo;
+    fo.link = trace.link;
+    fo.tcp = !udp;
+    fo.udp = udp;
+    fo.min_streams = 1;  // the one good stream
+    telemetry::Registry reg;
+    fo.registry = &reg;
+    GatewayFrontend fe(fo);
+    ASSERT_TRUE(fe.bind().ok());
+
+    std::thread client([&] {
+      for (const double ts : bad_ts) {
+        const std::vector<uint8_t> buf = hello_and_record(ts);
+        if (udp) {
+          const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+          ASSERT_GE(fd, 0);
+          sockaddr_in sa{};
+          sa.sin_family = AF_INET;
+          sa.sin_port = htons(fe.udp_port());
+          ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+          EXPECT_EQ(::sendto(fd, buf.data(), buf.size(), 0,
+                             reinterpret_cast<sockaddr*>(&sa), sizeof(sa)),
+                    static_cast<ssize_t>(buf.size()));
+          ::close(fd);
+        } else {
+          const int fd = connect_loopback(fe.tcp_port());
+          ASSERT_GE(fd, 0);
+          send_raw(fd, buf);
+          ::close(fd);
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      auto sent = udp ? netio::send_trace_udp("127.0.0.1", fe.udp_port(),
+                                              trace, 0)
+                      : netio::send_trace_tcp("127.0.0.1", fe.tcp_port(),
+                                              trace, 0);
+      EXPECT_TRUE(sent.ok());
+    });
+
+    IngestRuntime::Options o;
+    o.registry = nullptr;
+    Recorder sink;
+    IngestRuntime rt(o, stateless_factory(1e9), &sink);
+    auto st = rt.run(fe);
+    client.join();
+    ASSERT_TRUE(st.ok());
+
+    ASSERT_EQ(trace.raw.size(), sink.recs.size());
+    sort_by_index(sink.recs);  // loopback UDP order is not contractual
+    for (size_t i = 0; i < sink.recs.size(); ++i) {
+      EXPECT_EQ(sink.recs[i].index, trace.view[i].index);
+    }
+    EXPECT_EQ(4u, reg.snapshot().counter_value("frontend.protocol_errors"));
+  }
 }
 
 // ---------------------------------------------------------------------------

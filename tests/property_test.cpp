@@ -31,7 +31,7 @@ const trace::Dataset& random_traffic() {
   return ds;
 }
 
-/// Naive reference for compute_agg, written independently.
+/// Naive reference for the aggregate accumulator, written independently.
 double naive_agg(const trace::Dataset& ds, const std::vector<uint32_t>& idx,
                  const std::string& field, const std::string& func) {
   std::vector<double> xs;
@@ -134,8 +134,11 @@ TEST_P(AggProperty, MatchesNaiveReference) {
     for (size_t i = 0; i < n; ++i) {
       idx.push_back(static_cast<uint32_t>(start + i));
     }
-    const double got =
-        core::compute_agg(ds, idx, core::AggSpec{field, func});
+    auto plan = core::AggPlan::build({core::AggSpec{field, func}}, "test");
+    ASSERT_TRUE(plan.ok()) << plan.error().message;
+    core::AggAccumulator acc(plan.value());
+    for (const uint32_t p : idx) acc.feed(ds.trace.view[p]);
+    const double got = acc.finalize(0);
     const double want = naive_agg(ds, idx, field, func);
     ASSERT_NEAR(got, want, 1e-9 * std::max(1.0, std::fabs(want)))
         << field << "/" << func << " trial " << trial;
