@@ -1,11 +1,10 @@
-// Extractor hot-path benchmark: packed-key KitsuneExtractor vs the retired
-// string-keyed reference implementation on the same capture, plus a
-// capped-eviction run showing the bounded-memory mode. A spoofed-source SYN
-// flood, where nearly every frame opens new contexts, times the context
-// tables' growth path (uncapped, and capped across many storage chunks).
-// Ungated; the last stdout line is the result record (gate_record.h) with
-// per-implementation throughput and tracked context counts, one of which
-// is kept in bench/baseline.jsonl.
+// Extractor hot-path benchmark: the KitsuneExtractor on a P1 capture,
+// uncapped and with a context cap showing the bounded-memory mode. A
+// spoofed-source SYN flood, where nearly every frame opens new contexts,
+// times the context tables' growth path (uncapped, and capped across many
+// storage chunks). Ungated; the last stdout line is the result record
+// (gate_record.h) with per-configuration throughput and tracked context
+// counts, one of which is kept in bench/baseline.jsonl.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -13,7 +12,6 @@
 
 #include "common/parallel.h"
 #include "core/kitsune_extractor.h"
-#include "core/kitsune_extractor_ref.h"
 #include "gate_record.h"
 #include "trace/attacks.h"
 #include "trace/registry.h"
@@ -30,13 +28,13 @@ struct RunResult {
   size_t tracked = 0;
 };
 
-template <typename Extractor, typename Make>
-RunResult time_extractor(const lumen::netio::Trace& trace, Make make) {
+RunResult time_extractor(const lumen::netio::Trace& trace,
+                         size_t max_contexts = 0) {
   RunResult r;
   r.seconds = 1e30;
   std::vector<double> row;
   for (int rep = 0; rep < kReps; ++rep) {
-    Extractor ex = make();
+    lumen::core::KitsuneExtractor ex({}, max_contexts);
     const Clock::time_point t0 = Clock::now();
     for (const auto& view : trace.view) ex.process(view, row);
     const double secs =
@@ -53,7 +51,7 @@ RunResult time_extractor(const lumen::netio::Trace& trace, Make make) {
 }
 
 void print_header() {
-  std::printf("%-22s %-10s %-12s %s\n", "implementation", "seconds",
+  std::printf("%-22s %-10s %-12s %s\n", "configuration", "seconds",
               "pkts/sec", "tracked_contexts");
 }
 
@@ -85,28 +83,17 @@ int main() {
   std::printf("threads: %zu (pool), %zu (hardware)\n\n",
               ThreadPool::global().size(), ThreadPool::hardware_threads());
 
-  const RunResult ref = time_extractor<core::ReferenceKitsuneExtractor>(
-      ds.trace, [] { return core::ReferenceKitsuneExtractor(); });
-  const RunResult packed = time_extractor<core::KitsuneExtractor>(
-      ds.trace, [] { return core::KitsuneExtractor(); });
+  const RunResult packed = time_extractor(ds.trace);
   constexpr size_t kCap = 256;
-  const RunResult capped = time_extractor<core::KitsuneExtractor>(
-      ds.trace, [] { return core::KitsuneExtractor({}, kCap); });
-
-  const double speedup =
-      ref.pkts_per_sec > 0.0 ? packed.pkts_per_sec / ref.pkts_per_sec : 0.0;
+  const RunResult capped = time_extractor(ds.trace, kCap);
   print_header();
-  print_row("string-keyed (ref)", ref);
   print_row("packed-key", packed);
   print_row("packed-key (cap 256)", capped);
-  std::printf("\nspeedup (packed vs ref): %.2fx\n", speedup);
 
   const trace::Dataset flood = spoofed_flood();
   constexpr size_t kFloodCap = 5000;
-  const RunResult flood_packed = time_extractor<core::KitsuneExtractor>(
-      flood.trace, [] { return core::KitsuneExtractor(); });
-  const RunResult flood_capped = time_extractor<core::KitsuneExtractor>(
-      flood.trace, [] { return core::KitsuneExtractor({}, kFloodCap); });
+  const RunResult flood_packed = time_extractor(flood.trace);
+  const RunResult flood_capped = time_extractor(flood.trace, kFloodCap);
   std::printf("\ncapture: spoofed SYN flood, %zu packets\n",
               flood.trace.view.size());
   print_header();
@@ -114,13 +101,14 @@ int main() {
   print_row("packed-key (cap 5000)", flood_capped);
 
   e2e::Outcome o;
-  o.attempted = 5 * kReps;
-  o.check(packed.tracked == ref.tracked,
-          "tracked_contexts differ between packed and string-keyed");
-  o.add("extractor.ref_pps", ref.pkts_per_sec, "1/s");
+  o.attempted = 4 * kReps;
+  // tracked_contexts() counts 5 statistics per lambda per context.
+  const size_t per_context = 5 * core::KitsuneExtractor().lambdas().size();
+  o.check(capped.tracked <= per_context * kCap &&
+              flood_capped.tracked <= per_context * kFloodCap,
+          "a capped run tracks more contexts than its cap");
   o.add("extractor.packed_pps", packed.pkts_per_sec, "1/s");
   o.add("extractor.capped_pps", capped.pkts_per_sec, "1/s");
-  o.add("extractor.speedup", speedup, "ratio");
   o.add("extractor.flood_pps", flood_packed.pkts_per_sec, "1/s");
   o.add("extractor.flood_capped_pps", flood_capped.pkts_per_sec, "1/s");
   o.note("extractor.packets", static_cast<double>(ds.trace.view.size()),
