@@ -3,6 +3,7 @@
 # tests with AddressSanitizer and run them (the malformed-packet corpus and
 # the fault-injecting source are designed to catch out-of-bounds parser
 # reads here), plus the extractor's chunked context tables and eviction,
+# the online detector training and scoring over that state (stream_test),
 # the model width contract (ops_test drives predict on tables narrower
 # and wider than the training table, and on untrained models), and the
 # other byte-input decoders: the parser and JSON fuzzers (property_test),
@@ -21,7 +22,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test flat_map_test property_test json_test persist_test engine_test benchmark_test synthesis_test ml_train_oracle_test
+cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test stream_test flat_map_test property_test json_test persist_test engine_test benchmark_test synthesis_test ml_train_oracle_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 
@@ -38,6 +39,7 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 "$BUILD/tests/ops_test"
 "$BUILD/tests/telemetry_test"
 "$BUILD/tests/extractor_golden_test"
+"$BUILD/tests/stream_test"
 "$BUILD/tests/flat_map_test"
 "$BUILD/tests/property_test"
 "$BUILD/tests/json_test"
@@ -47,4 +49,4 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 "$BUILD/tests/synthesis_test"
 "$BUILD/tests/ml_train_oracle_test"
 
-echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + flat_map_test + property_test + json_test + persist_test + engine_test + benchmark_test + synthesis_test + ml_train_oracle_test clean"
+echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + stream_test + flat_map_test + property_test + json_test + persist_test + engine_test + benchmark_test + synthesis_test + ml_train_oracle_test clean"
