@@ -43,7 +43,7 @@ namespace {
 using netio::IpProto;
 using V = const netio::PacketView&;
 
-/// The packet-field table: every name packet_field, find_packet_field and
+/// The packet-field table: every name find_packet_field and
 /// known_packet_fields know, with the template spelling as an alias.
 struct PacketFieldDef {
   const char* name;
@@ -137,13 +137,6 @@ PacketFieldFn find_packet_field(std::string_view field) {
     }
   }
   return nullptr;
-}
-
-bool packet_field(const netio::PacketView& v, const std::string& field,
-                  double* out) {
-  const PacketFieldFn get = find_packet_field(field);
-  if (get != nullptr) *out = get(v);
-  return get != nullptr;
 }
 
 const std::vector<std::string>& known_packet_fields() {

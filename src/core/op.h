@@ -82,10 +82,6 @@ using PacketFieldFn = double (*)(const netio::PacketView&);
 /// is not a packet field.
 PacketFieldFn find_packet_field(std::string_view field);
 
-/// Numeric packet field accessor by name; false when the name is unknown.
-bool packet_field(const netio::PacketView& v, const std::string& field,
-                  double* out);
-
 /// The canonical names of the packet fields, in table order.
 const std::vector<std::string>& known_packet_fields();
 
