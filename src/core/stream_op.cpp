@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <variant>
 
 #include "common/flat_map.h"
 #include "core/engine.h"
@@ -15,208 +17,149 @@ namespace stream_detail {
 
 using features::FeatureTable;
 
-// ---- packet-phase operators ----------------------------------------------
+/// The clock of time_slice (align="global"): tumbling windows of `width` s
+/// from one time origin shared by all groups, the first packet's timestamp,
+/// which is what the batch op's global alignment uses.
+struct WindowClock {
+  double width = 0.0;  // 0: the chain has no time_slice
+  bool started = false;
+  double t0 = 0.0;
+  uint64_t window = 0;  // the open window
 
-/// "field_extract": the chain's source marker. Field validation happened at
-/// compile time; at runtime it only forwards (kept as a chain node so the
-/// lowered op list mirrors the spec and benches can measure prefixes).
-class SourceOp final : public StreamOp {
- public:
-  const char* name() const override { return "field_extract"; }
+  double start() const {
+    return window_start(static_cast<int64_t>(window), t0, width);
+  }
 };
 
-/// "filter": drop packets failing the batch op's PacketFilter.
-class FilterOp final : public StreamOp {
+/// The row producer of a chain: the one stage that turns packets into rows.
+class Producer {
  public:
-  explicit FilterOp(const std::vector<std::string>& require)
-      : keep_(require) {}
-  const char* name() const override { return "filter"; }
-
-  void push(PacketTuple& t) override {
-    if (keep_(*t.view)) forward(t);
-  }
-
- private:
-  const PacketFilter keep_;
+  virtual ~Producer() = default;
+  /// Feed one packet of group `group` (0 without a groupby); true when the
+  /// rows now fill a micro-batch.
+  virtual bool push(const netio::PacketView& v, uint32_t group) = 0;
+  virtual bool empty() const = 0;
+  /// Move the rows produced since the last take() into `b`.
+  virtual void take(EpochBatch& b) = 0;
+  /// Release what take() left behind (outside the producer's span).
+  virtual void clear() {}
+  /// Forget the stream: row numbers and per-packet state too.
+  virtual void reset() = 0;
 };
 
-/// "groupby": dense group ids from the batch op's GroupDirectory: the same
-/// first-occurrence order over the same slice, the same printable keys.
-class GroupByOp final : public StreamOp {
+/// "apply_aggregates": one AggAccumulator per group of the open window, fed
+/// as the batch op feeds it; take() finalizes one row per group in
+/// first-arrival order. clear() drops the accumulators after every flush,
+/// so memory is bounded by the groups active within one window, not by
+/// stream length.
+class Aggregator final : public Producer {
  public:
-  explicit GroupByOp(const GroupKey& key) : dir_(key) {}
-  const char* name() const override { return "groupby"; }
-
-  void push(PacketTuple& t) override {
-    t.group = dir_.id_of(*t.view);
-    forward(t);
-  }
-
-  void reset() override { dir_.clear(); }
-
-  /// Printable key of a group id (valid for ids issued this stream).
-  const std::string& key_of(uint32_t gid) const { return dir_.key_of(gid); }
-
- private:
-  GroupDirectory dir_;
-};
-
-/// "time_slice" (align="global"): tumbling windows on the capture clock,
-/// with one time origin shared by all groups — the first pushed packet's
-/// timestamp, which is what the batch op's global alignment uses. When a
-/// packet crosses into a later window, every downstream accumulator is
-/// flushed for the completed epoch before the packet is forwarded. Packets
-/// whose timestamp falls behind the current window (possible under capture
-/// reordering) are clamped into it and counted as late — the streaming
-/// path assumes in-order capture time; the batch engine would place them
-/// in their true earlier window.
-class TimeSliceOp final : public StreamOp {
- public:
-  TimeSliceOp(double window, StreamPipeline::Counters* counts)
-      : window_(window), counts_(counts) {}
-  const char* name() const override { return "time_slice"; }
-
-  void push(PacketTuple& t) override {
-    const double ts = t.view->ts;
-    if (!started_) {
-      started_ = true;
-      t0_ = ts;
-      cur_w_ = 0;
-    }
-    int64_t w = window_index(ts, t0_, window_);
-    if (w > static_cast<int64_t>(cur_w_)) {
-      forward_flush(cur_w_);
-      cur_w_ = static_cast<uint64_t>(w);
-    } else if (w < static_cast<int64_t>(cur_w_)) {
-      ++counts_->late;
-      w = static_cast<int64_t>(cur_w_);
-    }
-    t.window = static_cast<uint64_t>(w);
-    t.window_start = window_start(w, t0_, window_);
-    forward(t);
-  }
-
-  void reset() override {
-    started_ = false;
-    t0_ = 0.0;
-    cur_w_ = 0;
-  }
-
- private:
-  const double window_;
-  StreamPipeline::Counters* counts_;
-  bool started_ = false;
-  double t0_ = 0.0;
-  uint64_t cur_w_ = 0;
-};
-
-// ---- aggregation ---------------------------------------------------------
-
-/// "apply_aggregates": one AggAccumulator per (group, window) unit, fed as
-/// the batch op feeds it and flushed into one FeatureTable per epoch. State
-/// is cleared after every flush, so memory is bounded by the groups active
-/// within one window, not by stream length.
-class AggregateOp final : public StreamOp {
- public:
-  AggregateOp(AggPlan plan, const GroupByOp* groups, bool windowed)
-      : plan_(std::move(plan)),
-        groups_(groups),
-        windowed_(windowed) {
+  Aggregator(AggPlan plan, const GroupDirectory* groups,
+             const WindowClock* clock)
+      : plan_(std::move(plan)), groups_(groups), clock_(clock) {
     index_.reserve(64);
   }
-  const char* name() const override { return "apply_aggregates"; }
 
-  void push(PacketTuple& t) override {
-    if (!open_) {
-      open_ = true;
-      epoch_ = t.window;
-      window_start_ = t.window_start;
-    }
-    auto [slot, fresh] = index_.try_emplace(t.group, 0);
+  bool push(const netio::PacketView& v, uint32_t group) override {
+    auto [slot, fresh] = index_.try_emplace(group, 0);
     if (fresh) {
       *slot = static_cast<uint32_t>(accs_.size());
-      order_.push_back(t.group);
+      order_.push_back(group);
       accs_.emplace_back(plan_);
     }
-    accs_[*slot].feed(*t.view);
-    forward(t);
+    accs_[*slot].feed(v);
+    return false;
   }
 
-  void flush_epoch(uint64_t epoch) override {
-    if (open_) {
-      telemetry::Span span(reg_, span_name_);
-      EpochBatch b;
-      b.epoch = epoch_;
-      b.window_start = window_start_;
-      b.table = FeatureTable::make(order_.size(), plan_.names);
-      b.keys.reserve(order_.size());
-      for (size_t r = 0; r < order_.size(); ++r) {
-        AggAccumulator& acc = accs_[r];  // accs_ follows order_
-        std::string key =
-            groups_ != nullptr ? groups_->key_of(order_[r]) : "all";
-        if (windowed_) {
-          key += "#w" + std::to_string(static_cast<int64_t>(epoch_));
-        }
-        b.keys.push_back(std::move(key));
-        for (size_t c = 0; c < b.table.cols; ++c) {
-          b.table.at(r, c) = acc.finalize(c);
-        }
-        b.table.unit_id[r] = static_cast<int64_t>(row_seq_++);
-        b.table.unit_time[r] = acc.first_ts();
+  bool empty() const override { return accs_.empty(); }
+
+  void take(EpochBatch& b) override {
+    b.epoch = clock_ != nullptr ? clock_->window : 0;
+    b.window_start = clock_ != nullptr ? clock_->start() : 0.0;
+    b.table = FeatureTable::make(order_.size(), plan_.names);
+    b.keys.reserve(order_.size());
+    for (size_t r = 0; r < order_.size(); ++r) {
+      AggAccumulator& acc = accs_[r];  // accs_ follows order_
+      std::string key =
+          groups_ != nullptr ? groups_->key_of(order_[r]) : "all";
+      if (clock_ != nullptr) {
+        key += "#w" + std::to_string(static_cast<int64_t>(b.epoch));
       }
-      span.set_value(b.table.rows);
-      span.stop();
-      clear_epoch();
-      forward_rows(std::move(b));
+      b.keys.push_back(std::move(key));
+      for (size_t c = 0; c < b.table.cols; ++c) {
+        b.table.at(r, c) = acc.finalize(c);
+      }
+      b.table.unit_id[r] = static_cast<int64_t>(row_seq_++);
+      b.table.unit_time[r] = acc.first_ts();
     }
-    forward_flush(epoch);
   }
 
-  void reset() override {
-    clear_epoch();
-    row_seq_ = 0;
-  }
-
- private:
-  void clear_epoch() {
+  void clear() override {
     index_.clear();
     index_.reserve(64);
     order_.clear();
     accs_.clear();
-    open_ = false;
   }
 
+  void reset() override {
+    clear();
+    row_seq_ = 0;
+  }
+
+ private:
   const AggPlan plan_;
-  const GroupByOp* groups_;  // nullptr when the chain has no groupby
-  const bool windowed_;
+  const GroupDirectory* groups_;  // nullptr when the chain has no groupby
+  const WindowClock* clock_;      // nullptr when it has no time_slice
 
   FlatMap<uint32_t, uint32_t> index_;  // gid -> position in accs_
   std::vector<uint32_t> order_;        // first-arrival order within the epoch
   std::vector<AggAccumulator> accs_;
-  bool open_ = false;
-  uint64_t epoch_ = 0;
-  double window_start_ = 0.0;
   uint64_t row_seq_ = 0;
 };
 
-// ---- per-packet feature producers ----------------------------------------
-
-/// Shared frame for damped_stats / packet_features: rows buffer up to the
-/// micro-batch size, then flow downstream as one EpochBatch (epoch = batch
-/// sequence number). The buffered block is what Plan::score_rows consumes
-/// in one call — the same micro-batch staging the ingest runtime's
-/// score_batch loop uses.
-class RowBufferOp : public StreamOp {
+/// "damped_stats" (the Kitsune extractor) / "packet_features" (the batch
+/// op's PacketFeatureRow): one row per packet, buffered up to the
+/// micro-batch size and taken as one EpochBatch (epoch = batch sequence
+/// number, unit_id = capture index). The block is what Plan::score_rows
+/// consumes in one call — the micro-batch staging of the ingest runtime's
+/// score_batch loop. Extraction starts from fresh statistics, as the batch
+/// op does on its input slice; "iat" is the gap from the previous packet.
+class RowBuffer final : public Producer {
  public:
-  RowBufferOp(std::vector<std::string> names, size_t micro_batch)
-      : names_(std::move(names)),
-        micro_batch_(micro_batch == 0 ? 1 : micro_batch) {
-    dim_ = names_.size();
+  using Source = std::variant<KitsuneExtractor, PacketFeatureRow>;
+
+  RowBuffer(Source source, size_t micro_batch)
+      : source_(std::move(source)),
+        names_(std::holds_alternative<KitsuneExtractor>(source_)
+                   ? std::get<KitsuneExtractor>(source_).feature_names()
+                   : std::get<PacketFeatureRow>(source_).names()),
+        micro_batch_(micro_batch == 0 ? 1 : micro_batch),
+        row_(names_.size()) {}
+
+  bool push(const netio::PacketView& v, uint32_t) override {
+    if (auto* ex = std::get_if<KitsuneExtractor>(&source_)) {
+      ex->process(v, row_);
+    } else {
+      std::get<PacketFeatureRow>(source_).fill(v, row_.data());
+    }
+    data_.insert(data_.end(), row_.begin(), row_.end());
+    unit_id_.push_back(static_cast<int64_t>(v.index));
+    unit_time_.push_back(v.ts);
+    return unit_id_.size() >= micro_batch_;
   }
 
-  void flush_epoch(uint64_t epoch) override {
-    emit();
-    forward_flush(epoch);
+  bool empty() const override { return unit_id_.empty(); }
+
+  void take(EpochBatch& b) override {
+    b.epoch = seq_++;
+    b.window_start = unit_time_.front();
+    b.table = FeatureTable::make(unit_id_.size(), names_);
+    b.table.data = std::move(data_);
+    b.table.unit_id = std::move(unit_id_);
+    b.table.unit_time = std::move(unit_time_);
+    data_ = {};
+    unit_id_ = {};
+    unit_time_ = {};
   }
 
   void reset() override {
@@ -224,235 +167,150 @@ class RowBufferOp : public StreamOp {
     unit_id_.clear();
     unit_time_.clear();
     seq_ = 0;
+    std::visit([](auto& s) { s.reset(); }, source_);
   }
 
- protected:
-  void add_row(const double* row, int64_t unit_id, double ts) {
-    data_.insert(data_.end(), row, row + dim_);
-    unit_id_.push_back(unit_id);
-    unit_time_.push_back(ts);
-    if (unit_id_.size() >= micro_batch_) emit();
-  }
-
-  void emit() {
-    const size_t m = unit_id_.size();
-    if (m == 0) return;
-    telemetry::Span span(reg_, span_name_);
-    EpochBatch b;
-    b.epoch = seq_++;
-    b.window_start = unit_time_.front();
-    b.table = FeatureTable::make(m, names_);
-    b.table.data = std::move(data_);
-    b.table.unit_id = std::move(unit_id_);
-    b.table.unit_time = std::move(unit_time_);
-    data_ = {};
-    unit_id_ = {};
-    unit_time_ = {};
-    span.set_value(m);
-    span.stop();
-    forward_rows(std::move(b));
-  }
-
+ private:
+  Source source_;
   std::vector<std::string> names_;
-  size_t dim_ = 0;
   const size_t micro_batch_;
+  std::vector<double> row_;
   std::vector<double> data_;
   std::vector<int64_t> unit_id_;
   std::vector<double> unit_time_;
   uint64_t seq_ = 0;
 };
 
-/// "damped_stats": the Kitsune extractor, row per packet. Starts from fresh
-/// statistics like the batch op does on its input slice; unit_id carries
-/// the capture index (the live-meaningful identifier).
-class DampedStatsOp final : public RowBufferOp {
- public:
-  DampedStatsOp(std::vector<double> lambdas, size_t micro_batch)
-      : RowBufferOp(KitsuneExtractor(lambdas).feature_names(), micro_batch),
-        extractor_(lambdas) {}
-  const char* name() const override { return "damped_stats"; }
+/// The stages lowered from one spec, each kind in spec order.
+struct Stages {
+  std::vector<PacketFilter> filters;
+  std::optional<GroupDirectory> groups;
+  WindowClock clock;
+  std::unique_ptr<Producer> producer;
+  /// "normalize": refit on each epoch's rows — identical to running the
+  /// batch op on that epoch's slice (min-max fits are order-independent).
+  std::vector<features::NormKind> norms;
+  /// "predict": the seeded batch-trained model, scoring each epoch through
+  /// ModelValue::predict (the batch op's protocol) on a copy, so the rows
+  /// stay as emitted. A row's score does not depend on which rows share
+  /// its table, so epoch-by-epoch scoring equals the batch whole-table pass.
+  std::optional<ModelValue> model;
 
-  void push(PacketTuple& t) override {
-    extractor_.process(*t.view, row_);
-    add_row(row_.data(), static_cast<int64_t>(t.view->index), t.view->ts);
-  }
-
-  void reset() override {
-    RowBufferOp::reset();
-    extractor_.reset();
-  }
-
- private:
-  KitsuneExtractor extractor_;
-  std::vector<double> row_;
-};
-
-/// "packet_features": the batch op's PacketFeatureRow, one row per packet
-/// ("iat" is the gap from the previous packet this op saw).
-class PacketFeaturesOp final : public RowBufferOp {
- public:
-  PacketFeaturesOp(PacketFeatureRow row, size_t micro_batch)
-      : RowBufferOp(row.names(), micro_batch), row_(std::move(row)) {
-    buf_.resize(dim_);
-  }
-  const char* name() const override { return "packet_features"; }
-
-  void push(PacketTuple& t) override {
-    row_.fill(*t.view, buf_.data());
-    add_row(buf_.data(), static_cast<int64_t>(t.view->index), t.view->ts);
-  }
-
-  void reset() override {
-    RowBufferOp::reset();
-    row_.reset();
-  }
-
- private:
-  PacketFeatureRow row_;
-  std::vector<double> buf_;
-};
-
-// ---- row-phase operators -------------------------------------------------
-
-/// "normalize": refit on each epoch's rows — identical to running the batch
-/// op on that epoch's slice. min-max fits are order-independent, so the
-/// result matches the batch fit over the same rows regardless of row order.
-/// The batch op's whole-table fit has no windowed streaming equivalent —
-/// the evaluation protocol's train-frozen normalization (model op with
-/// normalize=true) is the exactly-equivalent alternative.
-class NormalizeOp final : public StreamOp {
- public:
-  explicit NormalizeOp(features::NormKind kind) : kind_(kind) {}
-  const char* name() const override { return "normalize"; }
-
-  void push_rows(EpochBatch&& b) override {
-    if (b.table.rows > 0) {
-      telemetry::Span span(reg_, span_name_);
-      features::Normalizer norm(kind_);
-      norm.fit(b.table);
-      norm.apply(b.table);
-      span.set_value(b.table.rows);
-    }
-    forward_rows(std::move(b));
-  }
-
- private:
-  const features::NormKind kind_;
-};
-
-/// "predict": score each epoch's rows with the seeded batch-trained model
-/// through ModelValue::predict, the batch op's own protocol, on a copy, so
-/// the emitted aggregates stay raw. Model::score keeps row i's score
-/// independent of which rows share the table, so scoring epoch-by-epoch
-/// equals the batch engine's whole-table pass row for row.
-class ScoreOp final : public StreamOp {
- public:
-  explicit ScoreOp(ModelValue mv) : mv_(std::move(mv)) {}
-  const char* name() const override { return "predict"; }
-
-  void push_rows(EpochBatch&& b) override {
-    if (b.table.rows > 0) {
-      telemetry::Span span(reg_, span_name_);
-      Predictions p = mv_.predict(b.table);
-      b.scores = std::move(p.scores);
-      b.predictions = std::move(p.y_pred);
-      b.scored = true;
-      span.set_value(b.table.rows);
-    }
-    forward_rows(std::move(b));
-  }
-
- private:
-  ModelValue mv_;
-};
-
-/// Terminal: hand the finished epoch to the embedder and keep the chain's
-/// counters (and, when instrumented, the registry mirrors) up to date.
-class EmitOp final : public StreamOp {
- public:
-  EmitOp(StreamPipeline::Counters* counts, telemetry::Registry* reg,
-         const std::string& prefix)
-      : counts_(counts) {
-    if (reg != nullptr) {
-      packets_ctr_ = &reg->counter(prefix + "packets");
-      rows_ctr_ = &reg->counter(prefix + "rows");
-      epochs_ctr_ = &reg->counter(prefix + "epochs");
-      alerts_ctr_ = &reg->counter(prefix + "alerts");
-      late_ctr_ = &reg->counter(prefix + "late_packets");
-    }
-  }
-  const char* name() const override { return "emit"; }
-
-  void set_callback(StreamPipeline::EpochCallback cb) { cb_ = std::move(cb); }
-
-  void push_rows(EpochBatch&& b) override {
-    counts_->rows += b.table.rows;
-    counts_->epochs += 1;
-    uint64_t alerts = 0;
-    for (const int p : b.predictions) alerts += p != 0 ? 1 : 0;
-    counts_->alerts += alerts;
-    if (rows_ctr_ != nullptr) {
-      rows_ctr_->add(b.table.rows);
-      epochs_ctr_->add(1);
-      if (alerts != 0) alerts_ctr_->add(alerts);
-      packets_ctr_->add(counts_->packets - mirrored_packets_);
-      mirrored_packets_ = counts_->packets;
-      if (counts_->late != mirrored_late_) {
-        late_ctr_->add(counts_->late - mirrored_late_);
-        mirrored_late_ = counts_->late;
-      }
-    }
-    if (cb_) cb_(std::move(b));
-  }
-
-  void flush_epoch(uint64_t epoch) override {
-    if (packets_ctr_ != nullptr && epoch == kFlushAll) {
-      packets_ctr_->add(counts_->packets - mirrored_packets_);
-      mirrored_packets_ = counts_->packets;
-    }
-  }
-
-  void reset() override {
-    mirrored_packets_ = 0;
-    mirrored_late_ = 0;
-  }
-
- private:
-  StreamPipeline::Counters* counts_;
-  StreamPipeline::EpochCallback cb_;
-  telemetry::Counter* packets_ctr_ = nullptr;
-  telemetry::Counter* rows_ctr_ = nullptr;
-  telemetry::Counter* epochs_ctr_ = nullptr;
-  telemetry::Counter* alerts_ctr_ = nullptr;
-  telemetry::Counter* late_ctr_ = nullptr;
-  uint64_t mirrored_packets_ = 0;
-  uint64_t mirrored_late_ = 0;
+  /// Instruments; all null without a registry.
+  telemetry::Registry* reg = nullptr;
+  std::string producer_span, normalize_span, predict_span;
+  telemetry::Counter* packets = nullptr;
+  telemetry::Counter* rows = nullptr;
+  telemetry::Counter* epochs = nullptr;
+  telemetry::Counter* alerts = nullptr;
+  telemetry::Counter* late = nullptr;
+  StreamPipeline::Counters mirrored;  // counter values already added
 };
 
 }  // namespace stream_detail
 
-// ---- StreamPipeline ------------------------------------------------------
+namespace {
 
-void StreamPipeline::set_callback(EpochCallback cb) {
-  emit_->set_callback(std::move(cb));
+/// Add to `ctr` what `now` gained since `seen`, and catch `seen` up.
+void mirror(telemetry::Counter* ctr, uint64_t now, uint64_t& seen) {
+  ctr->add(now - seen);
+  seen = now;
 }
 
+}  // namespace
+
+// ---- StreamPipeline ------------------------------------------------------
+
+StreamPipeline::StreamPipeline()
+    : stages_(std::make_unique<stream_detail::Stages>()) {}
+
+StreamPipeline::~StreamPipeline() = default;
+
+void StreamPipeline::set_callback(EpochCallback cb) { cb_ = std::move(cb); }
+
 void StreamPipeline::push(const netio::PacketView& v) {
-  PacketTuple t;
-  t.view = &v;
+  stream_detail::Stages& s = *stages_;
   ++counts_.packets;
-  front_->push(t);
+  for (const PacketFilter& keep : s.filters) {
+    if (!keep(v)) return;
+  }
+  const uint32_t group = s.groups ? s.groups->id_of(v) : 0;
+  if (s.clock.width > 0.0) {
+    // A packet in a later window closes the open one first. One whose
+    // timestamp falls behind it (capture reordering) is clamped into it and
+    // counted as late — the streaming path assumes in-order capture time;
+    // the batch engine would place it in its true earlier window.
+    if (!s.clock.started) {
+      s.clock.started = true;
+      s.clock.t0 = v.ts;
+    }
+    const int64_t w = window_index(v.ts, s.clock.t0, s.clock.width);
+    if (w > static_cast<int64_t>(s.clock.window)) {
+      flush();
+      s.clock.window = static_cast<uint64_t>(w);
+    } else if (w < static_cast<int64_t>(s.clock.window)) {
+      ++counts_.late;
+    }
+  }
+  if (s.producer->push(v, group)) flush();
+}
+
+void StreamPipeline::flush() {
+  stream_detail::Stages& s = *stages_;
+  if (s.producer->empty()) return;
+  EpochBatch b;
+  {
+    telemetry::Span span(s.reg, s.producer_span);
+    s.producer->take(b);
+    span.set_value(b.table.rows);
+    span.stop();
+    s.producer->clear();
+  }
+  for (const features::NormKind kind : s.norms) {
+    telemetry::Span span(s.reg, s.normalize_span);
+    features::Normalizer norm(kind);
+    norm.fit(b.table);
+    norm.apply(b.table);
+    span.set_value(b.table.rows);
+  }
+  if (s.model) {
+    telemetry::Span span(s.reg, s.predict_span);
+    Predictions p = s.model->predict(b.table);
+    b.scores = std::move(p.scores);
+    b.predictions = std::move(p.y_pred);
+    b.scored = true;
+    span.set_value(b.table.rows);
+  }
+  counts_.rows += b.table.rows;
+  counts_.epochs += 1;
+  for (const int p : b.predictions) counts_.alerts += p != 0 ? 1 : 0;
+  if (s.reg != nullptr) {
+    mirror(s.packets, counts_.packets, s.mirrored.packets);
+    mirror(s.rows, counts_.rows, s.mirrored.rows);
+    mirror(s.epochs, counts_.epochs, s.mirrored.epochs);
+    mirror(s.alerts, counts_.alerts, s.mirrored.alerts);
+    mirror(s.late, counts_.late, s.mirrored.late);
+  }
+  if (cb_) cb_(std::move(b));
 }
 
 void StreamPipeline::finish() {
   if (finished_) return;
   finished_ = true;
-  front_->flush_epoch(kFlushAll);
+  flush();
+  stream_detail::Stages& s = *stages_;
+  if (s.reg != nullptr) {
+    mirror(s.packets, counts_.packets, s.mirrored.packets);
+  }
 }
 
 void StreamPipeline::reset() {
-  for (auto& op : ops_) op->reset();
-  counts_ = Counters{};
+  stream_detail::Stages& s = *stages_;
+  if (s.groups) s.groups->clear();
+  s.clock = {s.clock.width};
+  s.producer->reset();
+  s.mirrored = {};
+  counts_ = {};
   finished_ = false;
 }
 
@@ -497,9 +355,7 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
 
   auto pipe = std::make_unique<StreamPipeline>();
   using namespace stream_detail;
-  GroupByOp* groupby = nullptr;
-  bool windowed = false;
-  bool have_rows = false;  // chain switched from packets to feature rows
+  Stages& st = *pipe->stages_;
   std::string last_out;
   static const std::map<std::string, ChainPlace> kChainPlaces = {
       {"filter", {false, 0}},       {"groupby", {false, 0}},
@@ -509,7 +365,6 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
 
   for (size_t i = 0; i < spec.ops.size(); ++i) {
     const OpSpec& op = spec.ops[i];
-    std::unique_ptr<StreamOp> lowered;
 
     if (op.func == "model" || op.func == "train") {
       return lower_error(
@@ -522,8 +377,8 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
     if (const auto place = kChainPlaces.find(op.func);
         place != kChainPlaces.end()) {
       const auto [reads_rows, input] = place->second;
-      if (reads_rows != have_rows || input >= op.inputs.size() ||
-          op.inputs[input] != last_out) {
+      if (reads_rows != (st.producer != nullptr) ||
+          input >= op.inputs.size() || op.inputs[input] != last_out) {
         return lower_error(i, op,
                            "streaming lowering supports linear chains only: "
                            "each op reads the previous op's output, packet "
@@ -540,10 +395,8 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       }
       const Result<void> fields = check_extract_fields(op);
       if (!fields.ok()) return fields.error();
-      lowered = std::make_unique<SourceOp>();
     } else if (op.func == "filter") {
-      lowered =
-          std::make_unique<FilterOp>(op.params.get_string_list("require"));
+      st.filters.emplace_back(op.params.get_string_list("require"));
     } else if (op.func == "groupby") {
       std::vector<std::string> keys = op.params.get_string_list("flowid");
       if (keys.empty()) keys = op.params.get_string_list("key");
@@ -551,11 +404,9 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       const Result<const GroupKey*> key =
           find_group_key(keys.front(), "groupby");
       if (!key.ok()) return key.error();
-      auto gb = std::make_unique<GroupByOp>(*key.value());
-      groupby = gb.get();
-      lowered = std::move(gb);
+      st.groups.emplace(*key.value());
     } else if (op.func == "time_slice") {
-      if (windowed) {
+      if (st.clock.width > 0.0) {
         return lower_error(i, op, "only one time_slice stage can be lowered");
       }
       const Result<double> window = window_param(op);
@@ -569,8 +420,7 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
             "{\"align\": \"global\"} in the spec (the batch engine honors "
             "the same parameter, so both paths stay comparable)");
       }
-      windowed = true;
-      lowered = std::make_unique<TimeSliceOp>(window.value(), &pipe->counts_);
+      st.clock.width = window.value();
     } else if (op.func == "apply_aggregates") {
       const std::vector<AggSpec> aggs = parse_agg_list(op.params);
       if (std::any_of(aggs.begin(), aggs.end(),
@@ -582,9 +432,10 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       }
       Result<AggPlan> plan = AggPlan::build(aggs, op.func);
       if (!plan.ok()) return plan.error();
-      have_rows = true;
-      lowered = std::make_unique<AggregateOp>(std::move(plan).value(),
-                                              groupby, windowed);
+      st.producer = std::make_unique<Aggregator>(
+          std::move(plan).value(), st.groups ? &*st.groups : nullptr,
+          st.clock.width > 0.0 ? &st.clock : nullptr);
+      st.producer_span = opts.instrument_prefix + "op." + op.func;
     } else if (op.func == "normalize") {
       const std::string kind = op.params.get_string("kind", "minmax");
       if (op.params.get_string("mode", "epoch") != "epoch") {
@@ -594,9 +445,8 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
                            "frozen at training time, set the model op's "
                            "\"normalize\": true instead");
       }
-      lowered = std::make_unique<NormalizeOp>(
-          kind == "zscore" ? features::NormKind::kZScore
-                           : features::NormKind::kMinMax);
+      st.norms.push_back(kind == "zscore" ? features::NormKind::kZScore
+                                          : features::NormKind::kMinMax);
     } else if (op.func == "predict") {
       const std::string& mname = op.inputs.empty() ? "" : op.inputs[0];
       auto it = opts.bindings.find(mname);
@@ -613,18 +463,18 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
                            "binding '" + mname +
                                "' is not a constructed ModelValue");
       }
-      lowered = std::make_unique<ScoreOp>(*mv);
-    } else if (op.func == "damped_stats" || op.func == "packet_features") {
-      if (op.func == "damped_stats") {
-        lowered = std::make_unique<DampedStatsOp>(
-            op.params.get_number_list("lambdas"), opts.micro_batch);
-      } else {
-        Result<PacketFeatureRow> row = PacketFeatureRow::build(op);
-        if (!row.ok()) return row.error();
-        lowered = std::make_unique<PacketFeaturesOp>(std::move(row).value(),
-                                                     opts.micro_batch);
-      }
-      have_rows = true;
+      st.model = *mv;
+    } else if (op.func == "damped_stats") {
+      st.producer = std::make_unique<RowBuffer>(
+          KitsuneExtractor(op.params.get_number_list("lambdas")),
+          opts.micro_batch);
+      st.producer_span = opts.instrument_prefix + "op." + op.func;
+    } else if (op.func == "packet_features") {
+      Result<PacketFeatureRow> row = PacketFeatureRow::build(op);
+      if (!row.ok()) return row.error();
+      st.producer = std::make_unique<RowBuffer>(std::move(row).value(),
+                                                opts.micro_batch);
+      st.producer_span = opts.instrument_prefix + "op." + op.func;
     } else {
       return lower_error(
           i, op,
@@ -633,14 +483,10 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
           "lowered to the streaming engine; supported ops: " +
               std::string(kSupportedOps));
     }
-
-    lowered->set_telemetry(opts.registry,
-                           opts.instrument_prefix + "op." + op.func);
-    pipe->ops_.push_back(std::move(lowered));
     last_out = op.output;
   }
 
-  if (!have_rows) {
+  if (st.producer == nullptr) {
     return Error::make(
         "compile_streaming",
         "pipeline produces no streaming rows — end the chain with "
@@ -648,14 +494,18 @@ Result<std::unique_ptr<StreamPipeline>> compile_streaming(
         "followed by normalize / predict)");
   }
 
-  auto emit = std::make_unique<stream_detail::EmitOp>(
-      &pipe->counts_, opts.registry, opts.instrument_prefix);
-  pipe->emit_ = emit.get();
-  pipe->ops_.push_back(std::move(emit));
-  for (size_t i = 0; i + 1 < pipe->ops_.size(); ++i) {
-    pipe->ops_[i]->set_next(pipe->ops_[i + 1].get());
+  const std::string& prefix = opts.instrument_prefix;
+  st.normalize_span = prefix + "op.normalize";
+  st.predict_span = prefix + "op.predict";
+  if (opts.registry != nullptr) {
+    telemetry::Registry& reg = *opts.registry;
+    st.reg = &reg;
+    st.packets = &reg.counter(prefix + "packets");
+    st.rows = &reg.counter(prefix + "rows");
+    st.epochs = &reg.counter(prefix + "epochs");
+    st.alerts = &reg.counter(prefix + "alerts");
+    st.late = &reg.counter(prefix + "late_packets");
   }
-  pipe->front_ = pipe->ops_.front().get();
   return pipe;
 }
 

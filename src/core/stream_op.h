@@ -1,9 +1,16 @@
 // Streaming operator engine: run compiled pipeline specs continuously on
-// the live path (the paper's "one description, two execution modes"). A
-// chain of push-based StreamOps receives one packet at a time (push),
-// accumulates per-group / per-window state in FlatMap tables, and emits a
-// per-epoch feature batch downstream whenever the capture clock crosses a
-// tumbling-window boundary (flush_epoch).
+// the live path (the paper's "one description, two execution modes").
+// compile_streaming lowers a spec into one fixed-shape pipeline, the only
+// shape the batch type check and the linear-chain rule let through:
+//
+//   field_extract -> filter* -> [groupby] -> [time_slice] -> producer
+//                 -> normalize* -> [predict] -> callback
+//
+// The producer is apply_aggregates (one row per group of a tumbling
+// window) or damped_stats / packet_features (one row per packet). push()
+// runs one packet through the packet stages into the producer; when the
+// capture clock crosses a window boundary or a micro-batch fills, the
+// producer's rows run through the row stages as one EpochBatch.
 //
 //   auto chain = compile_streaming(spec, opts);       // the SAME spec the
 //   chain.value()->set_callback([&](EpochBatch&& e) { // batch Engine runs
@@ -12,7 +19,7 @@
 //   for each live packet v: chain.value()->push(v);
 //   chain.value()->finish();                          // flush open windows
 //
-// The packet-phase operators reuse the batch ops' definitions (ops_common.h:
+// The packet stages reuse the batch ops' definitions (ops_common.h:
 // aggregate plan and accumulator, group directory, window clock, filter
 // predicate, packet_features row), so for the supported op subset (and
 // time_slice with align="global") the rows a chain emits for epoch k are
@@ -54,59 +61,6 @@ struct EpochBatch {
   std::vector<int> predictions; // per row, 1 = alert
 };
 
-/// The tuple flowing between packet-phase operators: a borrowed view plus
-/// the group/window coordinates assigned so far along the chain.
-struct PacketTuple {
-  const netio::PacketView* view = nullptr;
-  uint32_t group = 0;         // group-directory id (0 when no groupby ran)
-  uint64_t window = 0;        // tumbling-window index (0 when no time_slice)
-  double window_start = 0.0;  // capture-time start of `window`
-};
-
-/// flush_epoch() argument meaning "flush everything still open" — sent by
-/// StreamPipeline::finish() at end of stream.
-inline constexpr uint64_t kFlushAll = UINT64_MAX;
-
-/// One incremental operator. Packet-phase ops transform/route PacketTuples;
-/// row-phase ops transform EpochBatches; flush_epoch is the control signal
-/// that closes an epoch (originated by the time-slice stage at a window
-/// boundary, or by finish() with kFlushAll). reset() clears operator state
-/// for a fresh stream without recompiling (models and fitted transforms are
-/// configuration, not state — they survive).
-class StreamOp {
- public:
-  virtual ~StreamOp() = default;
-
-  virtual const char* name() const = 0;
-  virtual void push(PacketTuple& t) { forward(t); }
-  virtual void push_rows(EpochBatch&& batch) { forward_rows(std::move(batch)); }
-  virtual void flush_epoch(uint64_t epoch) { forward_flush(epoch); }
-  virtual void reset() {}
-
-  void set_next(StreamOp* next) { next_ = next; }
-  /// Per-operator telemetry: a Span named `span_name` is recorded around
-  /// each epoch flush this operator performs (null registry = inert).
-  void set_telemetry(telemetry::Registry* reg, std::string span_name) {
-    reg_ = reg;
-    span_name_ = std::move(span_name);
-  }
-
- protected:
-  void forward(PacketTuple& t) {
-    if (next_ != nullptr) next_->push(t);
-  }
-  void forward_rows(EpochBatch&& batch) {
-    if (next_ != nullptr) next_->push_rows(std::move(batch));
-  }
-  void forward_flush(uint64_t epoch) {
-    if (next_ != nullptr) next_->flush_epoch(epoch);
-  }
-
-  StreamOp* next_ = nullptr;
-  telemetry::Registry* reg_ = nullptr;  // nullptr = no spans
-  std::string span_name_;
-};
-
 /// Options for compile_streaming.
 struct StreamingOptions {
   /// Externally-supplied bindings a deploy spec consumes — typically the
@@ -118,28 +72,34 @@ struct StreamingOptions {
   /// Rows per emitted batch for per-packet chains (damped_stats /
   /// packet_features) — the micro-batch size of the fused scoring path.
   size_t micro_batch = 64;
-  /// Where per-operator flush spans and chain counters land. nullptr (the
-  /// default) keeps the chain uninstrumented — the cheapest mode.
+  /// Where the per-operator spans (one per producer flush, normalize and
+  /// predict; siblings, none nested in another) and the chain counters
+  /// land. nullptr (the default) keeps the chain uninstrumented — the
+  /// cheapest mode.
   telemetry::Registry* registry = nullptr;
   /// Prepended to every instrument/span name ("<prefix>op.<func>", ...).
   std::string instrument_prefix = "stream.";
 };
 
 namespace stream_detail {
-class EmitOp;
+struct Stages;
 }
 
-/// A compiled operator chain. Single-threaded by design (like a
-/// PacketScorer): the ingestion runtime builds one pipeline per consumer.
+/// A compiled chain: the stages lowered from one spec, run as straight-line
+/// code. Single-threaded by design (like a PacketScorer): the ingestion
+/// runtime builds one pipeline per consumer.
 class StreamPipeline {
  public:
   using EpochCallback = std::function<void(EpochBatch&&)>;
 
-  /// Aggregate chain counters (mutated by the lowered operators on the
-  /// pushing thread; read through the accessors below).
+  /// Aggregate chain counters (mutated on the pushing thread; read through
+  /// the accessors below).
   struct Counters {
     uint64_t packets = 0, rows = 0, epochs = 0, alerts = 0, late = 0;
   };
+
+  StreamPipeline();
+  ~StreamPipeline();
 
   /// Invoked (on the pushing thread) for every epoch the chain completes.
   void set_callback(EpochCallback cb);
@@ -167,10 +127,13 @@ class StreamPipeline {
   friend Result<std::unique_ptr<StreamPipeline>> compile_streaming(
       const PipelineSpec& spec, StreamingOptions opts);
 
+  /// Take the producer's rows through normalize and predict, count them,
+  /// mirror the counters and hand the batch to the callback.
+  void flush();
+
   Counters counts_;
-  std::vector<std::unique_ptr<StreamOp>> ops_;  // chain order; [0] is entry
-  StreamOp* front_ = nullptr;
-  stream_detail::EmitOp* emit_ = nullptr;  // terminal (owned by ops_)
+  std::unique_ptr<stream_detail::Stages> stages_;
+  EpochCallback cb_;
   bool finished_ = false;
 };
 
