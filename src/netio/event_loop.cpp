@@ -19,6 +19,12 @@ namespace lumen::netio {
 
 namespace {
 
+// Bytes per recv / recvfrom call; a stream read loops until EAGAIN.
+constexpr size_t kReadChunk = 64 * 1024;
+// Cap on bytes buffered for one connection awaiting protocol consume: a
+// frame bigger than this can never complete -> kProtocolError.
+constexpr size_t kMaxConnBuffer = size_t{1} << 20;
+
 double mono_now() {
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -55,9 +61,6 @@ EventLoop::Options EventLoop::Options::normalized(Options opts,
   norm.clamp(opts.idle_timeout, 0.0, 3600.0, "idle_timeout");
   norm.clamp(opts.min_bytes_per_sec, 0.0, 1e9, "min_bytes_per_sec");
   norm.clamp(opts.rate_window, 0.05, 600.0, "rate_window");
-  norm.clamp(opts.read_chunk, size_t{512}, size_t{1} << 24, "read_chunk");
-  norm.clamp(opts.max_conn_buffer, size_t{4096}, size_t{1} << 28,
-             "max_conn_buffer");
   norm.clamp(opts.poll_interval_ms, 1, 1000, "poll_interval_ms");
   norm.emit(diagnostic);
   return opts;
@@ -114,8 +117,7 @@ Result<uint64_t> EventLoop::add_socket(int fd, bool listener, bool udp,
   const uint64_t id = next_id_++;
   epoll_event ev{};
   ev.events = EPOLLIN;
-  if (!listener && !udp && opts_.edge_triggered) ev.events |= EPOLLET;
-  if (!listener && !udp) ev.events |= EPOLLRDHUP;
+  if (!listener && !udp) ev.events |= EPOLLET | EPOLLRDHUP;
   ev.data.u64 = id;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
     ::close(fd);
@@ -210,8 +212,7 @@ void EventLoop::resume(uint64_t conn) {
   e.last_activity = e.window_start = now;
   e.window_bytes = 0;
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP;
-  if (opts_.edge_triggered) ev.events |= EPOLLET;
+  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
   ev.data.u64 = conn;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, e.fd, &ev);
   // The edge that announced bytes arriving while paused has already fired;
@@ -291,13 +292,13 @@ void EventLoop::deliver(Entry& conn) {
   }
   // A frame the protocol cannot complete within the buffer cap will never
   // complete at all: treat it as a protocol violation, not backpressure.
-  if (!conn.paused && conn.buf.size() - conn.off > opts_.max_conn_buffer)
+  if (!conn.paused && conn.buf.size() - conn.off > kMaxConnBuffer)
     close_entry(id, CloseReason::kProtocolError);
 }
 
 void EventLoop::read_stream(Entry& conn) {
   const uint64_t id = conn.id;
-  std::vector<uint8_t> chunk(opts_.read_chunk);
+  std::vector<uint8_t> chunk(kReadChunk);
   for (;;) {
     if (conn.paused) return;  // backpressure: leave bytes in the kernel
     const ssize_t n = ::recv(conn.fd, chunk.data(), chunk.size(), 0);
@@ -308,8 +309,6 @@ void EventLoop::read_stream(Entry& conn) {
       conn.buf.insert(conn.buf.end(), chunk.data(), chunk.data() + n);
       deliver(conn);
       if (impl_->entries.count(id) == 0) return;  // deliver closed it
-      // Level-triggered fallback: one chunk per event; epoll re-reports.
-      if (!opts_.edge_triggered) return;
       continue;
     }
     if (n == 0) {
@@ -329,7 +328,7 @@ void EventLoop::read_stream(Entry& conn) {
 
 void EventLoop::read_datagrams(Entry& sock) {
   const uint64_t id = sock.id;
-  std::vector<uint8_t> chunk(opts_.read_chunk);
+  std::vector<uint8_t> chunk(kReadChunk);
   // Bound one event's drain so a datagram flood cannot starve the tick and
   // the timeout sweeps (the socket stays armed; epoll re-reports).
   for (int i = 0; i < 4096; ++i) {

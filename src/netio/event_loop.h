@@ -7,12 +7,13 @@
 //   - accept4(SOCK_NONBLOCK) in a drain loop: a burst of connections on one
 //     readiness event must all be accepted before returning to epoll_wait,
 //     or edge-triggered mode strands the remainder.
-//   - Edge-triggered reads by default (one wakeup per burst), with a
-//     level-triggered fallback (`edge_triggered = false`) for debugging and
-//     for platforms where ET semantics are suspect. In ET mode every read
-//     drains to EAGAIN; a paused connection (backpressure) drops EPOLLIN
-//     from its interest set, and resume() must re-attempt a read directly
-//     because the edge that announced those bytes has already fired.
+//   - Edge-triggered reads (one wakeup per burst): every read drains to
+//     EAGAIN in 64 KiB chunks; a paused connection (backpressure) drops
+//     EPOLLIN from its interest set, and resume() must re-attempt a read
+//     directly because the edge that announced those bytes has already
+//     fired. A connection may buffer at most 1 MiB of bytes the protocol
+//     has not consumed; a frame that cannot complete within that is a
+//     protocol error.
 //   - Low-and-slow defense in the style of slowloris mitigations: clients
 //     that hold a connection while dribbling bytes below a configurable
 //     rate floor are closed (kSlowClient), and wholly idle connections are
@@ -52,9 +53,6 @@ const char* close_reason_name(CloseReason r);
 class EventLoop {
  public:
   struct Options {
-    /// Edge-triggered reads (one wakeup per burst). false = level-triggered
-    /// fallback: simpler semantics, more wakeups under load.
-    bool edge_triggered = true;
     /// Close a connection after this many seconds without any bytes.
     /// 0 disables the idle sweep.
     double idle_timeout = 30.0;
@@ -65,11 +63,6 @@ class EventLoop {
     /// Length of the rate-measurement window in seconds. The first window
     /// doubles as the grace period before enforcement starts.
     double rate_window = 5.0;
-    /// Per-read buffer size; ET mode loops this until EAGAIN.
-    size_t read_chunk = 64 * 1024;
-    /// Cap on bytes buffered for one connection awaiting protocol consume
-    /// (a frame bigger than this can never complete -> kProtocolError).
-    size_t max_conn_buffer = 1 << 20;
     /// epoll_wait timeout: bounds the latency of timeout sweeps and
     /// on_tick callbacks when no socket activity arrives.
     int poll_interval_ms = 20;
