@@ -38,7 +38,9 @@ constexpr size_t kCols = 20;
 
 FeatureTable ids_shaped_table(size_t rows, size_t cols) {
   std::vector<std::string> names;
-  for (size_t c = 0; c < cols; ++c) names.push_back("f" + std::to_string(c));
+  for (size_t c = 0; c < cols; ++c) {
+    names.push_back(std::string("f").append(std::to_string(c)));
+  }
   FeatureTable t = FeatureTable::make(rows, names);
   Rng rng(12345);
   for (size_t r = 0; r < rows; ++r) {

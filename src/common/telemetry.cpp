@@ -379,7 +379,7 @@ std::string Snapshot::to_json() const {
 namespace json {
 
 Writer::Writer() {
-  out_ = "{";
+  out_.push_back('{');
   stack_.push_back({'}', false});
 }
 
@@ -398,7 +398,9 @@ void Writer::item_prefix() {
 
 void Writer::key_prefix(std::string_view key) {
   item_prefix();
-  out_ += "\"" + escape(key) + "\": ";
+  out_ += '"';
+  out_ += escape(key);
+  out_ += "\": ";
 }
 
 void Writer::begin_object(std::string_view key) {
@@ -437,7 +439,9 @@ void Writer::end() {
 
 void Writer::kv_str(std::string_view key, std::string_view value) {
   key_prefix(key);
-  out_ += "\"" + escape(value) + "\"";
+  out_ += '"';
+  out_ += escape(value);
+  out_ += '"';
 }
 
 void Writer::kv_bool(std::string_view key, bool value) {

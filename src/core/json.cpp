@@ -296,7 +296,7 @@ std::string Json::dump() const {
     }
     case Type::kString: dump_string(str_, out); break;
     case Type::kArray: {
-      out = "[";
+      out = '[';
       for (size_t i = 0; i < arr_.size(); ++i) {
         if (i != 0) out += ",";
         out += arr_[i].dump();
@@ -305,7 +305,7 @@ std::string Json::dump() const {
       break;
     }
     case Type::kObject: {
-      out = "{";
+      out = '{';
       for (size_t i = 0; i < obj_.size(); ++i) {
         if (i != 0) out += ",";
         dump_string(obj_[i].first, out);

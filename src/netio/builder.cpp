@@ -9,8 +9,8 @@ constexpr uint16_t kEtherArp = 0x0806;
 
 void write_ethernet(ByteWriter& w, const MacAddr& dst, const MacAddr& src,
                     uint16_t ether_type) {
-  w.raw(std::span<const uint8_t>(dst.data(), dst.size()));
-  w.raw(std::span<const uint8_t>(src.data(), src.size()));
+  for (const uint8_t b : dst) w.u8(b);
+  for (const uint8_t b : src) w.u8(b);
   w.u16(ether_type);
 }
 

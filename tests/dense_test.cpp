@@ -469,7 +469,9 @@ TEST(DenseKernels, PackedApplyBatchSizeBitInvariant) {
 
 FeatureTable labeled_set(size_t rows, size_t dims, uint64_t seed) {
   std::vector<std::string> names;
-  for (size_t d = 0; d < dims; ++d) names.push_back("f" + std::to_string(d));
+  for (size_t d = 0; d < dims; ++d) {
+    names.push_back(std::string("f").append(std::to_string(d)));
+  }
   FeatureTable t = FeatureTable::make(rows, names);
   Rng rng(seed);
   for (size_t i = 0; i < rows; ++i) {

@@ -23,7 +23,9 @@ namespace {
 FeatureTable blobs(size_t n_per_class, size_t dims, double gap,
                    uint64_t seed) {
   std::vector<std::string> names;
-  for (size_t d = 0; d < dims; ++d) names.push_back("f" + std::to_string(d));
+  for (size_t d = 0; d < dims; ++d) {
+    names.push_back(std::string("f").append(std::to_string(d)));
+  }
   FeatureTable t = FeatureTable::make(2 * n_per_class, names);
   Rng rng(seed);
   for (size_t i = 0; i < 2 * n_per_class; ++i) {

@@ -21,7 +21,9 @@ namespace {
 FeatureTable anomaly_set(size_t n_benign, size_t n_anomalous, size_t dims,
                          double distance, uint64_t seed) {
   std::vector<std::string> names;
-  for (size_t d = 0; d < dims; ++d) names.push_back("f" + std::to_string(d));
+  for (size_t d = 0; d < dims; ++d) {
+    names.push_back(std::string("f").append(std::to_string(d)));
+  }
   FeatureTable t = FeatureTable::make(n_benign + n_anomalous, names);
   Rng rng(seed);
   for (size_t i = 0; i < t.rows; ++i) {

@@ -158,7 +158,9 @@ TEST(SpscRing, TwoThreadStressKeepsFifo) {
     while (done < n) {
       const size_t accepted = ring.try_push(batch + done, n - done);
       done += static_cast<uint32_t>(accepted);
-      if (accepted == 0) ASSERT_TRUE(ring.wait_notfull());
+      if (accepted == 0) {
+        ASSERT_TRUE(ring.wait_notfull());
+      }
     }
     next += n;
   }
