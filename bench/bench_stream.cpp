@@ -4,9 +4,9 @@
 // (field_extract -> damped_stats -> predict) against the bare KitsuneScorer
 // path (OnlineKitsune::score_packets) on the same stream, timed in
 // interleaved pairs (gate_record.h). The chain does the same extraction and
-// model math through the generic operator plumbing (tuples, FeatureTable
-// staging, epoch batches), so the ratio is the abstraction tax of running
-// compiled specs live. The last stdout line is the result record.
+// model math through the compiled pipeline (FeatureTable staging, epoch
+// batches), so the ratio is the abstraction tax of running compiled specs
+// live. The last stdout line is the result record.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
