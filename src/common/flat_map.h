@@ -8,9 +8,10 @@
 // no pointer chasing. Keys are small trivially-copyable values (packed
 // 64/128-bit context identifiers; see core/kitsune_extractor.h).
 //
-// There is no deletion: the one consumer that drops entries — decay-weight
-// context eviction — builds a fresh map of the survivors, which keeps the
-// probe sequences trivially correct (no tombstones, no backward shifting).
+// erase() is backward-shift deletion: the entries after the hole that may
+// move up into it do, so every probe run stays unbroken with no tombstones
+// and no allocation. Capped context eviction erases its victims this way
+// and reuses their slots for the next keys.
 #pragma once
 
 #include <cstddef>
@@ -97,7 +98,7 @@ class FlatMap {
 
   /// Find `k`, inserting Mapped(args...) if absent. Returns the mapped
   /// value and whether an insert happened. References stay valid until the
-  /// next insert / clear.
+  /// next insert / erase / clear.
   template <typename... Args>
   std::pair<Mapped*, bool> try_emplace(const Key& k, Args&&... args) {
     if (slots_.empty() ||
@@ -114,6 +115,31 @@ class FlatMap {
     slots_[i].value = Mapped(std::forward<Args>(args)...);
     ++size_;
     return {&slots_[i].value, true};
+  }
+
+  /// Remove `k` if present; returns whether it was. Walks the probe run
+  /// after the hole and moves up each entry whose home slot does not lie
+  /// cyclically in (hole, its slot], so a later find still reaches it.
+  /// Never rehashes or allocates.
+  bool erase(const Key& k) {
+    if (slots_.empty()) return false;
+    size_t hole = index_of(k);
+    while (slots_[hole].used && !(slots_[hole].key == k)) {
+      hole = (hole + 1) & mask_;
+    }
+    if (!slots_[hole].used) return false;
+    for (size_t j = (hole + 1) & mask_; slots_[j].used; j = (j + 1) & mask_) {
+      // The entry at j may fill the hole when the hole lies on its probe
+      // path: home .. hole .. j, measured cyclically.
+      const size_t home = index_of(slots_[j].key);
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+    return true;
   }
 
   /// Visit every entry as f(key, value). Iteration order is the slot order

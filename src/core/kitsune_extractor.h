@@ -19,11 +19,16 @@
 // bit-identical to the per-statistic features::DampedStat formulation,
 // kept as the string-keyed reference in tests/kitsune_extractor_ref.h.
 //
-// Long-running gateways can bound memory with `max_contexts`: when any one
-// context table exceeds the cap, the lowest-scoring contexts are evicted
-// until the table is back at 3/4 of the cap. A context's score is its
-// slowest-decaying level's weight (both directions' for a channel or
-// socket), decayed by its clock to the current packet time.
+// `max_contexts` bounds memory: when any one context table exceeds the cap,
+// the lowest-scoring contexts are evicted until the table is back at 3/4 of
+// the cap. A context's score is its slowest-decaying level's weight (both
+// directions' for a channel or socket), decayed by its clock to the current
+// packet time. Eviction works in place: the victims leave the index and
+// their blocks go to a free list that the next new contexts reuse, so a
+// capped table holds at most cap + 1 blocks and, once it has, allocates
+// nothing. This class defaults to no cap, which keeps the batch
+// "damped_stats" operation exact; the live detector (OnlineKitsune) caps
+// each table at 4096 contexts.
 //
 // Copies are independent deep copies (each consumer's KitsuneScorer copies
 // the trained detector, extractor state included).
@@ -171,11 +176,14 @@ class KitsuneExtractor {
   static_assert(sizeof(Sums) == 24 && sizeof(Joint) == 72 &&
                 sizeof(ChanLevel) == 96);
 
-  // One context table: a FlatMap from packed key to a dense context id
-  // (0..size()-1), and the contexts' blocks (one Head, then `stride` =
-  // lambda-count Levels) in fixed-size chunks of kChunkContexts blocks.
-  // Growth allocates one more chunk and never copies existing blocks, so a
-  // flood of new contexts costs no relocation and no doubling slack.
+  // One context table: a FlatMap from packed key to a context id, and the
+  // contexts' blocks (one Head, then `stride` = lambda-count Levels) in
+  // fixed-size chunks of kChunkContexts blocks. Growth allocates one more
+  // chunk and never copies existing blocks, so a flood of new contexts
+  // costs no relocation and no doubling slack. Eviction erases its victims
+  // from the index and puts their ids on a free list, which new contexts
+  // take before any fresh id, so a capped table stops allocating once it
+  // has held cap + 1 contexts.
   template <typename Key, typename Head, typename Level>
   class ContextTable {
     static_assert(std::is_trivially_copyable_v<Head> &&
@@ -191,15 +199,18 @@ class KitsuneExtractor {
     };
 
     ContextTable() = default;
-    // A copy allocates every chunk at full length and copies the used
-    // blocks, so it grows like the original.
-    ContextTable(const ContextTable& o) : index_(o.index_), stride_(o.stride_) {
+    // A copy allocates every chunk at full length and copies the blocks of
+    // every id handed out (free ones too), so it grows like the original.
+    ContextTable(const ContextTable& o)
+        : index_(o.index_),
+          free_(o.free_),
+          next_id_(o.next_id_),
+          stride_(o.stride_) {
       chunks_.reserve(o.chunks_.size());
       for (size_t c = 0; c < o.chunks_.size(); ++c) {
         const size_t used =
-            std::min(kChunkContexts, size() - (c << kChunkShift));
-        std::memcpy(start_chunk(chunks_), o.chunks_[c].get(),
-                    used * block_bytes());
+            std::min(kChunkContexts, next_id_ - (c << kChunkShift));
+        std::memcpy(start_chunk(), o.chunks_[c].get(), used * block_bytes());
       }
     }
     ContextTable& operator=(const ContextTable& o) {
@@ -215,17 +226,24 @@ class KitsuneExtractor {
     void clear() {
       index_.clear();
       chunks_.clear();
+      free_.clear();
+      next_id_ = 0;
     }
 
-    /// The block for `key`, value-initialized when this call creates it. A
-    /// block never moves while its context lives: the pointers stay valid
-    /// until the next evict / clear on this table (evict copies the
-    /// survivors into fresh chunks).
+    /// The block for `key`, value-initialized when this call creates it: in
+    /// an evicted context's block when the free list has one, else in the
+    /// next fresh block. A block never moves: the pointers stay valid until
+    /// this context is evicted or the table cleared.
     Block find_or_create(const Key& key) {
       auto [id, inserted] = index_.try_emplace(key, uint32_t{0});
       if (!inserted) return block(*id, false);
-      *id = static_cast<uint32_t>(index_.size() - 1);
-      if ((*id & kChunkMask) == 0) start_chunk(chunks_);
+      if (free_.empty()) {
+        *id = static_cast<uint32_t>(next_id_++);
+        if ((*id & kChunkMask) == 0) start_chunk();
+      } else {
+        *id = free_.back();
+        free_.pop_back();
+      }
       std::byte* p = slot(*id);
       ::new (p) Head{};
       ::new (p + sizeof(Head)) Level[stride_]();
@@ -233,42 +251,28 @@ class KitsuneExtractor {
     }
 
     /// Keep the `keep` highest-scoring contexts (score(head, levels) over
-    /// each context's block); rebuild the index and copy the survivors'
-    /// blocks into fresh chunks under ids 0..keep-1.
+    /// each context's block): erase the others from the index and free
+    /// their ids. Survivors keep their ids and blocks; nothing is copied
+    /// or allocated once the candidate and free lists have grown to their
+    /// largest.
     template <typename ScoreFn>
     void evict(size_t keep, const ScoreFn& score) {
       if (index_.size() <= keep) return;
-      struct Entry {
-        Key key;
-        uint32_t id;
-        double score;
-      };
-      std::vector<Entry> all;
-      all.reserve(index_.size());
+      candidates_.clear();
       index_.for_each([&](const Key& k, const uint32_t& id) {
         const Block b = block(id, false);
-        all.push_back({k, id, score(*b.head, b.levels)});
+        candidates_.push_back({k, id, score(*b.head, b.levels)});
       });
-      std::nth_element(all.begin(),
-                       all.begin() + static_cast<std::ptrdiff_t>(keep),
-                       all.end(),
-                       [](const Entry& a, const Entry& b) {
+      const auto victims =
+          candidates_.begin() + static_cast<std::ptrdiff_t>(keep);
+      std::nth_element(candidates_.begin(), victims, candidates_.end(),
+                       [](const Candidate& a, const Candidate& b) {
                          return a.score > b.score;
                        });
-      all.resize(keep);
-      std::vector<std::unique_ptr<std::byte[]>> chunks;
-      chunks.reserve((keep + kChunkContexts - 1) / kChunkContexts);
-      FlatMap<Key, uint32_t> index;
-      index.reserve(keep);
-      std::byte* dst = nullptr;
-      for (size_t i = 0; i < all.size(); ++i) {
-        index.try_emplace(all[i].key, static_cast<uint32_t>(i));
-        if ((i & kChunkMask) == 0) dst = start_chunk(chunks);
-        std::memcpy(dst, slot(all[i].id), block_bytes());
-        dst += block_bytes();
+      for (auto it = victims; it != candidates_.end(); ++it) {
+        index_.erase(it->key);
+        free_.push_back(it->id);
       }
-      chunks_ = std::move(chunks);
-      index_ = std::move(index);
     }
 
    private:
@@ -278,14 +282,19 @@ class KitsuneExtractor {
     static constexpr size_t kChunkContexts = size_t{1} << kChunkShift;
     static constexpr size_t kChunkMask = kChunkContexts - 1;
 
+    struct Candidate {
+      Key key;
+      uint32_t id;
+      double score;
+    };
+
     size_t block_bytes() const {
       return sizeof(Head) + stride_ * sizeof(Level);
     }
     // Appends a chunk of kChunkContexts uninitialized blocks (so its pages
     // are touched only as contexts fill it) and returns its first byte.
-    std::byte* start_chunk(
-        std::vector<std::unique_ptr<std::byte[]>>& chunks) const {
-      return chunks
+    std::byte* start_chunk() {
+      return chunks_
           .emplace_back(std::make_unique_for_overwrite<std::byte[]>(
               kChunkContexts * block_bytes()))
           .get();
@@ -295,7 +304,7 @@ class KitsuneExtractor {
              (id & kChunkMask) * block_bytes();
     }
     // find_or_create constructs a block's head and levels in place; the
-    // memcpy of a copy or an eviction creates them in the new chunk.
+    // memcpy of a copy creates them in the new chunk.
     Block block(uint32_t id, bool created) const {
       std::byte* p = slot(id);
       return {std::launder(reinterpret_cast<Head*>(p)),
@@ -305,6 +314,9 @@ class KitsuneExtractor {
 
     FlatMap<Key, uint32_t> index_;
     std::vector<std::unique_ptr<std::byte[]>> chunks_;
+    std::vector<uint32_t> free_;         // evicted contexts' ids
+    size_t next_id_ = 0;                 // ids 0..next_id_-1 handed out
+    std::vector<Candidate> candidates_;  // evict's scratch, reused
     size_t stride_ = 1;
   };
 
