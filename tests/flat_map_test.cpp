@@ -1,9 +1,12 @@
 // FlatMap (common/flat_map.h) unit tests: lookup/insert semantics, forced
-// collisions under a degenerate hash, and growth across rehashes.
+// collisions under a degenerate hash, growth across rehashes, and erase
+// against a std::unordered_map oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -107,6 +110,99 @@ TEST(FlatMap, Key128DistinguishesHalves) {
   ASSERT_NE(m.find(Key128{2, 1}), nullptr);
   EXPECT_EQ(*m.find(Key128{2, 1}), 21);
   EXPECT_EQ(m.find(Key128{3, 1}), nullptr);
+}
+
+TEST(FlatMap, EraseRemovesOnlyItsKey) {
+  FlatMap<uint64_t, int> m;
+  EXPECT_FALSE(m.erase(3));  // empty: nothing allocated yet
+  m.try_emplace(3, 30);
+  m.try_emplace(4, 40);
+  EXPECT_TRUE(m.erase(3));
+  EXPECT_FALSE(m.erase(3));
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.find(3), nullptr);
+  ASSERT_NE(m.find(4), nullptr);
+  EXPECT_EQ(*m.find(4), 40);
+  auto [v, fresh] = m.try_emplace(3, 31);
+  EXPECT_TRUE(fresh);
+  EXPECT_EQ(*v, 31);
+}
+
+// Sends every key to one of the table's last four slots, so probe runs
+// are long and wrap past the end of the table.
+struct WrappingHash {
+  uint64_t operator()(uint64_t k) const { return ~uint64_t{0} - (k & 3); }
+};
+
+// Seeded random try_emplace / erase / find steps over keys below
+// `key_range`, each checked against std::unordered_map, then a full
+// comparison. A small range makes erased keys come back and absent keys
+// get erased often; the counts assert that both happened.
+template <typename Hash>
+void check_against_oracle(uint64_t seed, uint64_t key_range, size_t steps) {
+  FlatMap<uint64_t, uint64_t, Hash> m;
+  std::unordered_map<uint64_t, uint64_t> oracle;
+  std::set<uint64_t> erased;
+  size_t absent_erases = 0, reinserts = 0;
+  std::mt19937_64 rng(seed);
+  for (size_t step = 0; step < steps; ++step) {
+    const uint64_t k = rng() % key_range;
+    switch (rng() % 3) {
+      case 0: {
+        const auto [v, fresh] = m.try_emplace(k, step);
+        const auto [it, want_fresh] = oracle.try_emplace(k, step);
+        ASSERT_EQ(fresh, want_fresh) << "step " << step << " key " << k;
+        ASSERT_EQ(*v, it->second) << "step " << step << " key " << k;
+        reinserts += fresh && erased.count(k) != 0 ? 1 : 0;
+        break;
+      }
+      case 1: {
+        const bool want = oracle.erase(k) == 1;
+        ASSERT_EQ(m.erase(k), want) << "step " << step << " key " << k;
+        if (want) erased.insert(k);
+        absent_erases += want ? 0 : 1;
+        break;
+      }
+      default: {
+        const uint64_t* v = m.find(k);
+        const auto it = oracle.find(k);
+        ASSERT_EQ(v != nullptr, it != oracle.end())
+            << "step " << step << " key " << k;
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second) << "step " << step;
+        }
+      }
+    }
+    ASSERT_EQ(m.size(), oracle.size()) << "step " << step;
+  }
+  EXPECT_GT(absent_erases, 0u);
+  EXPECT_GT(reinserts, 0u);
+  for (const auto& [k, v] : oracle) {
+    ASSERT_NE(m.find(k), nullptr) << k;
+    EXPECT_EQ(*m.find(k), v) << k;
+  }
+  size_t visited = 0;
+  m.for_each([&](uint64_t k, const uint64_t& v) {
+    ++visited;
+    const auto it = oracle.find(k);
+    ASSERT_NE(it, oracle.end()) << k;
+    EXPECT_EQ(v, it->second) << k;
+  });
+  EXPECT_EQ(visited, oracle.size());
+}
+
+TEST(FlatMap, EraseMatchesOracle) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    check_against_oracle<FlatHash<uint64_t>>(seed, 64, 20000);
+    check_against_oracle<FlatHash<uint64_t>>(seed, 5000, 200000);
+  }
+}
+
+TEST(FlatMap, EraseMatchesOracleUnderDegenerateHashes) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    check_against_oracle<DegenerateHash>(seed, 150, 20000);
+    check_against_oracle<WrappingHash>(seed, 150, 20000);
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "netio/builder.h"
 #include "netio/parse.h"
 #include "netio/source.h"
+#include "trace/attacks.h"
 #include "trace/registry.h"
 
 namespace lumen {
@@ -227,6 +229,52 @@ TEST(ShardedEquivalence, InvariantAcrossRingCapacityAndBatching) {
                            "capacity=" + std::to_string(capacity) +
                                " batch=" + std::to_string(batch));
     }
+  }
+}
+
+TEST(ShardedEquivalence, ContextCapIsPerShard) {
+  // Each shard scores with its own copy of the detector, so max_contexts
+  // bounds every shard's extractor tables on their own. A capped run under
+  // a spoofed-source flood must equal the per-shard sequential reference,
+  // which gives each shard a fresh copy, at every shard count.
+  trace::Sim sim(4141);
+  trace::BenignStyle style;
+  sim.benign_iot_traffic(0.0, 6.0, 4, style);
+  trace::attack_syn_flood(sim, 3.0, 2.0, sim.lan_ip(style, 1), 80, 1000.0,
+                          trace::AttackType::kSynFlood);
+  const trace::Dataset ds =
+      sim.finish("flood", "spoofed SYN flood", trace::Granularity::kPacket);
+  size_t grace = 0;
+  while (grace < ds.trace.view.size() && ds.trace.view[grace].ts < 3.0) {
+    ++grace;
+  }
+  ASSERT_GT(grace, 0u);
+  OnlineKitsune::Options capped;
+  capped.max_contexts = 256;
+  OnlineKitsune proto(capped);
+  proto.train({ds.trace.view.data(), grace});
+  ReplayOptions replay;
+  replay.begin = grace;
+
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    // Every shard sees more source IPs than the cap, so each one evicts.
+    std::vector<std::set<uint32_t>> sources(shards);
+    const FlowShardRouter router(shards, ds.trace.link);
+    for (size_t i = grace; i < ds.trace.view.size(); ++i) {
+      const netio::PacketView& v = ds.trace.view[i];
+      sources[router.shard_of(ds.trace.raw[v.index])].insert(v.src_ip);
+    }
+    for (const auto& s : sources) EXPECT_GT(s.size(), capped.max_contexts);
+
+    TraceReplaySource ref_src(ds.trace, replay);
+    const RunResult want = reference_partition(proto, ref_src, shards);
+    ASSERT_FALSE(want.packets.empty());
+    IngestRuntime::Options opts;
+    opts.shards = shards;
+    TraceReplaySource src(ds.trace, replay);
+    const RunResult got = run_with(proto, src, opts);
+    expect_bit_identical(got, want,
+                         "cap 256 shards=" + std::to_string(shards));
   }
 }
 
