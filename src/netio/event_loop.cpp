@@ -21,9 +21,6 @@ namespace {
 
 // Bytes per recv / recvfrom call; a stream read loops until EAGAIN.
 constexpr size_t kReadChunk = 64 * 1024;
-// Cap on bytes buffered for one connection awaiting protocol consume: a
-// frame bigger than this can never complete -> kProtocolError.
-constexpr size_t kMaxConnBuffer = size_t{1} << 20;
 
 double mono_now() {
   timespec ts{};

@@ -52,6 +52,11 @@ const char* close_reason_name(CloseReason r);
 
 class EventLoop {
  public:
+  /// Bytes one connection may buffer that the protocol has not consumed: a
+  /// frame bigger than this can never complete, so the connection is
+  /// closed with kProtocolError.
+  static constexpr size_t kMaxConnBuffer = size_t{1} << 20;
+
   struct Options {
     /// Close a connection after this many seconds without any bytes.
     /// 0 disables the idle sweep.

@@ -241,7 +241,10 @@ FrontendOptions FrontendOptions::normalized(FrontendOptions opts,
   norm.default_if_empty(opts.bind_address, "bind_address", "127.0.0.1");
   norm.default_if_empty(opts.instrument_prefix, "instrument_prefix",
                         "frontend.");
-  norm.clamp(opts.max_frame_bytes, size_t{64}, size_t{16} << 20,
+  // A record (header and frame) must fit the loop's per-connection buffer,
+  // or it can never complete.
+  norm.clamp(opts.max_frame_bytes, size_t{64},
+             EventLoop::kMaxConnBuffer - WireFormat::kRecordBytes,
              "max_frame_bytes");
   norm.clamp(opts.pending_frames, size_t{1}, size_t{1} << 20,
              "pending_frames");

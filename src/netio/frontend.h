@@ -157,6 +157,8 @@ struct FrontendOptions {
   /// Link type every stream must declare in its hello.
   LinkType link = LinkType::kEthernet;
   /// Reject records whose incl_len exceeds this (oversized-frame guard).
+  /// At most EventLoop::kMaxConnBuffer - WireFormat::kRecordBytes, the
+  /// largest record a connection's buffer can complete.
   size_t max_frame_bytes = 256 * 1024;
   /// Frames staged per connection while the feed reports kBusy before the
   /// connection is paused (TCP) or frames are shed (UDP / shed mode).

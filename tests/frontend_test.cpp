@@ -433,6 +433,92 @@ TEST(FrontendProtocol, BadRecordTimestampsRejected) {
   }
 }
 
+// A record longer than the event loop's per-connection buffer could never
+// complete, so max_frame_bytes is clamped to the largest frame whose record
+// fits: a frame of exactly that size is delivered, and a header announcing
+// one byte more closes its connection as one protocol error before any
+// frame bytes arrive.
+TEST(FrontendProtocol, MaxFrameBytesFitsTheConnectionBuffer) {
+  const size_t cap =
+      netio::EventLoop::kMaxConnBuffer - WireFormat::kRecordBytes;
+  FrontendOptions big;
+  big.max_frame_bytes = size_t{4} << 20;
+  std::string diag;
+  EXPECT_EQ(FrontendOptions::normalized(big, &diag).max_frame_bytes, cap);
+  EXPECT_NE(diag.find("max_frame_bytes"), std::string::npos) << diag;
+
+  const Trace trace = make_trace(3);
+  netio::RawPacket at_cap = trace.raw[0];
+  at_cap.data.resize(cap, 0);  // zero trailer after the packet
+  netio::RawPacket over = at_cap;
+  over.data.resize(cap + 1, 0);
+
+  FrontendOptions fo = big;
+  fo.link = trace.link;
+  fo.min_streams = 1;  // the good stream
+  telemetry::Registry reg;
+  fo.registry = &reg;
+  GatewayFrontend fe(fo);
+  ASSERT_TRUE(fe.bind().ok());
+  const uint16_t port = fe.tcp_port();
+
+  std::thread client([&] {
+    // Hello and the oversized record's header only: the gateway must close
+    // the connection without waiting for the frame.
+    {
+      const int fd = connect_loopback(port);
+      ASSERT_GE(fd, 0);
+      std::vector<uint8_t> buf;
+      netio::append_hello(buf, 0, trace.link);
+      netio::append_record(buf, over, 0);
+      buf.resize(WireFormat::kHelloBytes + WireFormat::kRecordBytes);
+      ASSERT_TRUE(send_raw(fd, buf));
+      timeval tv{5, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      uint8_t byte = 0;
+      EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
+      EXPECT_NE(errno, EAGAIN) << "the gateway waited for the frame";
+      ::close(fd);
+    }
+    // The good stream: the frame at the cap, then the trace, then a FIN.
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0);
+    std::vector<uint8_t> buf;
+    netio::append_hello(buf, 0, trace.link);
+    netio::append_record(buf, at_cap, 0);
+    for (size_t i = 0; i < trace.raw.size(); ++i) {
+      netio::append_record(buf, trace.raw[i], static_cast<uint32_t>(i + 1));
+    }
+    netio::append_fin(buf);
+    EXPECT_TRUE(send_raw(fd, buf));
+    ::close(fd);
+  });
+
+  IngestRuntime::Options o;
+  o.registry = nullptr;
+  Recorder sink;
+  IngestRuntime rt(o, stateless_factory(1e9), &sink);
+  auto st = rt.run(fe);
+  client.join();
+  ASSERT_TRUE(st.ok());
+
+  const telemetry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(1u, snap.counter_value("frontend.protocol_errors"));
+  EXPECT_EQ(trace.raw.size() + 1, snap.counter_value("frontend.frames"));
+  const std::vector<netio::ConnReport> conns = fe.connections();
+  ASSERT_EQ(2u, conns.size());
+  EXPECT_EQ(netio::CloseReason::kProtocolError, conns[0].close_reason);
+  EXPECT_EQ(0u, conns[0].frames);
+  EXPECT_EQ(0u, conns[0].bytes);
+  EXPECT_EQ(trace.raw.size() + 1, conns[1].frames);
+  EXPECT_TRUE(conns[1].fin);
+  uint64_t trace_bytes = 0;
+  for (const netio::RawPacket& p : trace.raw) trace_bytes += p.data.size();
+  EXPECT_EQ(cap + trace_bytes, conns[1].bytes);
+  const core::IngestStats stats = rt.stats();
+  EXPECT_EQ(trace.raw.size() + 1, stats.enqueued);
+}
+
 // ---------------------------------------------------------------------------
 // Slow-client defense
 
