@@ -15,12 +15,18 @@
 //    (serial). This keeps nesting deadlock-free: outer parallelism wins, and
 //    the inner loop produces exactly the same result it would in a thread of
 //    its own because every parallel loop is deterministic per index.
+//  * A parallel loop hands out its indices on demand: it submits at most one
+//    task per worker, and each task claims the next unclaimed indices from
+//    a shared counter until the range is spent. A slow index then occupies
+//    one worker while the others take the rest of the range; no fixed
+//    chunk strands the indices queued behind it.
 //  * The first exception thrown by a task is captured and rethrown on the
 //    waiting caller after all tasks of the group have drained, so references
-//    captured by the chunk lambdas (`body` in particular) never dangle.
+//    captured by the task lambdas (`body` in particular) never dangle.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -249,11 +255,14 @@ class SerialGuard {
 
 inline bool serial_forced() { return detail::tl_serial_depth() > 0; }
 
-/// Run body(i) for i in [begin, end), chunked across the global pool.
+/// Run body(i) for i in [begin, end) across the global pool: at most
+/// pool.size() tasks, each claiming the next unclaimed indices until the
+/// range is spent, so every index runs exactly once.
 /// Runs inline when the range is small, the pool has a single worker, a
 /// SerialGuard is active, or the caller is itself a pool worker (nested
 /// parallel_for). Deterministic as long as body(i) only depends on i; the
-/// first exception thrown by body is rethrown here after all chunks drain.
+/// first exception thrown by body is rethrown here after every task has
+/// returned.
 inline void parallel_for(size_t begin, size_t end,
                          const std::function<void(size_t)>& body,
                          size_t min_parallel = 1024) {
@@ -267,15 +276,26 @@ inline void parallel_for(size_t begin, size_t end,
     for (size_t i = begin; i < end; ++i) body(i);
     return;
   }
+  // A claim is one atomic increment, which under contention costs more
+  // than a cheap per-row body, so a claim takes a run of n / (64 * tasks)
+  // indices (at least one): about 64 claims per task over a long per-row
+  // loop, and one index per claim below 128 indices per task. Every
+  // evaluation grid is below that, and its neighbouring cells often cost
+  // alike (a sweep is ordered by algorithm), so a run of them would strand
+  // one algorithm's slow cells on one worker.
+  const size_t tasks = std::min(n, pool.size());
+  const size_t run = std::max<size_t>(1, n / (tasks * 64));
+  std::atomic<size_t> next{begin};
   TaskGroup group;
-  const size_t chunks = std::min(n, pool.size() * 4);
-  const size_t step = (n + chunks - 1) / chunks;
-  for (size_t c = begin; c < end; c += step) {
-    const size_t hi = std::min(end, c + step);
-    // `body` is captured by reference: safe because group.wait() only
-    // returns after every chunk has finished, exception or not.
-    pool.submit([c, hi, &body] {
-      for (size_t i = c; i < hi; ++i) body(i);
+  for (size_t t = 0; t < tasks; ++t) {
+    // `next` and `body` are captured by reference: safe because group.wait()
+    // only returns after every task has finished, exception or not.
+    pool.submit([&next, end, run, &body] {
+      for (size_t lo = next.fetch_add(run); lo < end;
+           lo = next.fetch_add(run)) {
+        const size_t hi = std::min(end, lo + run);
+        for (size_t i = lo; i < hi; ++i) body(i);
+      }
     }, &group);
   }
   group.wait();

@@ -29,9 +29,8 @@ class NystromComposite : public ml::Model {
 
   void fit(const ml::FeatureTable& X) override;
   std::vector<double> score(const ml::FeatureTable& X) const override;
-  /// The inner detector decides from the scores alone.
-  std::vector<int> decide(const ml::FeatureTable& X,
-                          const std::vector<double>& scores) const override;
+  /// The inner detector's scores and decisions over the mapped table.
+  ml::Scored score_and_decide(const ml::FeatureTable& X) const override;
   std::string name() const override;
   bool is_supervised() const override { return false; }
 

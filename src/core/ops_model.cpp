@@ -39,9 +39,9 @@ std::vector<double> NystromComposite::score(const ml::FeatureTable& X) const {
   return inner_->score(map_.transform(X));
 }
 
-std::vector<int> NystromComposite::decide(
-    const ml::FeatureTable& X, const std::vector<double>& scores) const {
-  return inner_->decide(X, scores);
+ml::Scored NystromComposite::score_and_decide(
+    const ml::FeatureTable& X) const {
+  return inner_->score_and_decide(map_.transform(X));
 }
 
 std::string NystromComposite::name() const {

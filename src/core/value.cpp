@@ -34,8 +34,9 @@ features::FeatureTable ModelValue::transform(features::FeatureTable X) const {
 Predictions ModelValue::predict(features::FeatureTable X) const {
   X = transform(std::move(X));
   Predictions p;
-  p.scores = model->score(X);
-  p.y_pred = model->decide(X, p.scores);
+  ml::Scored s = model->score_and_decide(X);
+  p.scores = std::move(s.scores);
+  p.y_pred = std::move(s.decisions);
   p.y_true = std::move(X.labels);
   p.attack = std::move(X.attack);
   return p;

@@ -93,8 +93,8 @@ struct ModelValue {
   /// model sees.
   features::FeatureTable transform(features::FeatureTable X) const;
 
-  /// Scores transform(X) once and decides every row from those scores
-  /// (ml::Model::decide). Requires `model`.
+  /// Scores transform(X) once and decides every row
+  /// (ml::Model::score_and_decide). Requires `model`.
   Predictions predict(features::FeatureTable X) const;
 };
 

@@ -48,9 +48,11 @@ void AutoMl::fit(const FeatureTable& X) {
   const FeatureTable tr = X.select_rows(tr_idx);
   const FeatureTable val = X.select_rows(val_idx);
 
+  // The tree candidates share one rank encoding of `tr`.
+  SharedRanks ranks(tr);
   for (const auto& make : cfg_.candidates) {
     ModelPtr m = make();
-    m->fit(tr);
+    m->fit_shared(tr, ranks);
     const std::vector<int> pred = m->predict(val);
     const double score = f1(confusion(val.labels, pred));
     if (score > winner_f1_) {
@@ -82,9 +84,9 @@ std::vector<double> AutoMl::score(const FeatureTable& X) const {
   return best_ ? best_->score(X) : std::vector<double>(X.rows, 0.0);
 }
 
-std::vector<int> AutoMl::decide(const FeatureTable& X,
-                                const std::vector<double>& scores) const {
-  return best_ ? best_->decide(X, scores) : std::vector<int>(X.rows, 0);
+Scored AutoMl::score_and_decide(const FeatureTable& X) const {
+  if (best_) return best_->score_and_decide(X);
+  return {std::vector<double>(X.rows, 0.0), std::vector<int>(X.rows, 0)};
 }
 
 std::string AutoMl::name() const { return "AutoML(" + winner_name_ + ")"; }

@@ -23,8 +23,8 @@ class AutoMl : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> decide(const FeatureTable& X,
-                          const std::vector<double>& scores) const override;
+  /// The winner's scores and its own decisions.
+  Scored score_and_decide(const FeatureTable& X) const override;
   std::string name() const override;
   bool is_supervised() const override { return true; }
 

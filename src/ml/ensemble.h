@@ -2,7 +2,7 @@
 // Ensemble-IDS baselines combine RF/SVM/DT/kNN or NB/DT/RF/DNN this way).
 #pragma once
 
-#include "ml/model.h"
+#include "ml/tree.h"
 
 namespace lumen::ml {
 
@@ -11,34 +11,37 @@ class VotingEnsemble : public Model {
   explicit VotingEnsemble(std::vector<ModelPtr> members, std::string label = "Ensemble")
       : members_(std::move(members)), label_(std::move(label)) {}
 
+  /// Fits every member on X; the tree learners among them share one rank
+  /// encoding of X.
   void fit(const FeatureTable& X) override {
-    for (auto& m : members_) m->fit(X);
+    SharedRanks ranks(X);
+    for (auto& m : members_) m->fit_shared(X, ranks);
   }
 
   std::vector<double> score(const FeatureTable& X) const override {
-    std::vector<double> out(X.rows, 0.0);
-    if (members_.empty()) return out;
-    for (const auto& m : members_) {
-      const std::vector<double> s = m->score(X);
-      for (size_t r = 0; r < X.rows; ++r) out[r] += s[r];
-    }
-    const double inv = 1.0 / static_cast<double>(members_.size());
-    for (double& v : out) v *= inv;
-    return out;
+    return score_and_decide(X).scores;
   }
 
-  /// Majority vote over member predictions, not a threshold on the mean
-  /// score.
-  std::vector<int> decide(const FeatureTable& X,
-                          const std::vector<double>&) const override {
+  /// The mean of the members' scores, and a majority vote over the members'
+  /// own decisions, not a threshold on the mean score. Each member scores X
+  /// once.
+  Scored score_and_decide(const FeatureTable& X) const override {
+    Scored out{std::vector<double>(X.rows, 0.0), std::vector<int>(X.rows, 0)};
+    if (members_.empty()) return out;
     std::vector<int> votes(X.rows, 0);
     for (const auto& m : members_) {
-      const std::vector<int> p = m->predict(X);
-      for (size_t r = 0; r < X.rows; ++r) votes[r] += p[r];
+      const Scored s = m->score_and_decide(X);
+      for (size_t r = 0; r < X.rows; ++r) {
+        out.scores[r] += s.scores[r];
+        votes[r] += s.decisions[r];
+      }
     }
-    std::vector<int> out(X.rows);
+    const double inv = 1.0 / static_cast<double>(members_.size());
     const int need = static_cast<int>((members_.size() + 1) / 2);
-    for (size_t r = 0; r < X.rows; ++r) out[r] = votes[r] >= need ? 1 : 0;
+    for (size_t r = 0; r < X.rows; ++r) {
+      out.scores[r] *= inv;
+      out.decisions[r] = votes[r] >= need ? 1 : 0;
+    }
     return out;
   }
 

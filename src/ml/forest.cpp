@@ -7,6 +7,11 @@
 namespace lumen::ml {
 
 void RandomForest::fit(const FeatureTable& X) {
+  SharedRanks ranks(X);
+  fit_shared(X, ranks);
+}
+
+void RandomForest::fit_shared(const FeatureTable& X, SharedRanks& shared) {
   // Hoist per-tree seed derivation out of the loop so every tree's config
   // seed and bootstrap stream depend only on its index — trees can then fit
   // in parallel with results identical to the serial loop.
@@ -16,8 +21,8 @@ void RandomForest::fit(const FeatureTable& X) {
     tree_seed = rng.next();
     boot_seed = rng.next();
   }
-  // Rank-encode the columns once; every tree's split search reads them.
-  const ColumnRanks ranks(X);
+  // Every tree's split search reads the one rank encoding.
+  const ColumnRanks& ranks = shared.get();
   trees_.assign(cfg_.n_trees, DecisionTree(TreeConfig{}));
   parallel_for(
       0, cfg_.n_trees,

@@ -17,6 +17,7 @@ class RandomForest : public Model {
   explicit RandomForest(ForestConfig cfg = {}) : cfg_(cfg) {}
 
   void fit(const FeatureTable& X) override;
+  void fit_shared(const FeatureTable& X, SharedRanks& ranks) override;
   std::vector<double> score(const FeatureTable& X) const override;
   std::string name() const override { return "RandomForest"; }
   bool is_supervised() const override { return true; }

@@ -48,10 +48,6 @@ class Gmm : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> decide(const FeatureTable& X,
-                          const std::vector<double>& scores) const override {
-    return threshold_predict(scores, threshold_);
-  }
   std::string name() const override { return "GMM"; }
   bool is_supervised() const override { return false; }
 
@@ -63,6 +59,11 @@ class Gmm : public Model {
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
   double threshold() const { return threshold_; }
+
+ protected:
+  std::vector<int> decide(const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold_);
+  }
 
  private:
   double log_density(std::span<const double> x) const;

@@ -74,10 +74,6 @@ class OneClassSvm : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> decide(const FeatureTable& X,
-                          const std::vector<double>& scores) const override {
-    return threshold_predict(scores, threshold_);
-  }
   std::string name() const override { return "OneClassSVM"; }
   bool is_supervised() const override { return false; }
 
@@ -86,6 +82,11 @@ class OneClassSvm : public Model {
   /// Pre-PR reference: per-row decision() loop over all stored training
   /// rows. Kept for the batched-vs-per-row equivalence tests and bench.
   std::vector<double> score_perrow(const FeatureTable& X) const;
+
+ protected:
+  std::vector<int> decide(const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold_);
+  }
 
  private:
   double decision(std::span<const double> x) const;
@@ -122,10 +123,6 @@ class LinearOneClassSvm : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> decide(const FeatureTable& X,
-                          const std::vector<double>& scores) const override {
-    return threshold_predict(scores, threshold_);
-  }
   std::string name() const override { return "LinearOCSVM"; }
   bool is_supervised() const override { return false; }
 
@@ -133,6 +130,11 @@ class LinearOneClassSvm : public Model {
   std::vector<double> score_perrow(const FeatureTable& X) const;
 
   double threshold() const { return threshold_; }
+
+ protected:
+  std::vector<int> decide(const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold_);
+  }
 
  private:
   Config cfg_;

@@ -29,10 +29,6 @@ class KitNet : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> decide(const FeatureTable& X,
-                          const std::vector<double>& scores) const override {
-    return threshold_predict(scores, threshold());
-  }
   std::string name() const override { return "KitNET"; }
   bool is_supervised() const override { return false; }
 
@@ -68,6 +64,11 @@ class KitNet : public Model {
   /// Row-at-a-time score_row loop over a table: the reference for the
   /// equivalence tests and bench_ml's per-row baseline.
   std::vector<double> score_perrow(const FeatureTable& X) const;
+
+ protected:
+  std::vector<int> decide(const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold());
+  }
 
  private:
   /// Agglomerative clustering on correlation distance, clusters capped at

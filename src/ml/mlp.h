@@ -139,10 +139,6 @@ class AutoEncoderDetector : public Model {
 
   void fit(const FeatureTable& X) override;
   std::vector<double> score(const FeatureTable& X) const override;
-  std::vector<int> decide(const FeatureTable& X,
-                          const std::vector<double>& scores) const override {
-    return threshold_predict(scores, threshold());
-  }
   std::string name() const override { return "AutoEncoder"; }
   bool is_supervised() const override { return false; }
 
@@ -156,6 +152,11 @@ class AutoEncoderDetector : public Model {
 
   /// Per-row reference path (row-at-a-time score_sample loop).
   std::vector<double> score_perrow(const FeatureTable& X) const;
+
+ protected:
+  std::vector<int> decide(const std::vector<double>& scores) const override {
+    return threshold_predict(scores, threshold());
+  }
 
  private:
   AutoEncoderConfig cfg_;

@@ -4,8 +4,14 @@
 
 namespace lumen::ml {
 
-std::vector<int> Model::decide(const FeatureTable& /*X*/,
-                              const std::vector<double>& scores) const {
+Scored Model::score_and_decide(const FeatureTable& X) const {
+  Scored out;
+  out.scores = score(X);
+  out.decisions = decide(out.scores);
+  return out;
+}
+
+std::vector<int> Model::decide(const std::vector<double>& scores) const {
   std::vector<int> out(scores.size());
   for (size_t r = 0; r < scores.size(); ++r) out[r] = scores[r] >= 0.5 ? 1 : 0;
   return out;

@@ -21,6 +21,14 @@ namespace lumen::ml {
 
 using features::FeatureTable;
 
+class SharedRanks;
+
+/// A table's per-row scores and the 0/1 decisions made from them.
+struct Scored {
+  std::vector<double> scores;
+  std::vector<int> decisions;
+};
+
 class Model {
  public:
   virtual ~Model() = default;
@@ -29,22 +37,35 @@ class Model {
   /// rows whose label is 0.
   virtual void fit(const FeatureTable& X) = 0;
 
+  /// fit(X) for one of several models trained on the same table: `ranks`
+  /// is X's rank encoding, built on first use, so the tree learners among
+  /// them (AutoMl's candidates, VotingEnsemble's members) encode X once.
+  /// The default ignores it and calls fit(X).
+  virtual void fit_shared(const FeatureTable& X, SharedRanks& ranks) {
+    fit(X);
+  }
+
   /// Per-row decision value. Higher = more likely malicious/anomalous.
   virtual std::vector<double> score(const FeatureTable& X) const = 0;
 
-  /// Per-row 0/1 decision from `scores`, which score(X) returned. The
-  /// default thresholds at 0.5; the anomaly detectors threshold at their
-  /// calibrated threshold. Only a voting ensemble reads X.
-  virtual std::vector<int> decide(const FeatureTable& X,
-                                  const std::vector<double>& scores) const;
+  /// Scores X once and decides every row: by default score(X), then
+  /// decide() on those scores. A voting ensemble overrides it to vote from
+  /// its members' own scores and decisions.
+  virtual Scored score_and_decide(const FeatureTable& X) const;
 
-  /// Per-row 0/1 prediction: decide(X, score(X)).
+  /// Per-row 0/1 prediction: score_and_decide(X).decisions.
   std::vector<int> predict(const FeatureTable& X) const {
-    return decide(X, score(X));
+    return score_and_decide(X).decisions;
   }
 
   virtual std::string name() const = 0;
   virtual bool is_supervised() const = 0;
+
+ protected:
+  /// Per-row 0/1 decision from `scores`, which score() returned. The
+  /// default thresholds at 0.5; the anomaly detectors threshold at their
+  /// calibrated threshold.
+  virtual std::vector<int> decide(const std::vector<double>& scores) const;
 };
 
 using ModelPtr = std::shared_ptr<Model>;

@@ -268,9 +268,14 @@ ColumnRanks::ColumnRanks(const FeatureTable& X)
 }
 
 void DecisionTree::fit(const FeatureTable& X) {
+  SharedRanks ranks(X);
+  fit_shared(X, ranks);
+}
+
+void DecisionTree::fit_shared(const FeatureTable& X, SharedRanks& ranks) {
   std::vector<size_t> rows(X.rows);
   std::iota(rows.begin(), rows.end(), 0);
-  fit_rows(X, ColumnRanks(X), rows);
+  fit_rows(X, ranks.get(), rows);
 }
 
 void DecisionTree::fit_rows(const FeatureTable& X, const ColumnRanks& ranks,

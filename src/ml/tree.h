@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "ml/model.h"
@@ -35,6 +36,24 @@ class ColumnRanks {
   std::vector<size_t> starts_;   // cols + 1 offsets into values_
 };
 
+/// The ColumnRanks of one training table, built on first use. Models
+/// fitted on the same table share it through Model::fit_shared, so the
+/// table is encoded at most once. get() does not lock: call it on the
+/// fitting thread before handing the encoding to workers.
+class SharedRanks {
+ public:
+  explicit SharedRanks(const FeatureTable& X) : X_(X) {}
+
+  const ColumnRanks& get() {
+    if (!ranks_) ranks_.emplace(X_);
+    return *ranks_;
+  }
+
+ private:
+  const FeatureTable& X_;
+  std::optional<ColumnRanks> ranks_;
+};
+
 struct TreeConfig {
   int max_depth = 12;
   size_t min_samples_leaf = 2;
@@ -51,6 +70,7 @@ class DecisionTree : public Model {
   explicit DecisionTree(TreeConfig cfg = {}) : cfg_(cfg) {}
 
   void fit(const FeatureTable& X) override;
+  void fit_shared(const FeatureTable& X, SharedRanks& ranks) override;
 
   /// Fit on a subset of rows (bootstrap sample); rows may repeat. `ranks`
   /// encodes X and is only read, so trees may share it across threads.

@@ -14,8 +14,12 @@
 #include <numeric>
 #include <type_traits>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "features/stats.h"
+#include "ml/automl.h"
+#include "ml/bayes.h"
+#include "ml/ensemble.h"
 #include "ml/forest.h"
 #include "ml/linear.h"
 #include "ml/tree.h"
@@ -577,6 +581,49 @@ TEST(TrainOracle, RandomForestMatchesSortBasedBuilder) {
                         "one row");
   expect_forest_matches(FeatureTable::make(20, {}), ForestConfig{.n_trees = 2},
                         "no columns");
+}
+
+// ---- One encoding shared by several models ---------------------------------
+
+// VotingEnsemble's members and AutoMl's candidates fit through one
+// SharedRanks of their table. Fitted at top level, the forest's tree workers
+// read that shared encoding from the pool.
+TEST(SharedRanks, EnsembleMembersMatchSortBasedBuilders) {
+  const FeatureTable X = adversarial(300, 61);
+  const ForestConfig fcfg{.n_trees = 6};
+  auto forest = std::make_shared<RandomForest>(fcfg);
+  auto tree = std::make_shared<DecisionTree>();
+  VotingEnsemble ens({forest, std::make_shared<GaussianNB>(), tree});
+  ens.fit(X);
+  const std::vector<OracleTree> oracle = oracle_forest(X, fcfg);
+  ASSERT_EQ(forest->trees().size(), oracle.size());
+  for (size_t t = 0; t < oracle.size(); ++t) {
+    expect_same_tree(forest->trees()[t].nodes(), forest->trees()[t].depth(),
+                     oracle[t], "ensemble forest tree " + std::to_string(t));
+  }
+  OracleTree lone(TreeConfig{});
+  lone.fit(X);
+  expect_same_tree(tree->nodes(), tree->depth(), lone, "ensemble tree");
+}
+
+TEST(SharedRanks, AutoMlOnThePoolMatchesSerial) {
+  const FeatureTable X = bit_table(400, 64, 62);
+  AutoMl serial;
+  {
+    SerialGuard guard;
+    serial.fit(X);
+  }
+  AutoMl pooled;
+  pooled.fit(X);
+  EXPECT_EQ(pooled.winner(), serial.winner());
+  EXPECT_TRUE(same_bits(pooled.winner_validation_f1(),
+                        serial.winner_validation_f1()));
+  const std::vector<double> want = serial.score(X);
+  const std::vector<double> got = pooled.score(X);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_TRUE(same_bits(got[r], want[r])) << "row " << r;
+  }
 }
 
 // ---- Linear SGD ------------------------------------------------------------

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -128,6 +129,36 @@ TEST(ParallelFor, PropagatesFirstException) {
   parallel_for(0, 256, [&](size_t) { after.fetch_add(1); },
                /*min_parallel=*/1);
   EXPECT_EQ(after.load(), 256);
+}
+
+TEST(ParallelFor, SlowIndexDoesNotHoldBackTheRest) {
+  // Index 0 waits for every other index. The other workers must claim the
+  // indices behind it, so none of them is stuck behind index 0's worker.
+  ASSERT_GT(ThreadPool::global().size(), 1u);
+  constexpr size_t kN = 64;
+  std::atomic<size_t> others{0};
+  bool waited_out = false;
+  parallel_for(
+      0, kN,
+      [&](size_t i) {
+        if (i != 0) {
+          others.fetch_add(1);
+          return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (others.load() < kN - 1) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            waited_out = true;
+            return;
+          }
+          std::this_thread::yield();
+        }
+      },
+      /*min_parallel=*/1);
+  EXPECT_FALSE(waited_out) << others.load() << " of " << kN - 1
+                           << " other indices ran while index 0 waited";
+  EXPECT_EQ(others.load(), kN - 1);
 }
 
 TEST(ParallelFor, SerialGuardForcesInlineExecution) {

@@ -54,17 +54,18 @@ class GridBenchmark : public Benchmark {
   GridBenchmark() : Benchmark(reduced_options()) {}
 };
 
-std::vector<std::pair<std::string, std::string>> reduced_pairs() {
-  std::vector<std::pair<std::string, std::string>> pairs;
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+Pairs reduced_pairs() {
+  Pairs pairs;
   for (const auto& a : kAlgos) {
     for (const auto& d : kDatasets) pairs.emplace_back(a, d);
   }
   return pairs;
 }
 
-void run_reduced_same_dataset(Benchmark& bench, ResultStore& store,
-                              bool parallel) {
-  const auto pairs = reduced_pairs();
+void run_reduced_same_dataset(Benchmark& bench, const Pairs& pairs,
+                              ResultStore& store, bool parallel) {
   std::vector<std::optional<Result<Benchmark::RunOutput>>> runs(pairs.size());
   auto evaluate = [&](size_t i) {
     runs[i].emplace(bench.same_dataset(pairs[i].first, pairs[i].second));
@@ -80,24 +81,41 @@ void run_reduced_same_dataset(Benchmark& bench, ResultStore& store,
   }
 }
 
-TEST(SweepDeterminism, ParallelSameDatasetCsvIsByteIdenticalToSerial) {
+void expect_parallel_csv_matches_serial(const Pairs& pairs) {
   ASSERT_GT(ThreadPool::global().size(), 1u);
 
   GridBenchmark serial_bench;
   ResultStore serial_store;
   {
     SerialGuard guard;  // true serial baseline: no pool anywhere
-    run_reduced_same_dataset(serial_bench, serial_store, /*parallel=*/false);
+    run_reduced_same_dataset(serial_bench, pairs, serial_store,
+                             /*parallel=*/false);
   }
 
   GridBenchmark parallel_bench;  // fresh caches: recompute everything
   ResultStore parallel_store;
-  run_reduced_same_dataset(parallel_bench, parallel_store, /*parallel=*/true);
+  run_reduced_same_dataset(parallel_bench, pairs, parallel_store,
+                           /*parallel=*/true);
 
   ASSERT_GT(serial_store.size(), 0u);
   EXPECT_EQ(serial_store.size(), parallel_store.size());
   EXPECT_EQ(store_csv_bytes(serial_store, "lumen_sweep_serial.csv"),
             store_csv_bytes(parallel_store, "lumen_sweep_parallel.csv"));
+}
+
+TEST(SweepDeterminism, ParallelSameDatasetCsvIsByteIdenticalToSerial) {
+  expect_parallel_csv_matches_serial(reduced_pairs());
+}
+
+// The ML-DDoS ensemble (A00) and AutoML on nPrint tables (A01) on packet
+// captures: each cell fits several models on one shared rank encoding and
+// scores every ensemble member once, and here four such cells run at once.
+TEST(SweepDeterminism, EnsembleAndAutoMlCellsOnThePoolMatchSerial) {
+  Pairs pairs;
+  for (const char* algo : {"A00", "A01"}) {
+    for (const char* ds : {"P1", "P3"}) pairs.emplace_back(algo, ds);
+  }
+  expect_parallel_csv_matches_serial(pairs);
 }
 
 TEST(SweepDeterminism, SweepHelperMatchesSerialHelper) {

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Race-check the threading layer: build the pool/sweep tests with
-# ThreadSanitizer and run them on an oversubscribed pool, plus the random
+# ThreadSanitizer and run them on an oversubscribed pool, whose loops
+# claim their indices from one shared atomic counter, plus the random
 # forest's tree workers, which read one shared rank encoding of the
-# training table (ml_train_oracle_test). Usage:
+# training table, also when an AutoML fit's candidates or an ensemble's
+# members share that encoding (ml_train_oracle_test), and concurrent
+# ensemble and AutoML grid cells (sweep_test). Usage:
 #   tools/check_tsan.sh [build-dir]
 set -euo pipefail
 
