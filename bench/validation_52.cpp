@@ -104,8 +104,8 @@ int main() {
   std::printf("%-42s %-12s %s\n", "case", "reported", "lumen (this substrate)");
   bench::Benchmark& bench = bench::shared_benchmark();
 
-  // Warm feature/model caches for every §5.2 case across the pool; the
-  // serial queries below then reuse the cached artifacts.
+  // Warm the per-pair entries for every §5.2 case across the pool; the
+  // serial queries below then reuse the trained models and test splits.
   bench::prefetch_same_dataset({{"A10", "F1"},
                                 {"A14", "F4"}, {"A14", "F5"}, {"A14", "F6"},
                                 {"A14", "F7"}, {"A14", "F8"}, {"A14", "F9"},

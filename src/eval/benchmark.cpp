@@ -15,38 +15,11 @@ const trace::Dataset& Benchmark::dataset(const std::string& id) {
   return *ds.value();  // dataset generation cannot fail
 }
 
-Result<const FeatureTable*> Benchmark::features(const std::string& algo_id,
-                                                const std::string& ds_id) {
-  return feature_cache_.get_or_compute(
-      std::make_pair(algo_id, ds_id), [&]() -> Result<FeatureTable> {
-        const AlgorithmDef* algo = core::find_algorithm(algo_id);
-        if (algo == nullptr) {
-          return Error::make("benchmark", "unknown algorithm " + algo_id);
-        }
-        const trace::Dataset& ds = dataset(ds_id);
-        if (!core::compatible(*algo, ds)) {
-          return Error::make("benchmark",
-                             algo_id + " cannot faithfully run on " + ds_id +
-                                 " (granularity/requirements)");
-        }
-        Result<FeatureTable> t = core::compute_features(*algo, ds);
-        if (!t.ok()) return t.error();
-        features::impute_non_finite(t.value());
-        return std::move(t).value();
-      });
-}
+namespace {
 
-Result<const Benchmark::Split*> Benchmark::split(const std::string& algo_id,
-                                                 const std::string& ds_id) {
-  return split_cache_.get_or_compute(
-      std::make_pair(algo_id, ds_id), [&]() -> Result<Split> {
-        Result<const FeatureTable*> feats = features(algo_id, ds_id);
-        if (!feats.ok()) return feats.error();
-        return split_by_time(*feats.value(), opts_.train_fraction);
-      });
-}
-
-std::pair<FeatureTable, FeatureTable> Benchmark::split_by_time(
+/// The time-ordered split of `t` as row indices: (train, test), each half
+/// increasing.
+std::pair<std::vector<size_t>, std::vector<size_t>> split_rows(
     const FeatureTable& t, double train_fraction) {
   std::vector<size_t> order(t.rows);
   std::iota(order.begin(), order.end(), 0);
@@ -61,21 +34,54 @@ std::pair<FeatureTable, FeatureTable> Benchmark::split_by_time(
                          order.end());
   std::sort(tr.begin(), tr.end());
   std::sort(te.begin(), te.end());
+  return {std::move(tr), std::move(te)};
+}
+
+}  // namespace
+
+Result<FeatureTable> Benchmark::compute_features(const std::string& algo_id,
+                                                 const std::string& ds_id) {
+  const AlgorithmDef* algo = core::find_algorithm(algo_id);
+  if (algo == nullptr) {
+    return Error::make("benchmark", "unknown algorithm " + algo_id);
+  }
+  const trace::Dataset& ds = dataset(ds_id);
+  if (!core::compatible(*algo, ds)) {
+    return Error::make("benchmark", algo_id + " cannot faithfully run on " +
+                                        ds_id + " (granularity/requirements)");
+  }
+  Result<FeatureTable> t = core::compute_features(*algo, ds);
+  if (!t.ok()) return t.error();
+  features::impute_non_finite(t.value());
+  return t;
+}
+
+Result<const FeatureTable*> Benchmark::features(const std::string& algo_id,
+                                                const std::string& ds_id) {
+  return feature_cache_.get_or_compute(
+      std::make_pair(algo_id, ds_id),
+      [&] { return compute_features(algo_id, ds_id); });
+}
+
+std::pair<FeatureTable, FeatureTable> Benchmark::split_by_time(
+    const FeatureTable& t, double train_fraction) {
+  const auto [tr, te] = split_rows(t, train_fraction);
   return {t.select_rows(tr), t.select_rows(te)};
 }
 
-FeatureTable Benchmark::cap_rows(const FeatureTable& t, size_t max_rows,
-                                 uint64_t salt) const {
-  if (t.rows <= max_rows) return t;
+std::vector<size_t> Benchmark::cap_indices(const FeatureTable& t,
+                                           std::vector<size_t> rows,
+                                           size_t max_rows,
+                                           uint64_t salt) const {
+  if (rows.size() <= max_rows) return rows;
   // Stratified subsample: keep the class ratio, deterministic by salt.
   std::vector<size_t> pos, neg;
-  for (size_t r = 0; r < t.rows; ++r) {
-    (t.labels[r] != 0 ? pos : neg).push_back(r);
-  }
+  for (const size_t r : rows) (t.labels[r] != 0 ? pos : neg).push_back(r);
   Rng rng(opts_.seed ^ salt);
   rng.shuffle(pos);
   rng.shuffle(neg);
-  const double frac = static_cast<double>(max_rows) / static_cast<double>(t.rows);
+  const double frac =
+      static_cast<double>(max_rows) / static_cast<double>(rows.size());
   size_t n_pos = static_cast<size_t>(frac * static_cast<double>(pos.size()));
   size_t n_neg = max_rows - std::min(max_rows, n_pos);
   n_pos = std::min(n_pos, pos.size());
@@ -83,24 +89,42 @@ FeatureTable Benchmark::cap_rows(const FeatureTable& t, size_t max_rows,
   std::vector<size_t> pick(pos.begin(), pos.begin() + static_cast<std::ptrdiff_t>(n_pos));
   pick.insert(pick.end(), neg.begin(), neg.begin() + static_cast<std::ptrdiff_t>(n_neg));
   std::sort(pick.begin(), pick.end());
-  return t.select_rows(pick);
+  return pick;
 }
 
-Result<const core::ModelValue*> Benchmark::trained_model(
-    const std::string& algo_id, const std::string& train_ds) {
-  return model_cache_.get_or_compute(
-      std::make_pair(algo_id, train_ds), [&]() -> Result<core::ModelValue> {
-        const AlgorithmDef* algo = core::find_algorithm(algo_id);
-        if (algo == nullptr) {
-          return Error::make("benchmark", "unknown algorithm " + algo_id);
-        }
-        Result<const Split*> sp = split(algo_id, train_ds);
-        if (!sp.ok()) return sp.error();
-        Result<core::ModelValue> mv = core::make_algorithm_model(*algo);
+FeatureTable Benchmark::cap_rows(const FeatureTable& t, size_t max_rows,
+                                 uint64_t salt) const {
+  if (t.rows <= max_rows) return t;
+  std::vector<size_t> every(t.rows);
+  std::iota(every.begin(), every.end(), 0);
+  return t.select_rows(cap_indices(t, std::move(every), max_rows, salt));
+}
+
+Result<const Benchmark::PairEntry*> Benchmark::entry(
+    const std::string& algo_id, const std::string& ds_id) {
+  return entries_.get_or_compute(
+      std::make_pair(algo_id, ds_id), [&]() -> Result<PairEntry> {
+        PairEntry e;
+        FeatureTable train;
+        {
+          Result<FeatureTable> feats = compute_features(algo_id, ds_id);
+          if (!feats.ok()) return feats.error();
+          const FeatureTable& t = feats.value();
+          auto [tr, te] = split_rows(t, opts_.train_fraction);
+          train = t.select_rows(cap_indices(t, std::move(tr),
+                                            opts_.max_train_rows,
+                                            Rng::seed_from(algo_id + ds_id)));
+          e.test = t.select_rows(te);
+        }  // the feature table is dropped before training
+        // compute_features rejected an unknown algorithm.
+        Result<core::ModelValue> mv =
+            core::make_algorithm_model(*core::find_algorithm(algo_id));
         if (!mv.ok()) return mv.error();
-        return mv.value().train(cap_rows(sp.value()->first,
-                                         opts_.max_train_rows,
-                                         Rng::seed_from(algo_id + train_ds)));
+        e.n_fit = train.rows;
+        Result<core::ModelValue> model = mv.value().train(std::move(train));
+        if (!model.ok()) return model.error();
+        e.model = std::move(model).value();
+        return e;
       });
 }
 
@@ -128,25 +152,25 @@ Benchmark::RunOutput Benchmark::evaluate_table(
 
 Result<Benchmark::RunOutput> Benchmark::same_dataset(
     const std::string& algo_id, const std::string& ds_id) {
-  Result<const core::ModelValue*> model = trained_model(algo_id, ds_id);
-  if (!model.ok()) return model.error();
-  Result<const Split*> sp = split(algo_id, ds_id);
-  if (!sp.ok()) return sp.error();
+  Result<const PairEntry*> e = entry(algo_id, ds_id);
+  if (!e.ok()) return e.error();
   RunOutput out =
-      evaluate_table(algo_id, *model.value(), sp.value()->second, ds_id, ds_id);
-  out.record.n_train = sp.value()->first.rows;
+      evaluate_table(algo_id, e.value()->model, e.value()->test, ds_id, ds_id);
+  out.record.n_train = e.value()->n_fit;
   return out;
 }
 
 Result<Benchmark::RunOutput> Benchmark::cross_dataset(
     const std::string& algo_id, const std::string& train_ds,
     const std::string& test_ds) {
-  Result<const core::ModelValue*> model = trained_model(algo_id, train_ds);
-  if (!model.ok()) return model.error();
-  Result<const Split*> sp = split(algo_id, test_ds);
-  if (!sp.ok()) return sp.error();
-  return evaluate_table(algo_id, *model.value(), sp.value()->second, train_ds,
-                        test_ds);
+  Result<const PairEntry*> train = entry(algo_id, train_ds);
+  if (!train.ok()) return train.error();
+  Result<const PairEntry*> test = entry(algo_id, test_ds);
+  if (!test.ok()) return test.error();
+  RunOutput out = evaluate_table(algo_id, train.value()->model,
+                                 test.value()->test, train_ds, test_ds);
+  out.record.n_train = train.value()->n_fit;
+  return out;
 }
 
 Result<Benchmark::RunOutput> Benchmark::merged_training(
@@ -162,17 +186,20 @@ Result<Benchmark::RunOutput> Benchmark::merged_training(
   for (const std::string& ds_id : trace::all_dataset_ids()) {
     const trace::Dataset& ds = dataset(ds_id);
     if (!core::strict_faithful(*algo, ds)) continue;
-    Result<const Split*> sp = split(algo_id, ds_id);
-    if (!sp.ok()) continue;  // incompatible pairs are simply skipped
-    const auto& [train, test] = *sp.value();
+    Result<FeatureTable> feats = compute_features(algo_id, ds_id);
+    if (!feats.ok()) continue;  // incompatible pairs are simply skipped
+    const FeatureTable& t = feats.value();
+    auto [train, test] = split_rows(t, opts_.train_fraction);
     const size_t tr_rows = std::max<size_t>(
-        1, static_cast<size_t>(fraction * static_cast<double>(train.rows) /
+        1, static_cast<size_t>(fraction * static_cast<double>(train.size()) /
                                opts_.train_fraction));
     const size_t te_rows = std::max<size_t>(
-        1, static_cast<size_t>(fraction * static_cast<double>(test.rows) /
+        1, static_cast<size_t>(fraction * static_cast<double>(test.size()) /
                                (1.0 - opts_.train_fraction)));
-    FeatureTable tr = cap_rows(train, tr_rows, Rng::seed_from(ds_id, 11));
-    FeatureTable te = cap_rows(test, te_rows, Rng::seed_from(ds_id, 13));
+    FeatureTable tr = t.select_rows(
+        cap_indices(t, std::move(train), tr_rows, Rng::seed_from(ds_id, 11)));
+    FeatureTable te = t.select_rows(
+        cap_indices(t, std::move(test), te_rows, Rng::seed_from(ds_id, 13)));
     if (!train_merged) {
       train_merged = std::move(tr);
       test_merged = std::move(te);

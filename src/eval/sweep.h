@@ -49,9 +49,9 @@ void sweep_cross_dataset(Benchmark& bench,
                          const std::vector<std::string>& algos,
                          ResultStore& store);
 
-/// Warm the benchmark's feature/model caches for a set of same-dataset pairs
-/// in parallel; later serial queries then hit the caches. Failures are
-/// ignored (the serial caller will report them).
+/// Warm the benchmark's per-pair entries (trained model and test split) for
+/// a set of same-dataset pairs in parallel; later serial queries then reuse
+/// them. Failures are ignored (the serial caller will report them).
 void prefetch_same_dataset(
     Benchmark& bench,
     const std::vector<std::pair<std::string, std::string>>& pairs);

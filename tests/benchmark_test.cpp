@@ -17,14 +17,16 @@
 namespace lumen::eval {
 namespace {
 
+Benchmark::Options suite_options() {
+  Benchmark::Options opts;
+  opts.dataset_scale = 0.25;  // keep the suite fast
+  opts.max_train_rows = 1200;
+  opts.max_test_rows = 1200;
+  return opts;
+}
+
 Benchmark& bench() {
-  static Benchmark b = [] {
-    Benchmark::Options opts;
-    opts.dataset_scale = 0.25;  // keep the suite fast
-    opts.max_train_rows = 1200;
-    opts.max_test_rows = 1200;
-    return Benchmark(opts);
-  }();
+  static Benchmark b(suite_options());
   return b;
 }
 
@@ -159,7 +161,7 @@ TEST(BenchmarkGolden, ProtocolOutputsAreBitIdentical) {
        0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 198, 86,
        0x1baa3ccd98d664f5ull},
       {"A14 F4->F7", [] { return bench().cross_dataset("A14", "F4", "F7"); },
-       0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0, 55,
+       0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 198, 55,
        0x74654af67142ec15ull},
       {"A14 merged 0.1", [] { return bench().merged_training("A14", 0.1); },
        0x1.f58d0fac687d6p-1, 0x1.f58d0fac687d6p-1, 0x1.f58d0fac687d6p-1,
@@ -212,6 +214,45 @@ TEST(BenchmarkGolden, ProtocolOutputsAreBitIdentical) {
     EXPECT_EQ(fnv1a(p.scores, p.y_pred), digest)
         << g.name << " 0x" << std::hex << fnv1a(p.scores, p.y_pred);
   }
+}
+
+void expect_same_run(const Benchmark::RunOutput& a,
+                     const Benchmark::RunOutput& b, const char* name) {
+  EXPECT_EQ(a.record.algo, b.record.algo) << name;
+  EXPECT_EQ(a.record.train_ds, b.record.train_ds) << name;
+  EXPECT_EQ(a.record.test_ds, b.record.test_ds) << name;
+  EXPECT_EQ(a.record.precision, b.record.precision) << name;
+  EXPECT_EQ(a.record.recall, b.record.recall) << name;
+  EXPECT_EQ(a.record.f1, b.record.f1) << name;
+  EXPECT_EQ(a.record.accuracy, b.record.accuracy) << name;
+  EXPECT_EQ(a.record.auc, b.record.auc) << name;
+  EXPECT_EQ(a.record.n_train, b.record.n_train) << name;
+  EXPECT_EQ(a.record.n_test, b.record.n_test) << name;
+  EXPECT_EQ(fnv1a(a.predictions.scores, a.predictions.y_pred),
+            fnv1a(b.predictions.scores, b.predictions.y_pred))
+      << name;
+}
+
+// F7's entry holds both the model its same-dataset cell scores and the test
+// rows the F4 -> F7 cell scores F4's model on; which cell computes it first
+// must not change either run.
+TEST(Benchmark, CrossBeforeSameMatchesSameFirst) {
+  Benchmark cross_first(suite_options());
+  auto cross_a = cross_first.cross_dataset("A14", "F4", "F7");
+  auto same_a = cross_first.same_dataset("A14", "F7");
+  Benchmark same_first(suite_options());
+  auto same_b = same_first.same_dataset("A14", "F7");
+  auto cross_b = same_first.cross_dataset("A14", "F4", "F7");
+  ASSERT_TRUE(cross_a.ok()) << cross_a.error().message;
+  ASSERT_TRUE(same_a.ok()) << same_a.error().message;
+  ASSERT_TRUE(same_b.ok()) << same_b.error().message;
+  ASSERT_TRUE(cross_b.ok()) << cross_b.error().message;
+  expect_same_run(cross_a.value(), cross_b.value(), "A14 F4->F7");
+  expect_same_run(same_a.value(), same_b.value(), "A14 F7");
+
+  auto bad = cross_first.cross_dataset("A14", "F4", "P1");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.error().message.find("faithfully"), std::string::npos);
 }
 
 // The same protocol through the engine's model/train/predict ops. GaussianNB

@@ -5,7 +5,9 @@
 # forest's tree workers, which read one shared rank encoding of the
 # training table, also when an AutoML fit's candidates or an ensemble's
 # members share that encoding (ml_train_oracle_test), and concurrent
-# ensemble and AutoML grid cells (sweep_test). Usage:
+# ensemble and AutoML grid cells (sweep_test), which compute each
+# (algorithm, dataset) pair's entry, its trained model and test split, once
+# through MemoCache while the other cells of that pair wait on it. Usage:
 #   tools/check_tsan.sh [build-dir]
 set -euo pipefail
 
