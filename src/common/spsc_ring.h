@@ -1,5 +1,6 @@
 // Single-producer/single-consumer lock-free ring buffer — the per-shard
-// packet conduit for the flow-sharded ingest path.
+// packet conduit for the flow-sharded ingest path, and the pool of frame
+// buffers that conduit recycles.
 //
 // Design:
 //   * Power-of-two capacity; head_/tail_ are monotonically increasing u64
@@ -9,12 +10,23 @@
 //     Each side keeps a cached copy of the other's index on its own cache
 //     line and refreshes it only when the cached view says "full"/"empty",
 //     so the steady-state hot path touches no shared line but its own.
-//   * Publication protocol: the producer move-assigns slots and then
+//   * Elements are exchanged, never copied or destroyed: try_push swaps
+//     each accepted item with its slot, so the item comes back holding the
+//     slot's previous element (one the consumer has finished with, with
+//     whatever capacity it had); try_pop swaps slots with the caller's
+//     elements, so the consumer hands its finished elements back to the
+//     slots it drains. A T that owns a heap buffer (a frame's bytes)
+//     therefore circulates producer -> slot -> consumer -> slot -> producer
+//     and, once every slot has been through a round, the hand-off allocates
+//     and frees nothing.
+//   * Publication protocol: the producer swaps slots and then
 //     store-releases tail_; the consumer load-acquires tail_ before
-//     reading those slots (and symmetrically store-releases head_ after
-//     moving items out, which the producer load-acquires before reusing
-//     the slots). These two release/acquire pairs are the only
-//     synchronization — there is no mutex anywhere.
+//     touching those slots (and symmetrically store-releases head_ after
+//     swapping its elements into them, which the producer load-acquires
+//     before swapping those slots again, so the consumer's writes to an
+//     element are ordered before the producer reuses it). These two
+//     release/acquire pairs are the only synchronization — there is no
+//     mutex anywhere.
 //   * Blocking edges (empty consumer, full producer under kBlock) use an
 //     escalating spin -> yield -> bounded-sleep backoff instead of a
 //     futex/doorbell. An edge-triggered doorbell on top of cached indices
@@ -34,6 +46,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -92,9 +105,11 @@ class SpscRing {
 
   // ---- producer side ------------------------------------------------------
 
-  /// Move up to n items from items[0..n) into the ring. Returns how many
-  /// were accepted (0 when full or closed); accepted items are moved-from,
-  /// the rest are untouched. One release store publishes the whole batch.
+  /// Swap up to n items from items[0..n) into the ring. Returns how many
+  /// were accepted (0 when full or closed); each accepted item comes back
+  /// holding its slot's previous element (default-constructed on the
+  /// slot's first use), the rest are untouched. One release store
+  /// publishes the whole batch.
   size_t try_push(T* items, size_t n) {
     if (n == 0 || closed_.load(std::memory_order_relaxed)) return 0;
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
@@ -105,8 +120,9 @@ class SpscRing {
       if (free == 0) return 0;
     }
     const size_t take = std::min(n, free);
+    using std::swap;
     for (size_t i = 0; i < take; ++i) {
-      slots_[static_cast<size_t>(tail + i) & mask_] = std::move(items[i]);
+      swap(slots_[static_cast<size_t>(tail + i) & mask_], items[i]);
     }
     tail_.store(tail + take, std::memory_order_release);
     // Occupancy against the producer's cached head: never above capacity,
@@ -118,8 +134,6 @@ class SpscRing {
     }
     return take;
   }
-
-  bool try_push(T&& item) { return try_push(&item, 1) == 1; }
 
   /// Block until at least one slot is free or the ring is closed.
   /// Returns false when closed (the push would be refused anyway).
@@ -149,19 +163,21 @@ class SpscRing {
 
   // ---- consumer side ------------------------------------------------------
 
-  /// Move up to max items into out (cleared first). Returns out.size().
-  size_t try_pop(std::vector<T>& out, size_t max) {
-    out.clear();
-    if (max == 0) return 0;
+  /// Swap up to out.size() items out of the ring into out[0..n), handing
+  /// the elements that were there to the drained slots (the producer gets
+  /// them back from a later try_push). Returns n; out[n..) is untouched.
+  size_t try_pop(std::span<T> out) {
+    if (out.empty()) return 0;
     const uint64_t head = head_.load(std::memory_order_relaxed);
     uint64_t tail = tail_cache_;
     if (tail == head) {
       tail = tail_cache_ = tail_.load(std::memory_order_acquire);
       if (tail == head) return 0;
     }
-    const size_t n = std::min(max, static_cast<size_t>(tail - head));
+    const size_t n = std::min(out.size(), static_cast<size_t>(tail - head));
+    using std::swap;
     for (size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(slots_[static_cast<size_t>(head + i) & mask_]));
+      swap(slots_[static_cast<size_t>(head + i) & mask_], out[i]);
     }
     head_.store(head + n, std::memory_order_release);
     return n;

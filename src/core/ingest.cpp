@@ -70,15 +70,15 @@ IngestRuntime::Options IngestRuntime::Options::normalized(
 
 namespace {
 
-/// Claim up to `max` packets from a shard's ring into `out` (cleared
-/// first), blocking while the ring is open and empty. Returns the number
-/// claimed; 0 only at end-of-stream (closed and fully drained).
+/// Claim up to out.size() packets from a shard's ring into out[0..n),
+/// blocking while the ring is open and empty; the packets out held before
+/// go back to the ring's slots for the producer to reuse. Returns n; 0
+/// only at end-of-stream (closed and fully drained).
 size_t claim(SpscRing<netio::SourcePacket>& ring,
-             std::vector<netio::SourcePacket>& out, size_t max) {
+             std::span<netio::SourcePacket> out) {
   while (ring.wait_nonempty()) {
-    if (const size_t n = ring.try_pop(out, max); n != 0) return n;
+    if (const size_t n = ring.try_pop(out); n != 0) return n;
   }
-  out.clear();
   return 0;
 }
 
@@ -106,6 +106,14 @@ class ShardFrameFeed : public netio::FrameFeed {
     const size_t s = router_.shard_of(p.pkt);
     SpscRing<netio::SourcePacket>& ring = *rings_[s];
     if (ring.try_push(&p, 1) == 1) {
+      // p now holds a packet a consumer has finished with: its buffer is
+      // the next frame's, unless it is oversized. Freed here, on the thread
+      // that allocated it, so a shard retains at most (queue_capacity +
+      // consumer_batch + 1) buffers of 2 KiB, about 8.1 MiB at the
+      // defaults.
+      if (p.pkt.data.capacity() > netio::kMaxRetainedFrameBytes) {
+        netio::Bytes().swap(p.pkt.data);
+      }
       account(s);
       return netio::FeedStatus::kAccepted;
     }
@@ -285,10 +293,12 @@ void IngestRuntime::consume(size_t id, Ring& ring,
   // Everything below is consumer-local until the per-batch flush: packets
   // are claimed in batches (one ring publication per batch),
   // scored without any shared state, and sink records plus stats counters
-  // are published once per batch. Buffers are reused across batches, so
-  // the steady-state loop performs no allocation. Telemetry is also
-  // per-batch — four clock reads and a handful of relaxed adds per batch,
-  // never per packet.
+  // are published once per batch. Buffers are reused across batches, and
+  // `batch` holds consumer_batch packets for the consumer's whole life:
+  // each claim swaps the finished packets of the previous one back into
+  // the ring for the producer to refill, so the steady-state loop performs
+  // no allocation. Telemetry is also per-batch — four clock reads and a
+  // handful of relaxed adds per batch, never per packet.
   using Clock = std::chrono::steady_clock;
   const auto ns_between = [](Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double, std::nano>(b - a).count();
@@ -345,7 +355,7 @@ void IngestRuntime::consume(size_t id, Ring& ring,
   };
   ShardInstruments* si =
       id < shard_instruments_.size() ? &shard_instruments_[id] : nullptr;
-  std::vector<netio::SourcePacket> batch;
+  std::vector<netio::SourcePacket> batch(opts_.consumer_batch);
   std::vector<netio::PacketView> parsed;
   std::vector<uint32_t> tenant_of;   // aligned with parsed: the packet's id
   std::vector<uint32_t> key_of;      // aligned with parsed: its context
@@ -356,22 +366,24 @@ void IngestRuntime::consume(size_t id, Ring& ring,
   std::vector<double> scratch_scores;
   std::vector<size_t> scratch_idx;
   std::vector<Scored> pending;
-  batch.reserve(opts_.consumer_batch);
   parsed.reserve(opts_.consumer_batch);
   tenant_of.reserve(opts_.consumer_batch);
   key_of.reserve(opts_.consumer_batch);
   scores.reserve(opts_.consumer_batch);
   thresholds.reserve(opts_.consumer_batch);
   pending.reserve(opts_.consumer_batch);
-  while (claim(ring, batch, opts_.consumer_batch) > 0) {
+  size_t claimed = 0;
+  while ((claimed = claim(ring, batch)) > 0) {
     uint64_t skipped = 0, alerted = 0;
     Clock::time_point t0, t1, t2;
-    // Stage 1 — parse the whole batch (views borrow the packet bytes in
-    // `batch`, which outlives the flush below).
+    // Stage 1 — parse the claimed packets, batch[0..claimed). Views
+    // describe packets in `batch`, whose bytes stay put until the next
+    // claim, after the flush below.
     if (extended_) t0 = Clock::now();
     parsed.clear();
     tenant_of.clear();
-    for (netio::SourcePacket& sp : batch) {
+    for (const netio::SourcePacket& sp :
+         std::span(batch).first(claimed)) {
       auto p = netio::parse_packet(sp.pkt, link, sp.capture_index);
       if (!p.ok()) {
         ++skipped;
@@ -457,10 +469,7 @@ void IngestRuntime::consume(size_t id, Ring& ring,
       const Clock::time_point t3 = Clock::now();
       // parse/score samples are the batch's mean per-packet cost; flush
       // is the whole batch's sink hand-off (it is per-batch by design).
-      if (!batch.empty()) {
-        parse_ns_->record(ns_between(t0, t1) /
-                          static_cast<double>(batch.size()));
-      }
+      parse_ns_->record(ns_between(t0, t1) / static_cast<double>(claimed));
       if (!parsed.empty()) {
         score_ns_->record(ns_between(t1, t2) /
                           static_cast<double>(parsed.size()));

@@ -169,6 +169,12 @@ class PacketScorer {
   /// results must not depend on how a fixed view sequence is chopped into
   /// batches, so alert sets are invariant under consumer_batch tuning.
   /// Default: a score() loop (trivially batch-invariant).
+  ///
+  /// Lifetime: each view describes a frame in the consumer's batch, and
+  /// the frame bytes its offsets index are valid only until the consumer's
+  /// next claim, which hands the batch's packets back to the ring to carry
+  /// later frames. A scorer copies whatever it keeps of a frame; a view
+  /// kept past that point reads another frame's bytes, silently.
   virtual void score_batch(std::span<const netio::PacketView> views,
                            double* out) {
     for (size_t i = 0; i < views.size(); ++i) out[i] = score(views[i]);

@@ -26,9 +26,10 @@
 // packet time. Eviction works in place: the victims leave the index and
 // their blocks go to a free list that the next new contexts reuse, so a
 // capped table holds at most cap + 1 blocks and, once it has, allocates
-// nothing. This class defaults to no cap, which keeps the batch
-// "damped_stats" operation exact; the live detector (OnlineKitsune) caps
-// each table at 4096 contexts.
+// nothing. Every table is capped at kDefaultMaxContexts unless the caller
+// says otherwise, so the batch "damped_stats" operation, the streaming
+// "damped_stats" producer and the live detector (OnlineKitsune) agree by
+// construction; 0 means unbounded.
 //
 // Copies are independent deep copies (each consumer's KitsuneScorer copies
 // the trained detector, extractor state included).
@@ -50,12 +51,18 @@
 
 namespace lumen::core {
 
+/// Contexts each extractor table keeps by default. The registry captures
+/// peak at 1551 contexts per table, so 4096 never evicts there (every
+/// batch and streaming row is the uncapped one), while a spoofed-source
+/// flood stays at about 4.6 MB of context state per extractor.
+inline constexpr size_t kDefaultMaxContexts = 4096;
+
 class KitsuneExtractor {
  public:
   /// Default lambdas are Kitsune's {5, 3, 1, 0.1, 0.01}. `max_contexts`
   /// bounds each context table (0 = unbounded; see class comment).
   explicit KitsuneExtractor(std::vector<double> lambdas = {},
-                            size_t max_contexts = 0);
+                            size_t max_contexts = kDefaultMaxContexts);
 
   /// 23 features per lambda.
   size_t dim() const { return 23 * lambdas_.size(); }

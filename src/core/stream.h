@@ -25,10 +25,8 @@ class OnlineKitsune {
     /// Contexts each extractor table keeps (0 = unbounded). A table past
     /// the cap evicts its lowest-weight contexts down to 3/4 of it (see
     /// KitsuneExtractor). The cap is per detector, so a sharded runtime
-    /// bounds each shard's copy. The registry captures peak at 1551
-    /// contexts per table, so 4096 never evicts there, while a
-    /// spoofed-source flood stays at about 4.6 MB of context state.
-    size_t max_contexts = 4096;
+    /// bounds each shard's copy. The default is the extractor's own.
+    size_t max_contexts = kDefaultMaxContexts;
   };
 
   OnlineKitsune() : OnlineKitsune(Options{}) {}

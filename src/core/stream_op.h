@@ -105,7 +105,10 @@ class StreamPipeline {
   void set_callback(EpochCallback cb);
 
   /// Feed one parsed packet, in capture order. May synchronously invoke the
-  /// epoch callback when the packet's timestamp closes a window.
+  /// epoch callback when the packet's timestamp closes a window. On the
+  /// live path the frame bytes `v` describes are valid only until the
+  /// consumer's next claim (see PacketScorer::score_batch): the chain
+  /// copies the fields it keeps and holds no view past this call.
   void push(const netio::PacketView& v);
 
   /// End of stream: flush every open window/micro-batch through the chain.

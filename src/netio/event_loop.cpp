@@ -86,6 +86,9 @@ struct EventLoop::Entry {
 
 struct EventLoop::Impl {
   std::unordered_map<uint64_t, Entry> entries;
+  /// What read_stream and read_datagrams receive into, allocated once.
+  /// Neither is re-entered from a protocol callback.
+  std::vector<uint8_t> chunk = std::vector<uint8_t>(kReadChunk);
 };
 
 EventLoop::EventLoop(Options opts, Protocol& protocol)
@@ -295,7 +298,7 @@ void EventLoop::deliver(Entry& conn) {
 
 void EventLoop::read_stream(Entry& conn) {
   const uint64_t id = conn.id;
-  std::vector<uint8_t> chunk(kReadChunk);
+  std::vector<uint8_t>& chunk = impl_->chunk;
   for (;;) {
     if (conn.paused) return;  // backpressure: leave bytes in the kernel
     const ssize_t n = ::recv(conn.fd, chunk.data(), chunk.size(), 0);
@@ -325,7 +328,7 @@ void EventLoop::read_stream(Entry& conn) {
 
 void EventLoop::read_datagrams(Entry& sock) {
   const uint64_t id = sock.id;
-  std::vector<uint8_t> chunk(kReadChunk);
+  std::vector<uint8_t>& chunk = impl_->chunk;
   // Bound one event's drain so a datagram flood cannot starve the tick and
   // the timeout sweeps (the socket stays armed; epoll re-reports).
   for (int i = 0; i < 4096; ++i) {

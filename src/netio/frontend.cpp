@@ -6,9 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
+#include <utility>
 
 #include "common/options.h"
 
@@ -65,16 +67,15 @@ bool record_ok(const uint8_t* h, uint32_t max_frame) {
          (h[0] == WireFormat::kFin || (ts >= 0.0 && ts < 4294967296.0));
 }
 
-/// The packet a frame record that passed record_ok carries.
-SourcePacket decode_frame(const uint8_t* h, uint32_t tenant) {
-  SourcePacket sp;
+/// Write the packet a frame record that passed record_ok carries into
+/// `sp`, reusing its buffer.
+void decode_frame(const uint8_t* h, uint32_t tenant, SourcePacket& sp) {
   sp.capture_index = get_u32(h + 4);
   sp.tenant = tenant;
   sp.pkt.ts = get_f64(h + 8);
   sp.pkt.orig_len = get_u32(h + 16);
   const uint8_t* frame = h + WireFormat::kRecordBytes;
   sp.pkt.data.assign(frame, frame + get_u32(h + 20));
-  return sp;
 }
 
 Error sys_error(const char* where, const char* what) {
@@ -264,6 +265,27 @@ FrontendOptions FrontendOptions::normalized(FrontendOptions opts,
 // ---------------------------------------------------------------------------
 // GatewayFrontend
 
+void GatewayFrontend::FrameQueue::push(SourcePacket& sp) {
+  if (size_ == slots_.size()) {
+    // Grow by doubling, oldest frame first in the new ring.
+    std::vector<SourcePacket> bigger(std::max<size_t>(16, 2 * size_));
+    for (size_t i = 0; i < size_; ++i) {
+      std::swap(bigger[i], slots_[(head_ + i) % slots_.size()]);
+    }
+    slots_.swap(bigger);
+    head_ = 0;
+  }
+  std::swap(slots_[(head_ + size_) % slots_.size()], sp);
+  ++size_;
+}
+
+void GatewayFrontend::FrameQueue::pop() {
+  Bytes& data = slots_[head_].pkt.data;
+  if (data.capacity() > kMaxRetainedFrameBytes) Bytes().swap(data);
+  head_ = (head_ + 1) % slots_.size();
+  --size_;
+}
+
 GatewayFrontend::GatewayFrontend(FrontendOptions opts)
     : opts_(FrontendOptions::normalized(std::move(opts), nullptr)),
       loop_(opts_.loop, *this) {
@@ -361,13 +383,13 @@ size_t GatewayFrontend::decode_records(uint64_t conn, ConnState& st,
       off += WireFormat::kRecordBytes;
       continue;
     }
-    SourcePacket sp = decode_frame(h, st.tenant);
+    decode_frame(h, st.tenant, spare_);
     off += WireFormat::kRecordBytes + incl_len;
     ++st.report.frames;
     st.report.bytes += incl_len;
     frames_->add(1);
     bytes_->add(incl_len);
-    route_frame(conn, st, std::move(sp));
+    route_frame(conn, st);
     if (feed_closed_) return EventLoop::kAbort;
     // Backpressure paused this connection: stop decoding so the rest of
     // the bytes stay buffered (bounded) until the feed has room.
@@ -378,13 +400,12 @@ size_t GatewayFrontend::decode_records(uint64_t conn, ConnState& st,
   return off;
 }
 
-void GatewayFrontend::route_frame(uint64_t conn, ConnState& st,
-                                  SourcePacket&& sp) {
+void GatewayFrontend::route_frame(uint64_t conn, ConnState& st) {
   if (feed_ == nullptr || feed_closed_) return;
   // Preserve arrival order: once anything is staged for this connection,
   // new frames queue behind it rather than jumping to the feed.
   if (st.staged.empty()) {
-    const FeedStatus s = feed_->offer(sp);
+    const FeedStatus s = feed_->offer(spare_);
     if (s == FeedStatus::kAccepted || s == FeedStatus::kShed) return;
     if (s == FeedStatus::kClosed) {
       feed_closed_ = true;
@@ -403,7 +424,7 @@ void GatewayFrontend::route_frame(uint64_t conn, ConnState& st,
     // TCP lossless path: pause below (decode loop stops); still stage
     // this frame — it is already decoded and owed to the feed.
   }
-  st.staged.push_back(std::move(sp));
+  st.staged.push(spare_);
   ++staged_total_;
   staged_depth_->set(static_cast<double>(staged_total_));
   staged_high_water_->update_max(static_cast<double>(staged_total_));
@@ -435,12 +456,12 @@ void GatewayFrontend::on_datagram(uint64_t sock, const uint8_t* data,
     fins_->add(1);
     return;
   }
-  SourcePacket sp = decode_frame(h, tenant);
+  decode_frame(h, tenant, spare_);
   ++udp_state_.report.frames;
   udp_state_.report.bytes += incl_len;
   frames_->add(1);
   bytes_->add(incl_len);
-  route_frame(sock, udp_state_, std::move(sp));
+  route_frame(sock, udp_state_);
 }
 
 void GatewayFrontend::on_close(uint64_t conn, CloseReason reason) {
@@ -467,8 +488,8 @@ void GatewayFrontend::finalize_conn(uint64_t conn, ConnState& st,
   // Frames decoded but never delivered: hand them to the orphan queue so
   // the feed still receives every frame the wire carried.
   while (!st.staged.empty()) {
-    orphaned_.push_back(std::move(st.staged.front()));
-    st.staged.pop_front();
+    orphaned_.push(st.staged.front());
+    st.staged.pop();
   }
   st.report.close_reason = reason;
   reports_.push_back(st.report);
@@ -484,15 +505,14 @@ bool GatewayFrontend::flush_staged() {
       feed_closed_ = true;
       return false;
     }
-    orphaned_.pop_front();
+    orphaned_.pop();
     --staged_total_;
   }
-  std::vector<uint64_t> ids;
-  ids.reserve(conns_.size() + 1);
+  flush_ids_.clear();
   for (const auto& [id, st] : conns_)
-    if (!st.staged.empty()) ids.push_back(id);
+    if (!st.staged.empty()) flush_ids_.push_back(id);
   const bool udp_pending = !udp_state_.staged.empty();
-  for (uint64_t id : ids) {
+  for (uint64_t id : flush_ids_) {
     auto it = conns_.find(id);
     if (it == conns_.end()) continue;
     ConnState& st = it->second;
@@ -503,11 +523,11 @@ bool GatewayFrontend::flush_staged() {
         feed_closed_ = true;
         return false;
       }
-      st.staged.pop_front();
+      st.staged.pop();
       --staged_total_;
     }
     // Staging drained: reopen the tap. resume() may re-enter on_data and
-    // restage; that is fine — order is preserved through the deque.
+    // restage; that is fine — order is preserved through the queue.
     loop_.resume(id);
   }
   if (udp_pending) {
@@ -518,7 +538,7 @@ bool GatewayFrontend::flush_staged() {
         feed_closed_ = true;
         return false;
       }
-      udp_state_.staged.pop_front();
+      udp_state_.staged.pop();
       --staged_total_;
     }
   }

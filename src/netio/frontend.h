@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,14 +60,28 @@ enum class FeedStatus : uint8_t {
   kClosed,        // not taken: downstream stopped; stop driving
 };
 
+/// Largest frame buffer a recycled packet keeps. A feed that recycles
+/// packets (IngestRuntime's shard rings do) hands every buffer it is given
+/// back to its producers, so without a bound one LUM1 frame of up to
+/// FrontendOptions::max_frame_bytes would pin its buffer for good. Every
+/// frame of the registry captures and of the e2e workloads' live captures
+/// is at most 1,459 bytes (an Ethernet MTU frame), so 2 KiB keeps all of
+/// them. Larger buffers are freed when they come back, on the producer
+/// thread that allocated them.
+inline constexpr size_t kMaxRetainedFrameBytes = 2048;
+
 /// Downstream half of the front-end API. IngestRuntime implements this
 /// over its flow-hash shard router and per-shard rings; drivers never see
 /// the shards.
 class FrameFeed {
  public:
   virtual ~FrameFeed() = default;
-  /// Non-blocking hand-off. On kBusy the packet is NOT consumed and the
-  /// caller decides: wait_ready() (replay) or stage-and-pause (sockets).
+  /// Non-blocking hand-off. On kAccepted the feed has taken the packet's
+  /// contents, and `packet` comes back as a recycled packet whose contents
+  /// are unspecified: write the next frame into it, so its buffer is
+  /// reused. On kBusy the packet is NOT consumed and the caller decides:
+  /// wait_ready() (replay) or stage-and-pause (sockets). On kShed and
+  /// kClosed it is left as it was.
   virtual FeedStatus offer(SourcePacket& packet) = 0;
   /// Block until the conduit that last returned kBusy has room again.
   /// Returns false if the feed closed while waiting.
@@ -221,10 +234,31 @@ class GatewayFrontend : public SourceDriver, private EventLoop::Protocol {
   std::vector<ConnReport> connections() const { return reports_; }
 
  private:
+  /// Decoded frames awaiting the feed, oldest first: a growable ring of
+  /// packets that keeps their buffers. push() swaps a frame in and hands
+  /// back the packet its slot held; pop() leaves in the slot the packet
+  /// the feed returned (freed if above kMaxRetainedFrameBytes). So staging
+  /// allocates nothing once the ring has reached its high-water mark, and
+  /// keeps that many buffers until the queue is destroyed.
+  class FrameQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    SourcePacket& front() { return slots_[head_]; }
+    void push(SourcePacket& sp);
+    void pop();
+    void clear() { head_ = size_ = 0; }
+
+   private:
+    std::vector<SourcePacket> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   struct ConnState {
     bool hello_done = false;
     uint32_t tenant = 0;
-    std::deque<SourcePacket> staged;  // decoded frames awaiting the feed
+    FrameQueue staged;  // decoded frames awaiting the feed
     ConnReport report;
     double accepted_at = 0;
   };
@@ -239,8 +273,10 @@ class GatewayFrontend : public SourceDriver, private EventLoop::Protocol {
   /// consumed or EventLoop::kAbort on a malformed stream.
   size_t decode_records(uint64_t conn, ConnState& st, const uint8_t* data,
                         size_t n);
-  /// Push one decoded frame toward the feed (direct, staged, or shed).
-  void route_frame(uint64_t conn, ConnState& st, SourcePacket&& sp);
+  /// Push the frame decoded into spare_ toward the feed (direct, staged,
+  /// or shed). An accepted or staged frame leaves a recycled packet in
+  /// spare_.
+  void route_frame(uint64_t conn, ConnState& st);
   /// Drain staged frames into the feed; resumes paused connections whose
   /// staging emptied. Returns false once the feed reports closed.
   bool flush_staged();
@@ -256,10 +292,14 @@ class GatewayFrontend : public SourceDriver, private EventLoop::Protocol {
   uint64_t udp_sock_ = 0;
   bool bound_ = false;
   bool feed_closed_ = false;
+  /// Every TCP and UDP record is decoded into this packet, whose buffer the
+  /// feed's recycling keeps allocated.
+  SourcePacket spare_;
   std::unordered_map<uint64_t, ConnState> conns_;
   ConnState udp_state_;  // staging + accounting for the datagram socket
   /// Frames whose connection closed before the feed had room; still owed.
-  std::deque<SourcePacket> orphaned_;
+  FrameQueue orphaned_;
+  std::vector<uint64_t> flush_ids_;  // flush_staged's id list, reused
   std::vector<ConnReport> reports_;
   uint64_t streams_finished_ = 0;  // clean TCP closes + FIN records
   uint64_t udp_fins_ = 0;

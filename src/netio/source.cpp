@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "netio/pcap.h"
 
@@ -98,20 +99,20 @@ void FaultInjectingSource::inject(SourcePacket& sp) {
 }
 
 bool FaultInjectingSource::next(SourcePacket& out) {
-  if (held_.has_value()) {
-    out = std::move(*held_);
-    held_.reset();
+  // Packets change places by swapping, so each keeps its buffer: a reorder
+  // delivers the following packet now and the held one on the next call.
+  if (holding_) {
+    std::swap(out, held_);
+    holding_ = false;
     return true;
   }
   if (!inner_->next(out)) return false;
   inject(out);
-  if (opts_.reorder_p > 0.0 && rng_.bernoulli(opts_.reorder_p)) {
-    SourcePacket following;
-    if (inner_->next(following)) {
-      inject(following);
-      held_ = std::move(out);
-      out = std::move(following);
-    }
+  if (opts_.reorder_p > 0.0 && rng_.bernoulli(opts_.reorder_p) &&
+      inner_->next(held_)) {
+    inject(held_);
+    std::swap(out, held_);
+    holding_ = true;
   }
   return true;
 }
@@ -119,7 +120,7 @@ bool FaultInjectingSource::next(SourcePacket& out) {
 bool FaultInjectingSource::reset() {
   if (!inner_->reset()) return false;
   rng_.reseed(opts_.seed);
-  held_.reset();
+  holding_ = false;
   return true;
 }
 

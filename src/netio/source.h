@@ -13,7 +13,6 @@
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -40,6 +39,9 @@ class PacketSource {
   virtual ~PacketSource() = default;
 
   /// Pull the next packet into `out`. Returns false at end of stream.
+  /// `out` may be a packet recycled from an earlier frame (see
+  /// FrameFeed::offer): a source overwrites its frame and reuses its
+  /// buffer.
   virtual bool next(SourcePacket& out) = 0;
 
   /// Link type of the frames this source emits.
@@ -130,7 +132,8 @@ class FaultInjectingSource : public PacketSource {
   PacketSource* inner_;
   FaultOptions opts_;
   Rng rng_;
-  std::optional<SourcePacket> held_;  // delayed packet during a reorder
+  SourcePacket held_;  // delayed packet during a reorder, if holding_
+  bool holding_ = false;
 };
 
 /// Options for LoopingSource. With period = 0 the shift between loops is

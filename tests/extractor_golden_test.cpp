@@ -4,19 +4,25 @@
 // corpus trace — including non-IP frames and a spoofed-source flood whose
 // context tables span many storage chunks — and the context-eviction cap
 // must bound the tracked state without changing the rows of contexts that
-// survive it, and without allocating once a table is full.
+// survive it, and without allocating once a table is full. The default cap
+// also bounds a streaming damped_stats chain.
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/kitsune_extractor.h"
 #include "core/stream.h"
+#include "core/stream_op.h"
 #include "netio/builder.h"
 #include "netio/parse.h"
 #include "trace/attacks.h"
@@ -25,21 +31,33 @@
 #include "kitsune_extractor_ref.h"
 
 // Every heap allocation in this binary goes through the replaced global
-// operator new / new[] below, which counts it
-// (ExtractorEviction.SaturatedCapAllocatesNothing). The whole unaligned
-// family is replaced, nothrow forms included, so every block is allocated
-// with malloc and released with free.
+// operator new / new[] below, which counts it and the live bytes (the
+// usable size of each block; ExtractorEviction.SaturatedCapAllocatesNothing
+// and SaturatedChainHoldsItsMemory). The whole unaligned family is
+// replaced, nothrow forms included, so every block is allocated with malloc
+// and released with free.
 namespace {
 std::atomic<size_t> g_heap_allocs{0};
+std::atomic<size_t> g_live_bytes{0};
 
 void* counted_alloc(std::size_t n) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p != nullptr) {
+    g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  }
+  return p;
 }
 
 void* counted_alloc_or_throw(std::size_t n) {
   if (void* p = counted_alloc(n)) return p;
   throw std::bad_alloc();
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
@@ -51,13 +69,15 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   return counted_alloc(n);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace lumen::core {
@@ -70,7 +90,7 @@ using netio::Trace;
 
 void expect_bit_identical(const Trace& trace, std::vector<double> lambdas = {},
                           const char* what = "") {
-  KitsuneExtractor packed(lambdas);
+  KitsuneExtractor packed(lambdas, 0);  // the reference has no cap
   ReferenceKitsuneExtractor ref(lambdas);
   ASSERT_EQ(packed.dim(), ref.dim());
   std::vector<double> a, b;
@@ -180,7 +200,7 @@ const trace::Dataset& spoofed_flood() {
 TEST(ExtractorGolden, SpoofedFloodAcrossManyChunks) {
   const Trace& t = spoofed_flood().trace;
   expect_bit_identical(t, {}, "flood");
-  KitsuneExtractor ex;
+  KitsuneExtractor ex({}, 0);
   std::vector<double> row;
   for (const auto& v : t.view) ex.process(v, row);
   const auto counts = ex.context_counts();
@@ -416,7 +436,7 @@ TEST(ExtractorEviction, CapAcrossChunksKeepsRowsOfRecurringContexts) {
   // every row must equal an uncapped extractor's row bit for bit.
   const size_t kCap = 1000;
   KitsuneExtractor capped({}, kCap);
-  KitsuneExtractor uncapped;
+  KitsuneExtractor uncapped({}, 0);
   const MacAddr dst{2, 0, 0, 0, 0, 0xfe};
   std::vector<double> a, b;
   double ts = 100.0;
@@ -510,14 +530,17 @@ TEST(ExtractorEviction, SaturatedCapAllocatesNothing) {
 }
 
 TEST(ExtractorEviction, DefaultCapKeepsRegistryRows) {
-  // The live detector's default cap sits well above the largest context
-  // table of every registry capture, so capped rows equal uncapped ones.
-  const size_t cap = OnlineKitsune::Options{}.max_contexts;
+  // The default cap, the batch op's, the streaming producer's and the
+  // live detector's, sits well above the largest context table of every
+  // registry capture, so capped rows equal uncapped ones.
+  const size_t cap = KitsuneExtractor().max_contexts();
   ASSERT_GT(cap, 0u);
+  EXPECT_EQ(cap, kDefaultMaxContexts);
+  EXPECT_EQ(OnlineKitsune::Options{}.max_contexts, cap);
   for (const char* id : {"P0", "P1", "P2", "P3", "P4"}) {
     const Trace& t = trace::dataset_cache(id).trace;
     KitsuneExtractor capped({}, cap);
-    KitsuneExtractor uncapped;
+    KitsuneExtractor uncapped({}, 0);
     std::vector<double> a, b;
     for (size_t i = 0; i < t.view.size(); ++i) {
       capped.process(t.view[i], a);
@@ -529,6 +552,91 @@ TEST(ExtractorEviction, DefaultCapKeepsRegistryRows) {
     EXPECT_LT(std::max({c.mac, c.src, c.chan, c.sock}), cap / 2) << id;
     EXPECT_EQ(capped.tracked_contexts(), uncapped.tracked_contexts()) << id;
   }
+}
+
+
+PipelineSpec parse_spec(const std::string& text) {
+  auto spec = PipelineSpec::parse("[" + text + "]");
+  EXPECT_TRUE(spec.ok()) << spec.error().message;
+  return std::move(spec).value();
+}
+
+TEST(ExtractorEviction, SaturatedChainHoldsItsMemory) {
+  // The streaming damped_stats producer builds its extractor with the
+  // default cap, so once its tables have evicted, a field_extract ->
+  // damped_stats -> predict chain takes 20k more spoofed sources without
+  // holding more memory. Uncapped, each would keep about 1 KB of context.
+  const auto capture = [](uint64_t seed, double flood_pps) {
+    trace::Sim sim(seed);
+    trace::BenignStyle st;
+    sim.benign_iot_traffic(0.0, 18.0, 4, st);
+    if (flood_pps > 0.0) {
+      trace::attack_syn_flood(sim, 1.0, 16.0, sim.lan_ip(st, 1), 80,
+                              flood_pps, trace::AttackType::kSynFlood);
+    }
+    return sim.finish("chain flood", "spoofed SYN flood",
+                      trace::Granularity::kPacket);
+  };
+  const trace::Dataset benign = capture(2024, 0.0);
+  const trace::Dataset flood = capture(1313, 2000.0);
+
+  Engine::Options eopts;
+  eopts.registry = nullptr;
+  OpContext tctx;
+  tctx.dataset = &benign;
+  auto trained = Engine(eopts).run(parse_spec(R"(
+    {"func": "field_extract", "input": None, "output": "P", "param": []},
+    {"func": "damped_stats", "input": ["P"], "output": "F"},
+    {"func": "model", "input": None, "output": "M0", "model_type": "KitNET",
+     "normalize": true},
+    {"func": "train", "input": ["M0", "F"], "output": "Model"},
+  )"), tctx);
+  ASSERT_TRUE(trained.ok()) << trained.error().message;
+  const ModelValue* model = trained.value().get<ModelValue>("Model");
+  ASSERT_NE(model, nullptr);
+  StreamingOptions sopts;
+  sopts.bindings.emplace("Model", *model);
+  auto chain = compile_streaming(parse_spec(R"(
+    {"func": "field_extract", "input": None, "output": "P", "param": []},
+    {"func": "damped_stats", "input": ["P"], "output": "F"},
+    {"func": "predict", "input": ["Model", "F"], "output": "Preds"},
+  )"), std::move(sopts));
+  ASSERT_TRUE(chain.ok()) << chain.error().message;
+  size_t rows = 0;
+  chain.value()->set_callback([&rows](EpochBatch&& b) { rows += b.table.rows; });
+
+  // Warm up until a default-capped extractor over the same frames has
+  // evicted twice in every table, as SaturatedCapAllocatesNothing does.
+  const std::vector<netio::PacketView>& views = flood.trace.view;
+  KitsuneExtractor ex;
+  std::vector<double> row;
+  size_t evictions[4] = {};
+  auto prev = ex.context_counts();
+  size_t i = 0;
+  while (i < views.size() && *std::min_element(evictions, evictions + 4) < 2) {
+    ex.process(views[i], row);
+    chain.value()->push(views[i++]);
+    const auto now = ex.context_counts();
+    evictions[0] += now.mac < prev.mac ? 1 : 0;
+    evictions[1] += now.src < prev.src ? 1 : 0;
+    evictions[2] += now.chan < prev.chan ? 1 : 0;
+    evictions[3] += now.sock < prev.sock ? 1 : 0;
+    prev = now;
+  }
+  ASSERT_EQ(*std::min_element(evictions, evictions + 4), 2u);
+
+  const size_t kMeasured = 20000;  // flood frames, each a new source
+  const size_t before = g_live_bytes.load();
+  size_t flood_frames = 0;
+  for (; i < views.size() && flood_frames < kMeasured; ++i) {
+    chain.value()->push(views[i]);
+    flood_frames += flood.label_at(i) != 0 ? 1 : 0;
+  }
+  const double grown = static_cast<double>(g_live_bytes.load()) -
+                       static_cast<double>(before);
+  ASSERT_EQ(flood_frames, kMeasured);
+  EXPECT_LT(grown, 64.0 * 1024.0) << "over " << kMeasured << " flood frames";
+  EXPECT_GT(rows, 0u);
 }
 
 }  // namespace

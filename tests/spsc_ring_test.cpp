@@ -1,13 +1,17 @@
 // SpscRing and ModelSlot: the two lock-free primitives under the sharded
 // ingest path. Single-threaded tests pin the index arithmetic (wrap-around,
-// batched claim/publish, full/empty/closed edges); the two-thread stresses
-// are the TSan targets — FIFO integrity across millions of wraps for the
-// ring, no torn value and bounded node retention for the slot.
+// batched claim/publish, full/empty/closed edges) and the swap hand-off
+// that recycles elements; the two-thread stresses are the TSan targets —
+// FIFO integrity across millions of wraps for the ring, also with
+// recycled byte buffers of varying size, and no torn value and bounded
+// node retention for the slot.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -16,6 +20,14 @@
 
 namespace lumen {
 namespace {
+
+/// Pops up to `max` items into a fresh buffer and returns the claimed ones.
+template <typename T>
+std::vector<T> pop(SpscRing<T>& ring, size_t max) {
+  std::vector<T> out(max);
+  out.resize(ring.try_pop(out));
+  return out;
+}
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(0).capacity(), 1u);
@@ -38,13 +50,14 @@ TEST(SpscRing, FifoAcrossManyWraps) {
     const size_t pushed = ring.try_push(vals, 3);
     next_push += static_cast<int>(pushed);
     ASSERT_GT(pushed, 0u);
-    ASSERT_GT(ring.try_pop(out, 2), 0u);
+    out = pop(ring, 2);
+    ASSERT_FALSE(out.empty());
     for (const int v : out) {
       ASSERT_EQ(v, next_pop);
       ++next_pop;
     }
   }
-  while (ring.try_pop(out, 64) > 0) {
+  while (!(out = pop(ring, 64)).empty()) {
     for (const int v : out) {
       ASSERT_EQ(v, next_pop);
       ++next_pop;
@@ -60,51 +73,71 @@ TEST(SpscRing, BatchedClaimPublishPartialAccept) {
   // A batch larger than the free space is accepted partially, in order.
   EXPECT_EQ(ring.try_push(vals, 16), 8u);
   EXPECT_EQ(ring.try_push(vals + 8, 8), 0u);  // full
-  std::vector<int> out;
-  EXPECT_EQ(ring.try_pop(out, 3), 3u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(pop(ring, 3), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(ring.try_push(vals + 8, 8), 3u);  // exactly the freed slots
   // The consumer refreshes its view of the producer index only when the
   // cached view runs empty, so this claim serves the 5 items it already
   // knew about and the next claim picks up the 3 published since.
-  EXPECT_EQ(ring.try_pop(out, 64), 5u);
-  EXPECT_EQ(out, (std::vector<int>{3, 4, 5, 6, 7}));
-  EXPECT_EQ(ring.try_pop(out, 64), 3u);
-  EXPECT_EQ(out, (std::vector<int>{8, 9, 10}));
+  EXPECT_EQ(pop(ring, 64), (std::vector<int>{3, 4, 5, 6, 7}));
+  EXPECT_EQ(pop(ring, 64), (std::vector<int>{8, 9, 10}));
 }
 
 TEST(SpscRing, EmptyFullAndClosedEdges) {
   SpscRing<int> ring(2);
-  std::vector<int> out;
-  EXPECT_EQ(ring.try_pop(out, 4), 0u);  // empty
+  EXPECT_TRUE(pop(ring, 4).empty());  // empty
   int v = 7;
-  ASSERT_TRUE(ring.try_push(std::move(v)));
+  ASSERT_EQ(ring.try_push(&v, 1), 1u);
   v = 8;
-  ASSERT_TRUE(ring.try_push(std::move(v)));
+  ASSERT_EQ(ring.try_push(&v, 1), 1u);
   v = 9;
-  EXPECT_FALSE(ring.try_push(std::move(v)));  // full
+  EXPECT_EQ(ring.try_push(&v, 1), 0u);  // full
+  EXPECT_EQ(v, 9);                      // refused items are untouched
   EXPECT_TRUE(ring.wait_nonempty());
 
   ring.close();
   v = 10;
-  EXPECT_FALSE(ring.try_push(std::move(v)));  // closed: refuse new work
-  EXPECT_FALSE(ring.wait_notfull());          // producer told to stop
+  EXPECT_EQ(ring.try_push(&v, 1), 0u);  // closed: refuse new work
+  EXPECT_FALSE(ring.wait_notfull());    // producer told to stop
   // Consumer drains the remainder, then sees end-of-stream.
   EXPECT_TRUE(ring.wait_nonempty());
-  EXPECT_EQ(ring.try_pop(out, 4), 2u);
-  EXPECT_EQ(out, (std::vector<int>{7, 8}));
+  EXPECT_EQ(pop(ring, 4), (std::vector<int>{7, 8}));
   EXPECT_FALSE(ring.wait_nonempty());
 }
 
-TEST(SpscRing, MovesElementsThrough) {
-  SpscRing<std::unique_ptr<int>> ring(4);
-  auto p = std::make_unique<int>(42);
-  ASSERT_TRUE(ring.try_push(std::move(p)));
-  EXPECT_EQ(p, nullptr);  // accepted items are moved-from
-  std::vector<std::unique_ptr<int>> out;
-  ASSERT_EQ(ring.try_pop(out, 1), 1u);
-  ASSERT_NE(out[0], nullptr);
-  EXPECT_EQ(*out[0], 42);
+// The ring is a pool: a push hands back the slot's previous element and a
+// pop hands the caller's elements to the slots it drains, so a buffer goes
+// producer -> slot -> consumer -> slot -> producer without being freed.
+TEST(SpscRing, SwapsRecycleElements) {
+  SpscRing<std::vector<int>> ring(2);
+  std::vector<int> a{1, 2, 3};
+  ASSERT_EQ(ring.try_push(&a, 1), 1u);  // slot 0
+  EXPECT_TRUE(a.empty());  // a slot's first element is default-constructed
+  EXPECT_EQ(a.capacity(), 0u);
+
+  std::vector<std::vector<int>> batch(3);
+  batch[0].reserve(16);
+  const int* spent = batch[0].data();  // the consumer's finished buffer
+  batch[1] = {9};
+  ASSERT_EQ(ring.try_pop(batch), 1u);
+  EXPECT_EQ(batch[0], (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(batch[1], std::vector<int>{9});  // beyond the claim: untouched
+
+  std::vector<int> b{4}, c{5};
+  ASSERT_EQ(ring.try_push(&b, 1), 1u);  // slot 1, not used before
+  EXPECT_EQ(b.capacity(), 0u);
+  ASSERT_EQ(ring.try_push(&c, 1), 1u);  // slot 0, which the pop refilled
+  EXPECT_EQ(c.data(), spent);
+  EXPECT_EQ(c.capacity(), 16u);
+
+  ASSERT_EQ(ring.try_pop(batch), 2u);
+  EXPECT_EQ(batch[0], std::vector<int>{4});
+  EXPECT_EQ(batch[1], std::vector<int>{5});
+  // Slots 1 and 0 now hold what batch[0] and batch[1] held.
+  std::vector<int> d, e;
+  ASSERT_EQ(ring.try_push(&d, 1), 1u);
+  ASSERT_EQ(ring.try_push(&e, 1), 1u);
+  EXPECT_EQ(d, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(e, std::vector<int>{9});
 }
 
 TEST(SpscRing, HighWaterTracksPeakOccupancy) {
@@ -113,8 +146,7 @@ TEST(SpscRing, HighWaterTracksPeakOccupancy) {
   int vals[8] = {0, 1, 2, 3, 4, 5, 6, 7};
   ASSERT_EQ(ring.try_push(vals, 5), 5u);
   EXPECT_EQ(ring.high_water(), 5u);
-  std::vector<int> out;
-  ASSERT_EQ(ring.try_pop(out, 5), 5u);
+  ASSERT_EQ(pop(ring, 5).size(), 5u);
   EXPECT_EQ(ring.high_water(), 5u);  // a high-water mark never recedes
   ASSERT_EQ(ring.try_push(vals, 8), 8u);
   EXPECT_EQ(ring.high_water(), 8u);
@@ -131,11 +163,11 @@ TEST(SpscRing, TwoThreadStressKeepsFifo) {
   std::atomic<bool> ok{true};
 
   std::thread consumer([&] {
-    std::vector<uint32_t> out;
+    std::vector<uint32_t> out(16);
     uint32_t expect = 0;
     while (ring.wait_nonempty()) {
-      ring.try_pop(out, 16);
-      for (const uint32_t v : out) {
+      const size_t n = ring.try_pop(out);
+      for (const uint32_t v : std::span(out).first(n)) {
         if (v != expect) {
           ok.store(false);
           return;
@@ -169,6 +201,70 @@ TEST(SpscRing, TwoThreadStressKeepsFifo) {
   EXPECT_TRUE(ok.load());
   EXPECT_GE(ring.high_water(), 1u);
   EXPECT_LE(ring.high_water(), ring.capacity());
+}
+
+// The TSan target for recycling: payloads are byte buffers of varying
+// size, rewritten in place by the producer after the ring hands them back
+// and read by the consumer after it claims them. The consumer checks every
+// byte, so a producer write racing a consumer read of the same buffer (a
+// slot reused before its release-store) shows as a wrong byte or a race.
+TEST(SpscRing, TwoThreadStressRecyclesByteBuffers) {
+  constexpr uint32_t kCount = 100000;
+  SpscRing<std::vector<uint8_t>> ring(64);
+  std::atomic<bool> ok{true};
+  // Item k: 4 bytes of k, then a length and bytes that depend on k.
+  const auto size_of = [](uint32_t k) { return 4 + (k * 7919u) % 700u; };
+  const auto byte_of = [](uint32_t k, size_t j) {
+    return static_cast<uint8_t>((k + j) * 131u);
+  };
+
+  std::thread consumer([&] {
+    std::vector<std::vector<uint8_t>> out(16);
+    uint32_t expect = 0;
+    while (ring.wait_nonempty()) {
+      const size_t n = ring.try_pop(out);
+      for (const std::vector<uint8_t>& v : std::span(out).first(n)) {
+        bool good = v.size() == size_of(expect);
+        uint32_t k = 0;
+        if (good) std::memcpy(&k, v.data(), 4);
+        good = good && k == expect;
+        for (size_t j = 4; good && j < v.size(); ++j) {
+          good = v[j] == byte_of(expect, j);
+        }
+        if (!good) {
+          ok.store(false);
+          return;
+        }
+        ++expect;
+      }
+    }
+    if (expect != kCount) ok.store(false);
+  });
+
+  std::vector<uint8_t> batch[13];
+  uint32_t next = 0;
+  while (next < kCount) {
+    uint32_t n = 0;
+    for (; n < 13 && next + n < kCount; ++n) {
+      const uint32_t k = next + n;
+      std::vector<uint8_t>& v = batch[n];
+      v.resize(size_of(k));
+      std::memcpy(v.data(), &k, 4);
+      for (size_t j = 4; j < v.size(); ++j) v[j] = byte_of(k, j);
+    }
+    uint32_t done = 0;
+    while (done < n) {
+      const size_t accepted = ring.try_push(batch + done, n - done);
+      done += static_cast<uint32_t>(accepted);
+      if (accepted == 0) {
+        ASSERT_TRUE(ring.wait_notfull());
+      }
+    }
+    next += n;
+  }
+  ring.close();
+  consumer.join();
+  EXPECT_TRUE(ok.load());
 }
 
 TEST(ModelSlot, PinReturnsInitialValue) {

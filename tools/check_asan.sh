@@ -15,7 +15,8 @@
 # builder's rank indexing and column-major rank offsets, and the SGD loop's
 # standardized copy of the table (ml_train_oracle_test), and the evaluation
 # grid's held memory under a replaced global operator new / delete
-# (grid_memory_test).
+# (grid_memory_test), and the live hand-off's recycled frame buffers under
+# the same replacement (handoff_alloc_test).
 # Usage:
 #   tools/check_asan.sh [build-dir]
 set -euo pipefail
@@ -24,7 +25,7 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build-asan}"
 
 cmake -B "$BUILD" -S . -DLUMEN_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test stream_test flat_map_test property_test json_test persist_test engine_test benchmark_test synthesis_test ml_train_oracle_test grid_memory_test
+cmake --build "$BUILD" -j "$(nproc)" --target netio_test pcap_test ingest_test ingest_batch_equiv_test ingest_shard_test frontend_test spsc_ring_test stream_engine_test dense_test compiled_model_test ops_test telemetry_test extractor_golden_test stream_test flat_map_test property_test json_test persist_test engine_test benchmark_test synthesis_test ml_train_oracle_test grid_memory_test handoff_alloc_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 
@@ -51,5 +52,6 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 "$BUILD/tests/synthesis_test"
 "$BUILD/tests/ml_train_oracle_test"
 "$BUILD/tests/grid_memory_test"
+"$BUILD/tests/handoff_alloc_test"
 
-echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + stream_test + flat_map_test + property_test + json_test + persist_test + engine_test + benchmark_test + synthesis_test + ml_train_oracle_test + grid_memory_test clean"
+echo "ASan: netio_test + pcap_test + ingest_test + ingest_batch_equiv_test + ingest_shard_test + frontend_test + spsc_ring_test + stream_engine_test + dense_test + compiled_model_test + ops_test + telemetry_test + extractor_golden_test + stream_test + flat_map_test + property_test + json_test + persist_test + engine_test + benchmark_test + synthesis_test + ml_train_oracle_test + grid_memory_test + handoff_alloc_test clean"
