@@ -111,9 +111,7 @@ class ShardFrameFeed : public netio::FrameFeed {
       // that allocated it, so a shard retains at most (queue_capacity +
       // consumer_batch + 1) buffers of 2 KiB, about 8.1 MiB at the
       // defaults.
-      if (p.pkt.data.capacity() > netio::kMaxRetainedFrameBytes) {
-        netio::Bytes().swap(p.pkt.data);
-      }
+      netio::release_if_oversized(p);
       account(s);
       return netio::FeedStatus::kAccepted;
     }

@@ -280,8 +280,7 @@ void GatewayFrontend::FrameQueue::push(SourcePacket& sp) {
 }
 
 void GatewayFrontend::FrameQueue::pop() {
-  Bytes& data = slots_[head_].pkt.data;
-  if (data.capacity() > kMaxRetainedFrameBytes) Bytes().swap(data);
+  release_if_oversized(slots_[head_]);
   head_ = (head_ + 1) % slots_.size();
   --size_;
 }

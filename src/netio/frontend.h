@@ -70,6 +70,12 @@ enum class FeedStatus : uint8_t {
 /// thread that allocated them.
 inline constexpr size_t kMaxRetainedFrameBytes = 2048;
 
+/// Frees a recycled packet's buffer if it is above kMaxRetainedFrameBytes.
+inline void release_if_oversized(SourcePacket& sp) {
+  Bytes& data = sp.pkt.data;
+  if (data.capacity() > kMaxRetainedFrameBytes) Bytes().swap(data);
+}
+
 /// Downstream half of the front-end API. IngestRuntime implements this
 /// over its flow-hash shard router and per-shard rings; drivers never see
 /// the shards.

@@ -554,7 +554,6 @@ TEST(ExtractorEviction, DefaultCapKeepsRegistryRows) {
   }
 }
 
-
 PipelineSpec parse_spec(const std::string& text) {
   auto spec = PipelineSpec::parse("[" + text + "]");
   EXPECT_TRUE(spec.ok()) << spec.error().message;

@@ -1,10 +1,14 @@
 // The live hand-off recycles frame buffers through the shard rings: once
 // every slot has carried a frame, moving a frame from a replay source or a
-// socket to its shard consumer allocates nothing. Each check drains the
-// same looped benign capture, which opens no new extractor context after
-// its first pass, for k and for 2k loops on fresh runtimes, and compares
-// their heap allocations: the extra k loops may allocate at most one per
-// 1000 frames. A buffer an oversized frame grew is not kept by the ring.
+// socket to its shard consumer allocates nothing. Each check drains a
+// benign capture looped 2k times, which opens no new extractor context
+// after its first pass, and counts the heap allocations made between the
+// consumer scoring the last frame of loop k and the last frame of loop 2k:
+// at most one per 1000 frames. The count is taken within one drain because
+// how many times the buffers grow while they warm up depends on which
+// frame lands in which buffer, so two drains differ by dozens of
+// allocations when the threads' interleaving changes. A buffer an
+// oversized frame grew is not kept by the ring.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -82,7 +86,7 @@ namespace {
 using netio::RawPacket;
 using netio::Trace;
 
-constexpr size_t kLoops = 16;  // k; the long drain runs 2k
+constexpr size_t kLoops = 16;  // k; each drain runs 2k loops
 
 // Benign traffic from a few devices: after one pass every context exists.
 const trace::Dataset& benign() {
@@ -106,11 +110,24 @@ const OnlineKitsune& detector() {
   return det;
 }
 
-/// Counts alerts without keeping them, so the sink allocates nothing.
-class CountingSink : public AlertSink {
+/// Counts the frames the consumer scored and reads the allocation count
+/// after the last frame of each half of a 2k-loop drain. It allocates
+/// nothing itself.
+class SplitSink : public AlertSink {
  public:
-  void on_alert(const Alert&) override { ++alerts; }
-  uint64_t alerts = 0;
+  explicit SplitSink(uint64_t half) : half_(half) {}
+  void on_alert(const Alert&) override {}
+  void on_packet(const netio::PacketView&, double, bool) override {
+    ++scored;
+    if (scored == half_) at_half = g_allocs.load();
+    if (scored == 2 * half_) at_end = g_allocs.load();
+  }
+  uint64_t scored = 0;
+  size_t at_half = 0;
+  size_t at_end = 0;
+
+ private:
+  uint64_t half_;
 };
 
 IngestRuntime::Options options() {
@@ -124,43 +141,32 @@ std::unique_ptr<PacketScorer> kitsune(size_t) {
   return std::make_unique<KitsuneScorer>(detector());
 }
 
-/// Heap allocations made while `rt` drains `driver`; `scored` gets the
-/// frames its consumer scored.
-size_t drain_allocs(IngestRuntime& rt, netio::SourceDriver& driver,
-                    uint64_t& scored) {
-  const size_t before = g_allocs.load();
-  Result<IngestStats> stats = rt.run(driver);
-  const size_t allocs = g_allocs.load() - before;
-  EXPECT_TRUE(stats.ok()) << stats.error().message;
-  scored = stats.ok() ? stats.value().scored : 0;
-  return allocs;
-}
+/// Frames in the k loops of each half of a drain.
+uint64_t half_frames() { return kLoops * benign().trace.size(); }
 
-size_t replay_allocs(size_t loops) {
-  netio::TraceReplaySource replay(benign().trace);
-  netio::LoopingSource looped(replay, netio::LoopOptions{loops});
-  netio::ReplayDriver driver(looped);
-  CountingSink sink;
+/// Drains `driver`, 2k loops of the capture, and returns the allocations
+/// made while its consumer scored the second k loops.
+size_t second_half_allocs(netio::SourceDriver& driver) {
+  SplitSink sink(half_frames());
   IngestRuntime rt(options(), kitsune, &sink);
-  uint64_t scored = 0;
-  const size_t allocs = drain_allocs(rt, driver, scored);
-  EXPECT_EQ(scored, loops * benign().trace.size());
-  return allocs;
+  Result<IngestStats> stats = rt.run(driver);
+  EXPECT_TRUE(stats.ok()) << stats.error().message;
+  EXPECT_EQ(sink.scored, 2 * half_frames());
+  return sink.at_end - sink.at_half;
 }
 
-/// Allowed extra allocations over the extra k loops: one per 1000 frames.
-double allowance() {
-  return static_cast<double>(kLoops * benign().trace.size()) / 1000.0;
-}
+/// Allowed allocations over the second k loops: one per 1000 frames.
+double allowance() { return static_cast<double>(half_frames()) / 1000.0; }
 
 TEST(HandoffAlloc, ReplayAllocatesNothingPerFrameOnceWarm) {
   (void)detector();
-  const size_t k = replay_allocs(kLoops);
-  const size_t k2 = replay_allocs(2 * kLoops);
-  EXPECT_LE(static_cast<double>(k2) - static_cast<double>(k), allowance())
-      << k << " allocations over " << kLoops << " loops of "
-      << benign().trace.size() << " frames, " << k2 << " over "
-      << 2 * kLoops;
+  netio::TraceReplaySource replay(benign().trace);
+  netio::LoopingSource looped(replay, netio::LoopOptions{2 * kLoops});
+  netio::ReplayDriver driver(looped);
+  const size_t allocs = second_half_allocs(driver);
+  EXPECT_LE(static_cast<double>(allocs), allowance())
+      << allocs << " allocations over loops " << kLoops + 1 << " to "
+      << 2 * kLoops << " of " << benign().trace.size() << " frames";
 }
 
 /// LUM1 stream of `loops` passes over the capture, each pass shifted by
@@ -202,7 +208,9 @@ void send_wire(uint16_t port, const std::vector<uint8_t>& wire) {
   ::close(fd);
 }
 
-size_t gateway_allocs(const std::vector<uint8_t>& wire, size_t loops) {
+TEST(HandoffAlloc, GatewayAllocatesNothingPerFrameOnceWarm) {
+  (void)detector();
+  const std::vector<uint8_t> wire = encode_loops(2 * kLoops);
   telemetry::Registry reg;
   netio::FrontendOptions fo;
   fo.registry = &reg;
@@ -212,27 +220,13 @@ size_t gateway_allocs(const std::vector<uint8_t>& wire, size_t loops) {
   // capture's largest frames well within the first k loops.
   fo.pending_frames = 16;
   netio::GatewayFrontend fe(fo);
-  EXPECT_TRUE(fe.bind().ok());
-  CountingSink sink;
-  IngestRuntime rt(options(), kitsune, &sink);
+  ASSERT_TRUE(fe.bind().ok());
   std::thread client(send_wire, fe.tcp_port(), std::cref(wire));
-  uint64_t scored = 0;
-  const size_t allocs = drain_allocs(rt, fe, scored);
+  const size_t allocs = second_half_allocs(fe);
   client.join();
-  EXPECT_EQ(scored, loops * benign().trace.size());
-  return allocs;
-}
-
-TEST(HandoffAlloc, GatewayAllocatesNothingPerFrameOnceWarm) {
-  (void)detector();
-  const std::vector<uint8_t> short_wire = encode_loops(kLoops);
-  const std::vector<uint8_t> long_wire = encode_loops(2 * kLoops);
-  const size_t k = gateway_allocs(short_wire, kLoops);
-  const size_t k2 = gateway_allocs(long_wire, 2 * kLoops);
-  EXPECT_LE(static_cast<double>(k2) - static_cast<double>(k), allowance())
-      << k << " allocations over " << kLoops << " loops of "
-      << benign().trace.size() << " frames, " << k2 << " over "
-      << 2 * kLoops;
+  EXPECT_LE(static_cast<double>(allocs), allowance())
+      << allocs << " allocations over loops " << kLoops + 1 << " to "
+      << 2 * kLoops << " of " << benign().trace.size() << " frames";
 }
 
 /// Live heap, relative to the start of the drain, when the consumer scores
