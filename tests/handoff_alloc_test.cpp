@@ -159,7 +159,6 @@ size_t second_half_allocs(netio::SourceDriver& driver) {
 double allowance() { return static_cast<double>(half_frames()) / 1000.0; }
 
 TEST(HandoffAlloc, ReplayAllocatesNothingPerFrameOnceWarm) {
-  (void)detector();
   netio::TraceReplaySource replay(benign().trace);
   netio::LoopingSource looped(replay, netio::LoopOptions{2 * kLoops});
   netio::ReplayDriver driver(looped);
@@ -209,7 +208,6 @@ void send_wire(uint16_t port, const std::vector<uint8_t>& wire) {
 }
 
 TEST(HandoffAlloc, GatewayAllocatesNothingPerFrameOnceWarm) {
-  (void)detector();
   const std::vector<uint8_t> wire = encode_loops(2 * kLoops);
   telemetry::Registry reg;
   netio::FrontendOptions fo;
